@@ -120,17 +120,21 @@ events-check:
 
 # twig-check gates the holistic twig-join matcher: the twig ≡ binary
 # equivalence property (random documents and patterns, parallelism 1
-# and 4), the concurrent both-matchers hammer, the matcher cost model,
-# the engine-level byte-identity and EXPLAIN matcher reporting, and
-# the matcher-pick regression (the planner's pick must never run
-# slower than 1.5x the best explicit matcher) — all under the race
-# detector — plus a short matcher comparison that fails unless the
-# twig matcher strictly wins postings scanned and intermediate
-# bindings on the deep chain.
+# and 4) and the directed order-preserving-merge cases, the binding
+# lifetime and Next-after-Close contracts on all three matchers, the
+# concurrent both-matchers hammer, the matcher cost model, the
+# engine-level byte-identity and EXPLAIN matcher reporting, and the
+# matcher-pick regression (the planner's pick must never run slower
+# than 1.5x the best explicit matcher) — all under the race detector.
+# The allocation ceiling runs on its own without -race, whose runtime
+# allocates by itself. Last, a short matcher comparison that fails
+# unless the twig matcher strictly wins postings scanned and
+# intermediate bindings on the deep chain.
 twig-check:
-	$(GO) test -race -run 'Twig|Matcher' \
+	$(GO) test -race -run 'Twig|Matcher|BindingLifetime|NextAfterClose|Collectors' \
 		./internal/match/ ./internal/opt/planner/ ./internal/engine/ \
 		./internal/bench/ ./cmd/timber-serve/
+	$(GO) test -run 'TestTwigAllocCeiling' ./internal/match/
 	$(GO) run ./cmd/experiments -exp none -twigfile /tmp/timber-twig-check.json \
 		-twigdocs 12 -twigarticles 80 -twigreps 1
 	rm -f /tmp/timber-twig-check.json

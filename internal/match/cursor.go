@@ -1,7 +1,6 @@
 package match
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"timber/internal/pattern"
@@ -29,8 +28,7 @@ type Cursor struct {
 	stats  *DBStats
 
 	di     int
-	buf    []DBBinding
-	pos    int
+	out    witnesses // current document's rows
 	interm atomic.Int64
 }
 
@@ -43,46 +41,44 @@ func OpenCursor(db storage.Reader, pt *pattern.Tree) (*Cursor, error) {
 	db, release := storage.Pin(db)
 	defer release()
 	order := preorder(pt.Root)
-	stats := &DBStats{Matcher: MatcherBinary.String()}
-	colOf := make(map[string]int, len(order))
-	for i, pn := range order {
-		colOf[pn.Label] = i
+	c := &Cursor{
+		db:    db,
+		order: order,
+		colOf: make(map[string]int, len(order)),
+		cands: make([][]storage.Posting, len(order)),
+		stats: &DBStats{Matcher: MatcherBinary.String()},
+		out:   witnesses{labels: pt.Labels(), rows: rowSet{width: len(order)}},
 	}
-	cands := make([][]storage.Posting, len(order))
 	for i, pn := range order {
-		cs, err := candidates(db, pn, stats)
+		c.colOf[pn.Label] = i
+	}
+	for i, pn := range order {
+		cs, err := candidates(db, pn, c.stats)
 		if err != nil {
 			return nil, err
 		}
 		if len(cs) == 0 {
-			// Some node has no match at all: an exhausted cursor.
-			return &Cursor{stats: stats}, nil
+			// Some node has no match at all: no documents, an exhausted
+			// cursor.
+			return c, nil
 		}
-		cands[i] = cs
+		c.cands[i] = cs
 	}
-	jorder := greedyJoinOrder(order, colOf, cands)
-	stats.JoinOrder = append(stats.JoinOrder, order[0].Label)
-	for _, i := range jorder {
-		stats.JoinOrder = append(stats.JoinOrder, order[i].Label)
+	c.jorder = greedyJoinOrder(order, c.colOf, c.cands)
+	c.stats.JoinOrder = append(c.stats.JoinOrder, order[0].Label)
+	for _, i := range c.jorder {
+		c.stats.JoinOrder = append(c.stats.JoinOrder, order[i].Label)
 	}
-	return &Cursor{
-		db:     db,
-		order:  order,
-		colOf:  colOf,
-		jorder: jorder,
-		cands:  cands,
-		docs:   candidateDocs(cands[0]),
-		stats:  stats,
-	}, nil
+	c.docs = candidateDocs(c.cands[0])
+	return c, nil
 }
 
 // Next returns the next witness binding, or ok=false when the stream
-// is exhausted. Joining happens lazily, one document per refill.
+// is exhausted or the cursor closed. Joining happens lazily, one
+// document per refill; the binding is valid until the following Next.
 func (c *Cursor) Next() (DBBinding, bool) {
 	for {
-		if c.pos < len(c.buf) {
-			b := c.buf[c.pos]
-			c.pos++
+		if b, ok := c.out.next(); ok {
 			c.stats.Witnesses++
 			return b, true
 		}
@@ -95,11 +91,9 @@ func (c *Cursor) Next() (DBBinding, bool) {
 	}
 }
 
-// fillDoc joins one document's candidate segments and stages its
-// bindings in MatchDB order.
+// fillDoc joins one document's candidate segments and stages its rows.
 func (c *Cursor) fillDoc(doc xmltree.DocID) {
-	c.buf = c.buf[:0]
-	c.pos = 0
+	c.out.drop()
 	docCands := make([][]storage.Posting, len(c.order))
 	for i := range c.cands {
 		docCands[i] = docSegment(c.cands[i], doc)
@@ -107,23 +101,7 @@ func (c *Cursor) fillDoc(doc xmltree.DocID) {
 			return
 		}
 	}
-	rows := matchRows(c.order, c.colOf, c.jorder, docCands, nil, &c.interm)
-	sort.SliceStable(rows, func(a, b int) bool {
-		for i := range c.order {
-			x, y := rows[a][i].ID(), rows[b][i].ID()
-			if x != y {
-				return x.Less(y)
-			}
-		}
-		return false
-	})
-	for _, row := range rows {
-		bind := make(DBBinding, len(c.order))
-		for i, pn := range c.order {
-			bind[pn.Label] = row[i]
-		}
-		c.buf = append(c.buf, bind)
-	}
+	c.out.stage(matchRows(c.order, c.colOf, c.jorder, docCands, nil, &c.interm))
 }
 
 // Stats returns the cursor's access counters; Witnesses counts the
@@ -138,7 +116,11 @@ func (c *Cursor) Stats() *DBStats {
 // fail later; Err exists to satisfy the Matcher interface.
 func (c *Cursor) Err() error { return nil }
 
-// Close releases the cursor's resources. OpenCursor materializes its
-// candidate lists and releases its pin before returning, so there is
-// nothing to free; Close exists to satisfy the Matcher interface.
-func (c *Cursor) Close() error { return nil }
+// Close drops the candidate lists and the staged rows; Next reports
+// ok=false from then on. OpenCursor released its pin before returning,
+// so nothing else is held. Idempotent.
+func (c *Cursor) Close() error {
+	c.cands, c.docs = nil, nil
+	c.out.drop()
+	return nil
+}

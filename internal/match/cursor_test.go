@@ -19,7 +19,7 @@ func drainCursor(c *Cursor) []DBBinding {
 		if !ok {
 			return out
 		}
-		out = append(out, b)
+		out = append(out, b.Clone())
 	}
 }
 

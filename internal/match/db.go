@@ -2,6 +2,7 @@ package match
 
 import (
 	"context"
+	"maps"
 	"sort"
 	"sync/atomic"
 
@@ -18,6 +19,10 @@ import (
 // only indices unless a predicate forces a record fetch; values are
 // populated later, and only as needed (Sec. 5.3).
 type DBBinding map[string]storage.Posting
+
+// Clone returns a copy the caller may keep: the binding a Matcher's
+// Next returns is overwritten by the following Next.
+func (b DBBinding) Clone() DBBinding { return maps.Clone(b) }
 
 // DBStats reports what a MatchDB call did, for experiment reporting.
 type DBStats struct {
@@ -144,8 +149,8 @@ func MatchDBObs(ctx context.Context, db storage.Reader, pt *pattern.Tree, parall
 	// counts: always extend the edge whose new node has the fewest
 	// candidates (among nodes whose parent is already bound), so the
 	// intermediate row sets stay as small as the statistics allow. The
-	// final sort below makes the witness output identical for every
-	// order.
+	// sort that ends matchRows makes the witness output identical for
+	// every order.
 	jorder := greedyJoinOrder(order, colOf, cands)
 	stats.JoinOrder = append(stats.JoinOrder, order[0].Label)
 	for _, i := range jorder {
@@ -163,7 +168,7 @@ func MatchDBObs(ctx context.Context, db storage.Reader, pt *pattern.Tree, parall
 	if joinSp != nil {
 		jm = &sjoin.Metrics{}
 	}
-	rowsByDoc := make([][][]storage.Posting, len(docs))
+	rowsByDoc := make([]rowSet, len(docs))
 	var interm atomic.Int64
 	if err := par.Do(ctx, len(docs), workers, func(k int) error {
 		docCands := make([][]storage.Posting, len(order))
@@ -181,41 +186,28 @@ func MatchDBObs(ctx context.Context, db storage.Reader, pt *pattern.Tree, parall
 	}
 	stats.IntermediateBindings = int(interm.Load())
 
-	// Merge in document order (candidate lists are (doc, start)-sorted,
-	// so concatenation preserves the sequential row order).
-	var rows [][]storage.Posting
+	// Concatenate in document order: each document's rows are sorted and
+	// the leading column is the root's (doc, start), so the whole is in
+	// output order.
+	total := 0
 	for _, rs := range rowsByDoc {
-		rows = append(rows, rs...)
+		total += len(rs.posts)
+	}
+	rows := rowSet{width: len(order), posts: make([]storage.Posting, 0, total)}
+	for _, rs := range rowsByDoc {
+		rows.posts = append(rows.posts, rs.posts...)
 	}
 	if jm != nil {
 		joinSp.Add("joins", jm.Joins.Load())
 		joinSp.Add("join_inputs", jm.Ancestors.Load()+jm.Descendants.Load())
 		joinSp.Add("join_pairs", jm.Pairs.Load())
-		joinSp.Add("witness_rows", int64(len(rows)))
+		joinSp.Add("witness_rows", int64(rows.Len()))
 	}
 	joinSp.End()
-	if len(rows) == 0 {
+	if rows.Len() == 0 {
 		return nil, stats, nil
 	}
-
-	// Sort lexicographically by node IDs in pre-order, then convert.
-	sort.SliceStable(rows, func(a, b int) bool {
-		for i := range order {
-			x, y := rows[a][i].ID(), rows[b][i].ID()
-			if x != y {
-				return x.Less(y)
-			}
-		}
-		return false
-	})
-	out := make([]DBBinding, len(rows))
-	for r, row := range rows {
-		bind := make(DBBinding, len(order))
-		for i, pn := range order {
-			bind[pn.Label] = row[i]
-		}
-		out[r] = bind
-	}
+	out := rows.bindings(pt.Labels())
 	stats.Witnesses = len(out)
 	sp.Add("witnesses", int64(len(out)))
 	return out, stats, nil
@@ -250,23 +242,22 @@ func greedyJoinOrder(order []*pattern.Node, colOf map[string]int, cands [][]stor
 // matchRows runs the edge-at-a-time structural-join pipeline of
 // Sec. 5.2 over one document's candidate segments: seed rows with the
 // root candidates, then extend one pattern edge at a time, in jorder,
-// with single-pass containment joins. rows[r][i] is the posting bound
-// to order[i] in row r. Pure in-memory computation — no database
-// access — so per-document invocations run concurrently without
-// coordination.
-func matchRows(order []*pattern.Node, colOf map[string]int, jorder []int, cands [][]storage.Posting, jm *sjoin.Metrics, interm *atomic.Int64) [][]storage.Posting {
-	rows := make([][]storage.Posting, len(cands[0]))
+// with single-pass containment joins. Column i of a row is the posting
+// bound to order[i]; the rows come back in output order. Pure in-memory
+// computation — no database access — so per-document invocations run
+// concurrently without coordination.
+func matchRows(order []*pattern.Node, colOf map[string]int, jorder []int, cands [][]storage.Posting, jm *sjoin.Metrics, interm *atomic.Int64) rowSet {
+	width := len(order)
+	rows := rowSet{width: width, posts: make([]storage.Posting, len(cands[0])*width)}
 	for r, p := range cands[0] {
-		row := make([]storage.Posting, len(order))
-		row[0] = p
-		rows[r] = row
+		rows.posts[r*width] = p
 	}
 	for _, i := range jorder {
 		pn := order[i]
 		pcol := colOf[pn.Parent.Label]
 
 		// Distinct, sorted parent postings currently bound.
-		parents := distinctSorted(rows, pcol)
+		parents := distinctSorted(&rows, pcol)
 		pIvs := make([]xmltree.Interval, len(parents))
 		for k, p := range parents {
 			pIvs[k] = p.Interval
@@ -288,23 +279,23 @@ func matchRows(order []*pattern.Node, colOf map[string]int, jorder []int, cands 
 			id := parents[pr.A].ID()
 			children[id] = append(children[id], pr.D)
 		}
-		var next [][]storage.Posting
-		for _, row := range rows {
+		next := rowSet{width: width}
+		for r, n := 0, rows.Len(); r < n; r++ {
+			row := rows.row(r)
 			for _, ci := range children[row[pcol].ID()] {
-				nr := make([]storage.Posting, len(order))
-				copy(nr, row)
-				nr[i] = cands[i][ci]
-				next = append(next, nr)
+				next.posts = append(next.posts, row...)
+				next.posts[len(next.posts)-width+i] = cands[i][ci]
 			}
 		}
 		rows = next
 		if interm != nil {
-			interm.Add(int64(len(next)))
+			interm.Add(int64(rows.Len()))
 		}
-		if len(rows) == 0 {
-			return nil
+		if rows.Len() == 0 {
+			return rows
 		}
 	}
+	rows.sort()
 	return rows
 }
 
@@ -443,14 +434,15 @@ func postingFor(db storage.Reader, rec *storage.NodeRecord) (storage.Posting, er
 
 // distinctSorted extracts the distinct postings of one column, sorted by
 // node ID — the input form the structural join requires.
-func distinctSorted(rows [][]storage.Posting, col int) []storage.Posting {
-	out := make([]storage.Posting, 0, len(rows))
-	seen := make(map[xmltree.NodeID]bool, len(rows))
-	for _, row := range rows {
-		id := row[col].ID()
-		if !seen[id] {
+func distinctSorted(rows *rowSet, col int) []storage.Posting {
+	n := rows.Len()
+	out := make([]storage.Posting, 0, n)
+	seen := make(map[xmltree.NodeID]bool, n)
+	for r := 0; r < n; r++ {
+		p := rows.row(r)[col]
+		if id := p.ID(); !seen[id] {
 			seen[id] = true
-			out = append(out, row[col])
+			out = append(out, p)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID().Less(out[j].ID()) })

@@ -76,7 +76,9 @@ func MatcherNames() []string {
 // affecting results, only access patterns.
 type Matcher interface {
 	// Next returns the next witness binding, or ok=false at the end of
-	// the stream (or on error — check Err).
+	// the stream, after Close, or on error — check Err. The binding is
+	// the matcher's own and is valid only until the following Next, which
+	// overwrites it in place; Clone what must outlive that.
 	Next() (DBBinding, bool)
 	// Stats returns the matcher's access counters; Witnesses counts the
 	// bindings returned so far.
@@ -84,7 +86,7 @@ type Matcher interface {
 	// Err reports the first error the matcher hit, if any.
 	Err() error
 	// Close releases the matcher's resources (snapshot pins, open
-	// cursors). Idempotent.
+	// cursors, staged rows); Next reports ok=false afterwards. Idempotent.
 	Close() error
 }
 
@@ -146,7 +148,7 @@ func MatchKindObs(ctx context.Context, db storage.Reader, pt *pattern.Tree, kind
 		if !ok {
 			break
 		}
-		out = append(out, b)
+		out = append(out, b.Clone())
 	}
 	if err := m.Err(); err != nil {
 		twigSp.End()
@@ -171,35 +173,34 @@ func MatchKindObs(ctx context.Context, db storage.Reader, pt *pattern.Tree, kind
 // record locations (RIDs) are zero, since in-memory trees have no
 // stored records.
 func OpenMem(pt *pattern.Tree, trees []*xmltree.Node) Matcher {
-	bs := Match(pt, trees)
-	m := &memMatcher{out: make([]DBBinding, len(bs))}
+	labels := pt.Labels()
+	m := &memMatcher{out: witnesses{labels: labels, rows: rowSet{width: len(labels)}}}
 	m.stats.Matcher = "mem"
-	for i, b := range bs {
-		dst := make(DBBinding, len(b))
-		for label, n := range b {
-			dst[label] = storage.Posting{Interval: n.Interval}
+	for _, b := range Match(pt, trees) {
+		for _, l := range labels {
+			m.out.rows.posts = append(m.out.rows.posts, storage.Posting{Interval: b[l].Interval})
 		}
-		m.out[i] = dst
 	}
 	return m
 }
 
 type memMatcher struct {
-	out   []DBBinding
-	pos   int
+	out   witnesses
 	stats DBStats
 }
 
 func (m *memMatcher) Next() (DBBinding, bool) {
-	if m.pos >= len(m.out) {
-		return nil, false
+	b, ok := m.out.next()
+	if ok {
+		m.stats.Witnesses++
 	}
-	b := m.out[m.pos]
-	m.pos++
-	m.stats.Witnesses++
-	return b, true
+	return b, ok
 }
 
 func (m *memMatcher) Stats() *DBStats { return &m.stats }
 func (m *memMatcher) Err() error      { return nil }
-func (m *memMatcher) Close() error    { return nil }
+
+func (m *memMatcher) Close() error {
+	m.out.drop()
+	return nil
+}

@@ -26,12 +26,17 @@ import (
 //     postings at or before the parent stream's head start can never
 //     acquire an ancestor and are seeked over.
 //
-// Phase one emits root-to-leaf path solutions at each leaf push; phase
-// two merge-joins the per-leaf path sets on their shared ancestor
-// prefix into full witness rows. Rows sort lexicographically by
-// pre-order node IDs within each document, and documents ascend — the
-// exact binding sequence of the binary cascade, which is the package's
-// hard equivalence invariant.
+// Phase one emits root-to-leaf path solutions at each leaf push into
+// one flat arena per leaf; phase two sorts each arena root-first and
+// merge-joins the arenas, leaf by leaf in pattern pre-order, on their
+// shared ancestor prefix into full witness rows. The join keeps the
+// accumulated rows' order and appends columns that follow every bound
+// column in pre-order, so the rows come out lexicographically ordered by
+// pre-order node IDs without a sort; documents ascend — the exact
+// binding sequence of the binary cascade, which is the package's hard
+// equivalence invariant. Arenas, merge buffers and the delivered binding
+// are reused from document to document: steady-state matching does not
+// allocate.
 
 // infStart is the sentinel start for a stream exhausted within the
 // current document (any real start is below it).
@@ -146,17 +151,21 @@ type twigMatcher struct {
 	parentI []int   // parent's pre-order index (-1 for the root)
 	childI  [][]int // children's pre-order indexes
 	leaves  []int   // leaf pre-order indexes, in pre-order
+	leafOf  []int   // per pattern node: its index in leaves (internal nodes unused)
 	pathOf  [][]int // per leaves[i]: pre-order indexes root → leaf
+	shared  []int   // per leaves[i]: leading path nodes an earlier leaf's path binds
 
 	streams []*twigStream
 	stacks  [][]stackEntry
-	paths   [][][]storage.Posting // per leaves[i]: current doc's path solutions
 	stats   *DBStats
 	err     error
 	done    bool
 
-	buf []DBBinding // current document's witnesses, in output order
-	pos int
+	// Per-document state, reset (not reallocated) by matchDoc.
+	paths  []rowSet          // per leaves[i]: path solutions, one root → leaf row each
+	sol    []storage.Posting // the path under enumeration
+	merged [2]rowSet         // full-width merge rows, ping-pong between leaves
+	out    witnesses         // the document's witnesses, aliasing a merge buffer
 }
 
 // openTwig builds the streams and primes them. The caller has checked
@@ -175,9 +184,13 @@ func openTwig(db storage.Reader, pt *pattern.Tree) (*twigMatcher, error) {
 		order:   order,
 		parentI: make([]int, len(order)),
 		childI:  make([][]int, len(order)),
+		leafOf:  make([]int, len(order)),
 		streams: make([]*twigStream, len(order)),
 		stacks:  make([][]stackEntry, len(order)),
 		stats:   stats,
+		sol:     make([]storage.Posting, len(order)),
+		merged:  [2]rowSet{{width: len(order)}, {width: len(order)}},
+		out:     witnesses{labels: pt.Labels(), rows: rowSet{width: len(order)}},
 	}
 	for i, pn := range order {
 		if pn.Parent == nil {
@@ -200,11 +213,19 @@ func openTwig(db storage.Reader, pt *pattern.Tree) (*twigMatcher, error) {
 			for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
 				path[l], path[r] = path[r], path[l]
 			}
+			// Leaves come in pre-order, so the columns bound before this
+			// one are exactly those up to the previous leaf.
+			shared := 0
+			for len(m.leaves) > 0 && path[shared] <= m.leaves[len(m.leaves)-1] {
+				shared++
+			}
+			m.leafOf[i] = len(m.leaves)
 			m.leaves = append(m.leaves, i)
 			m.pathOf = append(m.pathOf, path)
+			m.shared = append(m.shared, shared)
+			m.paths = append(m.paths, rowSet{width: len(path)})
 		}
 	}
-	m.paths = make([][][]storage.Posting, len(m.leaves))
 
 	for i, pn := range order {
 		tag := pn.TagConstraint()
@@ -245,12 +266,11 @@ func (m *twigMatcher) closeStreams() {
 	}
 }
 
-// Next returns the next witness binding in the global output order.
+// Next returns the next witness binding in the global output order; the
+// binding is valid until the following Next.
 func (m *twigMatcher) Next() (DBBinding, bool) {
 	for {
-		if m.pos < len(m.buf) {
-			b := m.buf[m.pos]
-			m.pos++
+		if b, ok := m.out.next(); ok {
 			m.stats.Witnesses++
 			return b, true
 		}
@@ -265,7 +285,8 @@ func (m *twigMatcher) Stats() *DBStats { return m.stats }
 
 func (m *twigMatcher) Err() error { return m.err }
 
-// Close releases the matcher's cursors and snapshot pin. Idempotent.
+// Close releases the matcher's cursors, snapshot pin and per-document
+// buffers; Next reports ok=false from then on. Idempotent.
 func (m *twigMatcher) Close() error {
 	m.closeStreams()
 	if m.release != nil {
@@ -273,6 +294,8 @@ func (m *twigMatcher) Close() error {
 		m.release = nil
 	}
 	m.done = true
+	m.paths, m.merged = nil, [2]rowSet{}
+	m.out.drop()
 	return m.err
 }
 
@@ -343,8 +366,11 @@ func (m *twigMatcher) clean(i int, start uint32) {
 
 // getNext returns the pattern node whose stream head should be acted on
 // next: a node all of whose child subtrees can still extend it, with
-// the minimal start among them (TwigStack's getNext). Exhausted
-// subtrees surface as a node with an in-doc-exhausted stream, which
+// the minimal start among them (TwigStack's getNext). A child subtree
+// with nothing left in the document reads as infStart: q is drained —
+// no later q can contain that branch — while the other branches go on
+// completing path solutions for the ancestors already stacked. Only
+// when every branch is finished does an exhausted node surface, which
 // ends the document loop.
 func (m *twigMatcher) getNext(q int, d xmltree.DocID) int {
 	if len(m.childI[q]) == 0 {
@@ -354,9 +380,11 @@ func (m *twigMatcher) getNext(q int, d xmltree.DocID) int {
 	var minStart, maxStart uint64
 	for _, qi := range m.childI[q] {
 		ni := m.getNext(qi, d)
-		if ni != qi {
+		if ni != qi && m.inDoc(ni, d) {
 			return ni
 		}
+		// Either qi itself is next in its subtree, or the subtree is
+		// finished — and then getNext(qi) drained qi's stream as well.
 		st := m.startOrInf(qi, d)
 		if nmin < 0 || st < minStart {
 			nmin, minStart = qi, st
@@ -385,15 +413,14 @@ func (m *twigMatcher) getNext(q int, d xmltree.DocID) int {
 
 // matchDoc runs the two twig phases over one document: the stack-driven
 // stream pass emitting path solutions, then the merge of per-leaf path
-// sets into full rows, sorted into the binary cascade's output order.
+// sets into full rows in the binary cascade's output order.
 func (m *twigMatcher) matchDoc(d xmltree.DocID) {
-	m.buf = m.buf[:0]
-	m.pos = 0
+	m.out.drop()
 	for i := range m.stacks {
 		m.stacks[i] = m.stacks[i][:0]
 	}
 	for i := range m.paths {
-		m.paths[i] = nil
+		m.paths[i].reset()
 	}
 
 	for m.err == nil {
@@ -452,39 +479,35 @@ func (m *twigMatcher) matchDoc(d xmltree.DocID) {
 // entries (indexes at or below the recorded parent pointers) whose
 // consecutive intervals satisfy the pattern edges.
 func (m *twigMatcher) emitPaths(q int) {
-	li := -1
-	for i, l := range m.leaves {
-		if l == q {
-			li = i
-			break
-		}
-	}
-	path := m.pathOf[li]
+	li := m.leafOf[q]
 	top := m.stacks[q][len(m.stacks[q])-1]
-	sol := make([]storage.Posting, len(path))
-	sol[len(path)-1] = top.post
-	var rec func(k, maxIdx int)
-	rec = func(k, maxIdx int) {
-		if k < 0 {
-			m.paths[li] = append(m.paths[li], append([]storage.Posting(nil), sol...))
-			m.stats.IntermediateBindings++
-			return
-		}
-		node := path[k]
-		child := m.order[path[k+1]]
-		st := m.stacks[node]
-		if maxIdx >= len(st) {
-			maxIdx = len(st) - 1
-		}
-		for i := 0; i <= maxIdx; i++ {
-			if !edgeOK(st[i].post.Interval, sol[k+1].Interval, child.Axis) {
-				continue
-			}
-			sol[k] = st[i].post
-			rec(k-1, st[i].ptr)
-		}
+	k := len(m.pathOf[li]) - 1
+	m.sol[k] = top.post
+	m.extendPath(li, k-1, top.ptr)
+}
+
+// extendPath binds position k of leaf li's path to each eligible entry
+// of that node's stack (indexes up to maxIdx) and recurses toward the
+// root; past the root the completed path goes into the leaf's arena.
+func (m *twigMatcher) extendPath(li, k, maxIdx int) {
+	path := m.pathOf[li]
+	if k < 0 {
+		m.paths[li].posts = append(m.paths[li].posts, m.sol[:len(path)]...)
+		m.stats.IntermediateBindings++
+		return
 	}
-	rec(len(path)-2, top.ptr)
+	st := m.stacks[path[k]]
+	axis := m.order[path[k+1]].Axis
+	if maxIdx >= len(st) {
+		maxIdx = len(st) - 1
+	}
+	for i := 0; i <= maxIdx; i++ {
+		if !edgeOK(st[i].post.Interval, m.sol[k+1].Interval, axis) {
+			continue
+		}
+		m.sol[k] = st[i].post
+		m.extendPath(li, k-1, st[i].ptr)
+	}
 }
 
 // edgeOK checks one pattern edge between candidate intervals: strict
@@ -498,86 +521,85 @@ func edgeOK(anc, desc xmltree.Interval, axis pattern.Axis) bool {
 	return anc.Contains(desc)
 }
 
-// mergeDoc joins the per-leaf path-solution sets on their shared
-// ancestor prefixes into full witness rows and stages them in output
-// order. Leaves are taken in pattern pre-order; the shared prefix of a
-// later leaf's path is always a non-empty prefix (bound nodes form a
-// subtree containing the root), so the hash join keys are well defined.
+// mergeDoc joins the per-leaf path-solution arenas on their shared
+// ancestor prefixes into full witness rows and stages them. Leaves are
+// taken in pattern pre-order, starting from a single empty row; the
+// shared prefix of a later leaf's path is never empty (bound nodes form
+// a subtree containing the root).
+//
+// No sort follows the join. Each arena is sorted root-first, so the
+// solutions extending one accumulated row are a contiguous group found
+// by binary search, already ordered by the leaf's unshared columns. The
+// accumulated rows are distinct and ordered by their bound columns, and
+// the unshared columns come after all of those in pre-order — so
+// emitting row by row, group by group, yields the next accumulation in
+// lexicographic pre-order. The shared prefix need not be a prefix of the
+// bound columns (a{b{c}, d{e, f}} joins f on columns a, d of rows
+// ordered by a, b, c, d, e), which is why each row searches rather than
+// the two sides advancing together.
 func (m *twigMatcher) mergeDoc() {
-	if len(m.paths[0]) == 0 {
-		return
-	}
-	width := len(m.order)
-	bound := make([]bool, width)
-	rows := make([][]storage.Posting, 0, len(m.paths[0]))
-	for _, sol := range m.paths[0] {
-		row := make([]storage.Posting, width)
-		for k, col := range m.pathOf[0] {
-			row[col] = sol[k]
-		}
-		rows = append(rows, row)
-	}
-	for _, col := range m.pathOf[0] {
-		bound[col] = true
-	}
-	for li := 1; li < len(m.leaves) && len(rows) > 0; li++ {
-		path := m.pathOf[li]
-		shared := 0
-		for shared < len(path) && bound[path[shared]] {
-			shared++
-		}
-		prefix := path[:shared]
-		idx := make(map[string][]int, len(rows))
-		for r, row := range rows {
-			key := startKey(func(k int) uint32 { return row[prefix[k]].Interval.Start }, shared)
-			idx[key] = append(idx[key], r)
-		}
-		var next [][]storage.Posting
-		for _, sol := range m.paths[li] {
-			key := startKey(func(k int) uint32 { return sol[k].Interval.Start }, shared)
-			for _, r := range idx[key] {
-				nr := make([]storage.Posting, width)
-				copy(nr, rows[r])
-				for k := shared; k < len(path); k++ {
-					nr[path[k]] = sol[k]
+	acc := &m.merged[0]
+	acc.reset()
+	acc.posts = append(acc.posts, make([]storage.Posting, acc.width)...)
+	for li := range m.leaves {
+		arena := &m.paths[li]
+		arena.sort()
+		path, shared := m.pathOf[li], m.shared[li]
+		next := &m.merged[(li+1)%2]
+		next.reset()
+		for r, n := 0, acc.Len(); r < n; r++ {
+			row := acc.row(r)
+			for s := prefixSearch(arena, row, path[:shared]); s < arena.Len(); s++ {
+				sol := arena.row(s)
+				if comparePrefix(sol, row, path[:shared]) != 0 {
+					break
 				}
-				next = append(next, nr)
+				at := len(next.posts)
+				next.posts = append(next.posts, row...)
+				for k := shared; k < len(path); k++ {
+					next.posts[at+path[k]] = sol[k]
+				}
 			}
 		}
-		rows = next
-		m.stats.IntermediateBindings += len(next)
-		for _, col := range path {
-			bound[col] = true
+		acc = next
+		if li > 0 {
+			m.stats.IntermediateBindings += acc.Len()
+		}
+		if acc.Len() == 0 {
+			return
 		}
 	}
-	if len(rows) == 0 {
-		return
-	}
-	sort.SliceStable(rows, func(a, b int) bool {
-		for i := range m.order {
-			x, y := rows[a][i].ID(), rows[b][i].ID()
-			if x != y {
-				return x.Less(y)
-			}
-		}
-		return false
-	})
-	for _, row := range rows {
-		bind := make(DBBinding, width)
-		for i, pn := range m.order {
-			bind[pn.Label] = row[i]
-		}
-		m.buf = append(m.buf, bind)
-	}
+	m.out.stage(*acc)
 }
 
-// startKey packs n node starts into a hash-join key (the document is
-// fixed within a merge, so starts identify nodes).
-func startKey(at func(int) uint32, n int) string {
-	b := make([]byte, 0, 4*n)
-	for k := 0; k < n; k++ {
-		s := at(k)
-		b = append(b, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
+// comparePrefix orders a path solution against a merge row on the
+// pattern nodes in prefix: the solution's leading columns against the
+// row's columns for those nodes. The document is fixed within a merge,
+// so starts identify nodes.
+func comparePrefix(sol, row []storage.Posting, prefix []int) int {
+	for k, col := range prefix {
+		a, b := sol[k].Interval.Start, row[col].Interval.Start
+		if a != b {
+			if a < b {
+				return -1
+			}
+			return 1
+		}
 	}
-	return string(b)
+	return 0
+}
+
+// prefixSearch returns the index of the first solution in the sorted
+// arena that does not order before row on prefix.
+func prefixSearch(arena *rowSet, row []storage.Posting, prefix []int) int {
+	lo, hi := 0, arena.Len()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if comparePrefix(arena.row(mid), row, prefix) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }

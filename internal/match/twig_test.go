@@ -65,50 +65,7 @@ func TestTwigMatchesBinaryProperty(t *testing.T) {
 		} else {
 			pt = randomPattern(rng)
 		}
-		bin, _, err := MatchKindObs(nil, db, pt, MatcherBinary, 1, nil)
-		if err != nil {
-			return false
-		}
-		for _, par := range []int{1, 4} {
-			twig, tstats, err := MatchKindObs(nil, db, pt, MatcherTwig, par, nil)
-			if err != nil || len(twig) != len(bin) {
-				return false
-			}
-			if tstats.Matcher != "twig" || tstats.Witnesses != len(twig) {
-				return false
-			}
-			for i := range bin {
-				for _, l := range pt.Labels() {
-					if bin[i][l] != twig[i][l] {
-						return false
-					}
-				}
-			}
-		}
-		// Streaming face: pull one binding at a time.
-		m, err := Open(db, pt, MatcherTwig)
-		if err != nil {
-			return false
-		}
-		defer m.Close()
-		var streamed []DBBinding
-		for {
-			b, ok := m.Next()
-			if !ok {
-				break
-			}
-			streamed = append(streamed, b)
-		}
-		if m.Err() != nil || len(streamed) != len(bin) {
-			return false
-		}
-		for i := range bin {
-			for _, l := range pt.Labels() {
-				if bin[i][l] != streamed[i][l] {
-					return false
-				}
-			}
-		}
+		checkTwigEqualsBinary(t, db, pt)
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
@@ -360,12 +317,18 @@ func TestTwigBinaryConcurrentHammer(t *testing.T) {
 
 // FuzzTwigMatch derives random corpora and patterns from the fuzz seed
 // and checks the twig ≡ binary binding equivalence — the fuzz face of
-// TestTwigMatchesBinaryProperty, wired into make fuzz-smoke.
+// TestTwigMatchesBinaryProperty and TestTwigOrderPreservingMerge, wired
+// into make fuzz-smoke. shape 0 draws bibliography documents and
+// patterns; shape k > 0 runs twigMergePatterns[k-1] over recursively
+// nested documents.
 func FuzzTwigMatch(f *testing.F) {
-	f.Add(int64(1), uint8(1))
-	f.Add(int64(42), uint8(3))
-	f.Add(int64(-7), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, docs uint8) {
+	f.Add(int64(1), uint8(1), uint8(0))
+	f.Add(int64(42), uint8(3), uint8(0))
+	f.Add(int64(-7), uint8(2), uint8(0))
+	for k := range twigMergePatterns {
+		f.Add(int64(k), uint8(k), uint8(k+1))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, docs, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		db, err := storage.CreateTemp(storage.Options{PageSize: 512, PoolPages: 256})
 		if err != nil {
@@ -373,34 +336,24 @@ func FuzzTwigMatch(f *testing.F) {
 		}
 		defer db.Close()
 		n := int(docs)%3 + 1
+		doc := randomDocument
+		if shape > 0 {
+			doc = nestedDocument
+		}
 		for i := 0; i < n; i++ {
-			if _, err := db.LoadDocument(fmt.Sprintf("d%d", i), randomDocument(rng)); err != nil {
+			if _, err := db.LoadDocument(fmt.Sprintf("d%d", i), doc(rng)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		var pt *pattern.Tree
-		if rng.Intn(4) == 0 {
+		switch {
+		case shape > 0:
+			pt = mergePattern(t, int(shape)-1)
+		case rng.Intn(4) == 0:
 			pt = deepChainPattern()
-		} else {
+		default:
 			pt = randomPattern(rng)
 		}
-		bin, _, err := MatchKindObs(nil, db, pt, MatcherBinary, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		twig, _, err := MatchKindObs(nil, db, pt, MatcherTwig, 4, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(bin) != len(twig) {
-			t.Fatalf("twig %d bindings, binary %d", len(twig), len(bin))
-		}
-		for i := range bin {
-			for _, l := range pt.Labels() {
-				if bin[i][l] != twig[i][l] {
-					t.Fatalf("binding %d label %s: twig %v, binary %v", i, l, twig[i][l], bin[i][l])
-				}
-			}
-		}
+		checkTwigEqualsBinary(t, db, pt)
 	})
 }

@@ -32,6 +32,7 @@ type TagCursor struct {
 	compact bool
 	buf     []Posting
 	bufPos  int
+	target  []byte // plain cursors' seek key, reused across Seeks
 
 	// decoded counts postings decoded from index cells (whole blocks
 	// count in full); skippedBlocks counts compact blocks Seek jumped
@@ -135,8 +136,8 @@ func (c *TagCursor) Next() (Posting, bool) {
 // This is the non-overlap skip the holistic twig matcher relies on.
 func (c *TagCursor) Seek(doc xmltree.DocID, start uint32) {
 	var suffix [8]byte
-	copy(suffix[0:], be32(uint32(doc)))
-	copy(suffix[4:], be32(start))
+	binary.BigEndian.PutUint32(suffix[0:], uint32(doc))
+	binary.BigEndian.PutUint32(suffix[4:], start)
 	// Serve from the decoded block first: if the target lies at or
 	// before its last posting the answer is a buffer reposition.
 	if c.bufPos < len(c.buf) {
@@ -156,10 +157,9 @@ func (c *TagCursor) Seek(doc xmltree.DocID, start uint32) {
 		// forward seek lands on it (or the first key past it) directly.
 		if c.it.Valid() {
 			k := c.it.Key()
-			target := make([]byte, 0, len(k))
-			target = append(target, k[:len(k)-8]...)
-			target = append(target, suffix[:]...)
-			c.it.SeekForward(target)
+			c.target = append(c.target[:0], k[:len(k)-8]...)
+			c.target = append(c.target, suffix[:]...)
+			c.it.SeekForward(c.target)
 		}
 		return
 	}
