@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check bench experiments fuzz-smoke trace-check serve-check metrics-check serve-bench stream-check bench-check wal-check plan-check events-check events-bench twig-check twig-bench calibrate
+.PHONY: all build test vet race check bench fuzz-smoke trace-check serve-check metrics-check stream-check wal-check plan-check events-check twig-check
 
 all: build
 
@@ -22,9 +22,6 @@ check: vet race
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-experiments:
-	$(GO) run ./cmd/experiments -parfile BENCH_parallel.json
 
 # fuzz-smoke runs each native fuzz target briefly — enough to catch
 # parser panics on the corpus plus a short random exploration. The
@@ -77,16 +74,6 @@ stream-check:
 	$(GO) test -race -run 'Streaming|Materialize|GroupByMat|FacadeStreaming|FacadeMaterialize' \
 		./internal/exec/ ./internal/engine/
 
-# bench-check gates the compressed storage formats: a short full-scale
-# ladder run (compressed vs uncompressed database at a small article
-# count) that fails unless query results are byte-identical across
-# formats and the index bytes-on-disk shrank by at least 30% — the
-# acceptance floor the full BENCH_fullscale.json run must also clear.
-bench-check:
-	$(GO) run ./cmd/experiments -exp none -fullfile /tmp/timber-bench-check.json \
-		-fullarticles 4000 -assertreduction 30
-	rm -f /tmp/timber-bench-check.json
-
 # wal-check gates the durable write path: the crash-recovery harness
 # (torn writes and drop-unsynced power cuts at sampled WAL offsets,
 # write-fault aborts, recovery idempotence), the WAL and crashfs unit
@@ -98,13 +85,13 @@ wal-check:
 		./internal/storage/ ./internal/exec/ ./cmd/timber-serve/
 
 # plan-check gates the cost-based planner: the planner-pick regression
-# (auto must never run slower than 1.5x the best strategy on the bench
-# fixture), the statistics round-trip and incremental-maintenance
+# (auto must never cost more than 1.5x the accesses of the best strategy
+# on the bench fixture), the statistics round-trip and incremental-maintenance
 # suites, the auto/explicit byte-identity checks, and the EXPLAIN
 # estimate-vs-actual join — all under the race detector.
 plan-check:
 	$(GO) test -race ./internal/opt/planner/ ./internal/stats/
-	$(GO) test -race -run 'Planner|CardStats|Auto|Explain|ParseStrategy' \
+	$(GO) test -race -run 'Planner|CardStats|Auto|Explain|ParseStrategy|Calibrat' \
 		./internal/storage/ ./internal/exec/ ./internal/engine/
 
 # events-check gates the event journal and flight recorder: the schema
@@ -123,45 +110,14 @@ events-check:
 # and 4) and the directed order-preserving-merge cases, the binding
 # lifetime and Next-after-Close contracts on all three matchers, the
 # concurrent both-matchers hammer, the matcher cost model, the
-# engine-level byte-identity and EXPLAIN matcher reporting, and the
-# matcher-pick regression (the planner's pick must never run slower
-# than 1.5x the best explicit matcher) — all under the race detector.
-# The allocation ceiling runs on its own without -race, whose runtime
-# allocates by itself. Last, a short matcher comparison that fails
-# unless the twig matcher strictly wins postings scanned and
-# intermediate bindings on the deep chain.
+# engine-level byte-identity and EXPLAIN matcher reporting, the
+# matcher-pick regression (the planner's pick must never cost more
+# than 1.5x the accesses of the best explicit matcher) and the
+# deep-chain win (twig strictly below binary on postings scanned and
+# intermediate bindings) — all under the race detector. The allocation
+# ceiling runs on its own without -race, whose runtime allocates by
+# itself.
 twig-check:
 	$(GO) test -race -run 'Twig|Matcher|BindingLifetime|NextAfterClose|Collectors' \
-		./internal/match/ ./internal/opt/planner/ ./internal/engine/ \
-		./internal/bench/ ./cmd/timber-serve/
+		./internal/match/ ./internal/opt/planner/ ./internal/engine/ ./cmd/timber-serve/
 	$(GO) test -run 'TestTwigAllocCeiling' ./internal/match/
-	$(GO) run ./cmd/experiments -exp none -twigfile /tmp/timber-twig-check.json \
-		-twigdocs 12 -twigarticles 80 -twigreps 1
-	rm -f /tmp/timber-twig-check.json
-
-# twig-bench writes the full-size matcher comparison (binary cascade
-# vs holistic twig join: postings scanned, intermediate bindings, wall
-# time on chain and branch patterns) to BENCH_twig.json.
-twig-bench:
-	$(GO) run ./cmd/experiments -exp none -twigfile BENCH_twig.json
-
-# calibrate summarizes the planner's estimation accuracy from
-# self-generated plan_estimate events (pass a journal dump to
-# cmd/experiments -calibrate to read operator data instead).
-calibrate:
-	$(GO) run ./cmd/experiments -exp none -calibrate self
-
-# events-bench measures the journal's query-path overhead (E1 wall
-# time with the journal off vs on) and writes BENCH_events.json; the
-# delta must stay within run-to-run noise.
-events-bench:
-	$(GO) run ./cmd/experiments -exp none -eventsfile BENCH_events.json
-
-# serve-bench hammers an in-process timber-serve with concurrent
-# clients and writes the server-side latency quantiles (read from the
-# http_request_seconds histogram) to BENCH_serve.json.
-serve-bench:
-	$(GO) run ./cmd/dblpgen -articles 2000 -db /tmp/timber-serve-bench.db
-	$(GO) run ./cmd/timber-serve -db /tmp/timber-serve-bench.db \
-		-hammer 200 -hammerclients 8 -hammerfile BENCH_serve.json
-	rm -f /tmp/timber-serve-bench.db

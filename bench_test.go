@@ -20,6 +20,11 @@
 // a pool scaled to keep the paper's roughly 1:3 pool:data ratio. Set
 // TIMBER_BENCH_ARTICLES to scale (440000 reproduces the paper's 4.6M
 // nodes; expect a long setup).
+//
+// BenchmarkE1GroupByTitles has journal=off and journal=on
+// sub-benchmarks: the same plan with and without the event journal's
+// flight-recorder hand-off, so the journal's query-path cost reads off
+// as the ns/op, allocs/op and fetches/op difference.
 package timber_test
 
 import (
@@ -29,13 +34,69 @@ import (
 	"sync"
 	"testing"
 
-	"timber/internal/bench"
 	"timber/internal/dblpgen"
 	"timber/internal/exec"
+	"timber/internal/obs"
+	"timber/internal/opt"
+	"timber/internal/pagestore"
+	"timber/internal/paperdata"
+	"timber/internal/plan"
 	"timber/internal/storage"
+	"timber/internal/xq"
 )
 
 const defaultBenchArticles = 20_000
+
+// buildQuery parses, translates and rewrites a query text into the
+// executor's spec; a query the GROUPBY rewrite does not apply to is an
+// error.
+func buildQuery(text string) (exec.Spec, error) {
+	ast, err := xq.Parse(text)
+	if err != nil {
+		return exec.Spec{}, err
+	}
+	naive, err := plan.Translate(ast)
+	if err != nil {
+		return exec.Spec{}, err
+	}
+	rewritten, applied, err := opt.Rewrite(naive)
+	if err != nil {
+		return exec.Spec{}, err
+	}
+	if !applied {
+		return exec.Spec{}, fmt.Errorf("rewrite did not apply")
+	}
+	return exec.SpecFromPlan(rewritten)
+}
+
+// newBenchDB creates a temporary database with the paper's 8 KB pages
+// and the given pool size.
+func newBenchDB(poolPages int) (*storage.DB, error) {
+	return storage.CreateTemp(storage.Options{PageSize: pagestore.DefaultPageSize, PoolPages: poolPages})
+}
+
+func TestBuildQuery(t *testing.T) {
+	q, err := buildQuery(paperdata.Query1Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Mode != exec.Titles || q.MemberTag != "article" {
+		t.Errorf("spec = %+v", q)
+	}
+	qc, err := buildQuery(paperdata.QueryCountText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qc.Mode != exec.Count {
+		t.Errorf("count spec = %+v", qc)
+	}
+	if _, err := buildQuery("not a query"); err == nil {
+		t.Error("garbage should fail")
+	}
+	if _, err := buildQuery(`FOR $a IN distinct-values(document("d")//x) RETURN <r>{$a}</r>`); err == nil {
+		t.Error("non-grouping query should fail to build (no rewrite)")
+	}
+}
 
 // benchPoolPages keeps pool:data near the paper's 32MB:100MB.
 func benchPoolPages(articles int) int {
@@ -61,25 +122,25 @@ var (
 	benchOnce   sync.Once
 	benchDB     *storage.DB
 	benchErr    error
-	benchTitles *bench.Query
-	benchCount  *bench.Query
+	benchTitles exec.Spec
+	benchCount  exec.Spec
 )
 
-func setupBench(b *testing.B) (*storage.DB, *bench.Query, *bench.Query) {
+func setupBench(b *testing.B) (*storage.DB, exec.Spec, exec.Spec) {
 	b.Helper()
 	benchOnce.Do(func() {
 		articles := benchArticles()
-		benchDB, benchErr = bench.SetupDB(benchPoolPages(articles))
+		benchDB, benchErr = newBenchDB(benchPoolPages(articles))
 		if benchErr != nil {
 			return
 		}
 		if _, benchErr = dblpgen.GenerateToDB(benchDB, dblpgen.Config{Articles: articles, Seed: 2002}); benchErr != nil {
 			return
 		}
-		if benchTitles, benchErr = bench.BuildQuery(bench.Query1Text); benchErr != nil {
+		if benchTitles, benchErr = buildQuery(paperdata.Query1Text); benchErr != nil {
 			return
 		}
-		benchCount, benchErr = bench.BuildQuery(bench.QueryCountText)
+		benchCount, benchErr = buildQuery(paperdata.QueryCountText)
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -89,9 +150,8 @@ func setupBench(b *testing.B) (*storage.DB, *bench.Query, *bench.Query) {
 
 // runPlan benchmarks one physical strategy with a cold pool per
 // iteration, reporting deterministic fetch counts alongside time.
-func runPlan(b *testing.B, q *bench.Query, strat exec.Strategy, o exec.Options) {
+func runPlan(b *testing.B, spec exec.Spec, strat exec.Strategy, o exec.Options) {
 	db, _, _ := setupBench(b)
-	spec := q.Spec
 	spec.Strategy = strat
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -134,7 +194,13 @@ func BenchmarkE1DirectBatchTitles(b *testing.B) {
 
 func BenchmarkE1GroupByTitles(b *testing.B) {
 	_, titles, _ := setupBench(b)
-	runPlan(b, titles, exec.StrategyGroupBy, exec.Options{})
+	b.Run("journal=off", func(b *testing.B) {
+		runPlan(b, titles, exec.StrategyGroupBy, exec.Options{})
+	})
+	b.Run("journal=on", func(b *testing.B) {
+		j := obs.NewJournal(obs.DefaultJournalEvents)
+		runPlan(b, titles, exec.StrategyGroupBy, exec.Options{Journal: j})
+	})
 }
 
 // BenchmarkE1GroupByTitlesParallel sweeps the executor's worker bound
@@ -193,7 +259,7 @@ func BenchmarkAblationPoolSize(b *testing.B) {
 	const articles = 8000
 	for _, poolMB := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("pool=%dMB", poolMB), func(b *testing.B) {
-			db, err := bench.SetupDB(poolMB * 1024 * 1024 / 8192)
+			db, err := newBenchDB(poolMB * 1024 * 1024 / 8192)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -201,7 +267,7 @@ func BenchmarkAblationPoolSize(b *testing.B) {
 			if _, err := dblpgen.GenerateToDB(db, dblpgen.Config{Articles: articles, Seed: 7}); err != nil {
 				b.Fatal(err)
 			}
-			q, err := bench.BuildQuery(bench.Query1Text)
+			q, err := buildQuery(paperdata.Query1Text)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -215,7 +281,7 @@ func BenchmarkAblationPoolSize(b *testing.B) {
 				}
 				db.ResetStats()
 				b.StartTimer()
-				if _, err := exec.Run(db, q.Spec, exec.Options{}); err != nil {
+				if _, err := exec.Run(db, q, exec.Options{}); err != nil {
 					b.Fatal(err)
 				}
 				reads += db.Stats().PhysicalReads

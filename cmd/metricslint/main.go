@@ -24,8 +24,8 @@ import (
 	"syscall"
 	"time"
 
-	"timber/internal/bench"
 	"timber/internal/obs"
+	"timber/internal/paperdata"
 )
 
 func main() {
@@ -86,7 +86,7 @@ func run(serveBin, dbPath string, timeout time.Duration) error {
 
 	// One real query populates the engine and exec histogram families.
 	qresp, err := http.Post(base+"/query", "application/json",
-		strings.NewReader(fmt.Sprintf(`{"query": %q}`, bench.Query1Text)))
+		strings.NewReader(fmt.Sprintf(`{"query": %q}`, paperdata.Query1Text)))
 	if err != nil {
 		return fmt.Errorf("query: %w", err)
 	}

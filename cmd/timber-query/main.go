@@ -268,16 +268,10 @@ func run(dbPath, query, strategy, matcher string, poolMB, parallel int, maxMem i
 	fmt.Fprintf(os.Stderr, "%d result trees in %v (%s); pool: %v\n",
 		len(trees), elapsed.Round(time.Millisecond), strategyNote, db.Stats())
 	if info, ierr := db.SizeInfo(); ierr == nil {
-		size := fmt.Sprintf("size: %d bytes on disk (%d pages: %d heap, %d index)",
-			info.TotalBytes, info.TotalPages, info.HeapPages, info.IndexPages)
-		if info.Codec != "" {
-			size += fmt.Sprintf("; page codec %s", info.Codec)
-			if st := db.Stats(); st.UncompressedBytes > 0 {
-				size += fmt.Sprintf(", write ratio %.2f", st.CompressionRatio())
-			}
-		}
-		if info.Compact {
-			size += "; compact format v3"
+		size := fmt.Sprintf("size: %d bytes on disk (%d pages: %d heap, %d index); page codec %s",
+			info.TotalBytes, info.TotalPages, info.HeapPages, info.IndexPages, info.Codec)
+		if st := db.Stats(); st.UncompressedBytes > 0 {
+			size += fmt.Sprintf(", write ratio %.2f", st.CompressionRatio())
 		}
 		fmt.Fprintln(os.Stderr, size)
 	}

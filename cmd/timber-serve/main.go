@@ -8,7 +8,6 @@
 //
 //	timber-serve -db bib.timber -addr :8080
 //	timber-serve -db bib.timber -slowquery 250ms -logjson
-//	timber-serve -db bib.timber -hammer 200 -hammerclients 8 -hammerfile BENCH_serve.json
 //	curl -s 'localhost:8080/query?q=FOR+$a+IN+...'
 //	curl -s localhost:8080/query -d '{"query": "FOR $a IN ...", "strategy": "groupby"}'
 //	curl -s localhost:8080/stats
@@ -60,10 +59,7 @@
 // journal the storage engine, WAL, planner and executor write into
 // (0 disables it and every /debug journal endpoint answers 503). On
 // panic or SIGQUIT the journal is dumped to a timestamped JSON-lines
-// file in -crashdump's directory. -hammer N runs the self-benchmark:
-// serve in-process, fire N concurrent /query requests, and report the
-// server-side latency quantiles from the http_request_seconds
-// histogram.
+// file in -crashdump's directory.
 package main
 
 import (
@@ -98,9 +94,6 @@ func main() {
 	crashDump := flag.String("crashdump", ".", "directory for panic/SIGQUIT event-journal dumps")
 	logJSON := flag.Bool("logjson", false, "write the structured request log as JSON lines (default logfmt-style text)")
 	syncFlag := flag.String("sync", "group", "default WAL fsync policy for /ingest writes: always, group, or none (per-request ?sync= overrides)")
-	hammer := flag.Int("hammer", 0, "benchmark mode: serve in-process, fire this many /query requests, report server-side latency quantiles, exit")
-	hammerClients := flag.Int("hammerclients", 8, "concurrent clients in -hammer mode")
-	hammerFile := flag.String("hammerfile", "", "write the -hammer JSON report here (e.g. BENCH_serve.json)")
 	flag.Parse()
 
 	var handler slog.Handler = slog.NewTextHandler(os.Stderr, nil)
@@ -128,12 +121,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "timber-serve:", err)
 		os.Exit(2)
 	}
-	if *hammer > 0 {
-		err = runHammer(*dbPath, *poolMB, *cacheSize, cfg, *hammer, *hammerClients, *hammerFile)
-	} else {
-		err = run(*dbPath, *addr, *poolMB, *cacheSize, cfg, *drainTimeout, syncPol, journal)
-	}
-	if err != nil {
+	if err := run(*dbPath, *addr, *poolMB, *cacheSize, cfg, *drainTimeout, syncPol, journal); err != nil {
 		fmt.Fprintln(os.Stderr, "timber-serve:", err)
 		os.Exit(1)
 	}

@@ -39,8 +39,8 @@ type config struct {
 	debug bool
 	// crashDir is where panic/SIGQUIT journal dumps land ("" = cwd).
 	crashDir string
-	// logger receives the structured request log. Nil discards (tests,
-	// hammer mode); main wires os.Stderr.
+	// logger receives the structured request log. Nil discards (tests);
+	// main wires os.Stderr.
 	logger *slog.Logger
 }
 

@@ -2,9 +2,15 @@
 // catalog, the distinct tags with their posting counts, and the storage
 // footprint. It is the metadata manager's window for operators.
 //
+// With -calibrate it instead reads an event-journal dump (a crash dump
+// or saved /debug/events output) and prints the planner's estimation
+// accuracy per estimated quantity, from the plan_estimate events that
+// auto-strategy queries emit, with a suggested scale for each.
+//
 // Usage:
 //
 //	timber-stats -db bib.timber [-tags]
+//	timber-stats -calibrate events.jsonl
 package main
 
 import (
@@ -12,17 +18,42 @@ import (
 	"fmt"
 	"os"
 
+	"timber/internal/opt/planner"
 	"timber/internal/storage"
 )
 
 func main() {
 	dbPath := flag.String("db", "timber.db", "database file")
 	showTags := flag.Bool("tags", true, "list tags with posting counts")
+	calibrate := flag.String("calibrate", "", "summarize planner estimation accuracy from the plan_estimate events in this journal dump instead of inspecting -db")
 	flag.Parse()
-	if err := run(*dbPath, *showTags); err != nil {
+	var err error
+	if *calibrate != "" {
+		err = runCalibrate(*calibrate)
+	} else {
+		err = run(*dbPath, *showTags)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "timber-stats:", err)
 		os.Exit(1)
 	}
+}
+
+// runCalibrate prints the planner calibration table for a journal dump.
+func runCalibrate(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	rep, err := planner.ReadCalibration(f)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("planner calibration (journal dump %s):\n", path)
+	fmt.Printf("  %d plan_estimate events over %d journal lines\n", rep.Events, rep.Lines)
+	fmt.Print(planner.CalibrationTable(rep))
+	return nil
 }
 
 func run(dbPath string, showTags bool) (err error) {

@@ -8,12 +8,18 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
+	"time"
 
-	"timber/internal/bench"
 	"timber/internal/dblpgen"
+	"timber/internal/engine"
+	"timber/internal/exec"
+	"timber/internal/pagestore"
+	"timber/internal/paperdata"
+	"timber/internal/storage"
 )
 
 func main() {
@@ -24,8 +30,23 @@ func main() {
 	}
 }
 
+// strategies are the table rows: the paper's two measured plans (the
+// naive direct plan and the groupby identifier plan) bracketed by a
+// nested-loops and a batch direct plan and the Sec. 5.3 replicating
+// strawman.
+var strategies = []exec.Strategy{
+	exec.StrategyDirect,
+	exec.StrategyDirectNested,
+	exec.StrategyDirectBatch,
+	exec.StrategyGroupBy,
+	exec.StrategyReplicating,
+}
+
 func run(articles int) error {
-	db, err := bench.SetupDB(articles / 40) // pool ≈ a third of the data
+	db, err := storage.CreateTemp(storage.Options{
+		PageSize:  pagestore.DefaultPageSize,
+		PoolPages: articles / 40, // pool ≈ a third of the data
+	})
 	if err != nil {
 		return err
 	}
@@ -36,30 +57,52 @@ func run(articles int) error {
 	}
 	fmt.Printf("database: %v\n\n", stats)
 
+	eng := engine.New(db, engine.Options{})
 	fmt.Println("Query 1 — titles per author (paper E1):")
-	titles, err := bench.BuildQuery(bench.Query1Text)
-	if err != nil {
+	if err := compare(db, eng, paperdata.Query1Text); err != nil {
 		return err
 	}
-	ms, err := bench.RunExperiment(db, titles)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.Table(ms, bench.StratDirectNaive))
-
 	fmt.Println("\nCount variant (paper E2):")
-	count, err := bench.BuildQuery(bench.QueryCountText)
-	if err != nil {
+	if err := compare(db, eng, paperdata.QueryCountText); err != nil {
 		return err
 	}
-	ms, err = bench.RunExperiment(db, count)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.Table(ms, bench.StratDirectNaive))
 
 	fmt.Println("\nThe groupby (identifier) plan populates only the grouping")
 	fmt.Println("values plus what the output needs (Sec. 5.3); the naive direct")
 	fmt.Println("plan replicates full article subtrees through storage (Fig. 8).")
+	return nil
+}
+
+// compare runs the query once per strategy, each from a cold buffer
+// pool with zeroed counters, and prints wall time relative to the
+// naive direct plan alongside the deterministic access counts.
+func compare(db *storage.DB, eng *engine.Engine, text string) error {
+	pq, err := eng.Prepare(text)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%-14s %12s %8s %10s %10s %10s %12s %8s\n",
+		"plan", "wall", "vs base", "fetches", "reads", "hit%", "valueLooks", "groups")
+	var base time.Duration
+	for _, strat := range strategies {
+		if err := db.DropCache(); err != nil {
+			return err
+		}
+		db.ResetStats()
+		start := time.Now()
+		res, err := pq.Execute(context.Background(), engine.ExecOptions{Strategy: strat})
+		if err != nil {
+			return fmt.Errorf("%v: %w", strat, err)
+		}
+		wall := time.Since(start)
+		if base == 0 {
+			base = wall
+		}
+		pool := db.Stats()
+		fmt.Printf("%-14s %12s %7.2fx %10d %10d %9.1f%% %12d %8d\n",
+			strat, wall.Round(time.Microsecond), float64(base)/float64(wall),
+			pool.Fetches, pool.PhysicalReads, 100*pool.HitRate(),
+			res.Stats.ValueLookups, res.Stats.Groups)
+	}
 	return nil
 }

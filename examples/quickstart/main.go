@@ -19,18 +19,6 @@ import (
 	"timber/internal/xq"
 )
 
-const query1 = `
-FOR $a IN distinct-values(document("bib.xml")//author)
-RETURN
-<authorpubs>
-  {$a}
-  {
-    FOR $b IN document("bib.xml")//article
-    WHERE $a = $b/author
-    RETURN $b/title
-  }
-</authorpubs>`
-
 func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
@@ -52,7 +40,7 @@ func run() error {
 	xmltree.Serialize(os.Stdout, sample)
 
 	// 2. Parse and translate Query 1 (Sec. 4.1 naive parsing).
-	ast, err := xq.Parse(query1)
+	ast, err := xq.Parse(paperdata.Query1Text)
 	if err != nil {
 		return err
 	}

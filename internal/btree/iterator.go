@@ -209,32 +209,6 @@ func (it *Iterator) PeekNextKey() ([]byte, bool) {
 	return it.data[body : body+klen], true
 }
 
-// SeekForward advances the iterator to the first cell with key >=
-// target, never moving backward: a target at or before the current key
-// is a no-op. Within the current leaf it steps cell to cell (key
-// compares only, no value decoding); when the target lies beyond the
-// leaf it re-descends from the root, skipping the intervening leaves
-// entirely — the fast-forward posting cursors use to jump over
-// non-overlapping regions.
-func (it *Iterator) SeekForward(target []byte) {
-	if !it.Valid() || bytes.Compare(it.key, target) >= 0 {
-		return
-	}
-	// The leaf's cells are sorted: step while the target is still ahead
-	// and cells remain in this leaf.
-	for it.idx+1 < it.num {
-		it.advance()
-		if bytes.Compare(it.key, target) >= 0 {
-			return
-		}
-	}
-	// Target beyond the current leaf: a fresh descent skips straight to
-	// the owning leaf instead of walking every leaf in between.
-	it.release()
-	fresh := it.t.Seek(target)
-	*it = *fresh
-}
-
 // Close releases the iterator's pinned page and returns the iterator's
 // first error — a scan fault or a pin-release fault, whichever came
 // first. Iterators that ran to exhaustion are already closed; Close is

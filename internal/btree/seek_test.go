@@ -3,7 +3,6 @@ package btree
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"testing"
 )
 
@@ -47,55 +46,6 @@ func TestIteratorPeekNextKey(t *testing.T) {
 	}
 	if seen != len(keys) {
 		t.Fatalf("iterated %d cells, want %d", seen, len(keys))
-	}
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestIteratorSeekForward: forward seeks land on the first key >=
-// target from arbitrary positions (including cross-leaf jumps), never
-// move backward, and run out cleanly past the last key.
-func TestIteratorSeekForward(t *testing.T) {
-	_, tr := testTree(t, 256)
-	keys := seekTestKeys(t, tr, 500)
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		start := rng.Intn(len(keys))
-		it := tr.Seek(keys[start])
-		pos := start
-		for hop := 0; hop < 5 && it.Valid(); hop++ {
-			targetIdx := pos + rng.Intn(len(keys)-pos)
-			// Alternate exact keys and between-key targets.
-			target := append([]byte(nil), keys[targetIdx]...)
-			if hop%2 == 1 {
-				target = append(target[:len(target)-1], target[len(target)-1]-1, 0xff)
-			}
-			it.SeekForward(target)
-			if !it.Valid() {
-				t.Fatalf("trial %d: iterator died seeking %q", trial, target)
-			}
-			if !bytes.Equal(it.Key(), keys[targetIdx]) {
-				t.Fatalf("trial %d: SeekForward(%q) landed on %q, want %q",
-					trial, target, it.Key(), keys[targetIdx])
-			}
-			pos = targetIdx
-		}
-		if err := it.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Backward targets are no-ops.
-	it := tr.Seek(keys[100])
-	it.SeekForward(keys[3])
-	if !bytes.Equal(it.Key(), keys[100]) {
-		t.Fatalf("backward SeekForward moved the iterator to %q", it.Key())
-	}
-	// Seeking past the last key exhausts the iterator without error.
-	it.SeekForward([]byte("zzz"))
-	if it.Valid() {
-		t.Fatalf("SeekForward past the end left iterator on %q", it.Key())
 	}
 	if err := it.Close(); err != nil {
 		t.Fatal(err)

@@ -68,14 +68,6 @@ func FullPaperScale() Config {
 	return Config{Articles: 440_000, Seed: 2002}
 }
 
-// FullPaperScale10x returns a configuration ten times the paper's
-// dataset (~46 million nodes) for headroom experiments. Building it
-// takes tens of minutes and several GB of working memory; the
-// benchmark ladder gates it behind an explicit flag.
-func FullPaperScale10x() Config {
-	return Config{Articles: 4_400_000, Seed: 2002}
-}
-
 // Stats summarizes a generated document.
 type Stats struct {
 	Articles        int

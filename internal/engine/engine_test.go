@@ -17,17 +17,8 @@ import (
 	"timber/internal/storage"
 )
 
-const query1 = `
-FOR $a IN distinct-values(document("bib.xml")//author)
-RETURN
-<authorpubs>
-  {$a}
-  {
-    FOR $b IN document("bib.xml")//article
-    WHERE $a = $b/author
-    RETURN $b/title
-  }
-</authorpubs>`
+// query1 is the paper's Query 1.
+const query1 = paperdata.Query1Text
 
 // nonGrouping is translatable but not a grouping idiom: no rewrite.
 const nonGrouping = `FOR $a IN distinct-values(document("bib.xml")//author) RETURN <r>{$a}</r>`

@@ -4,9 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
-	"timber/internal/dblpgen"
 	"timber/internal/exec"
 	"timber/internal/match"
 	"timber/internal/obs"
@@ -154,55 +152,26 @@ func TestExplainReportsMatcher(t *testing.T) {
 
 // TestMatcherPickNeverFarFromBest is the matcher sibling of
 // TestPlannerPickNeverFarFromBest: on a bench-style fixture the
-// planner-picked matcher must not run slower than 1.5x the best
-// explicit matcher (min-of-3 wall times to damp scheduler noise).
+// planner-picked matcher must not cost more than 1.5x the accesses of
+// the best explicit matcher.
 func TestMatcherPickNeverFarFromBest(t *testing.T) {
-	db, err := storage.CreateTemp(storage.Options{PoolPages: 1024})
+	db, pq := pickFixture(t)
+	auto, err := pq.Execute(context.Background(), ExecOptions{Strategy: exec.StrategyPhysical})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	if _, err := dblpgen.GenerateToDB(db, dblpgen.Config{Articles: 300, Seed: 7}); err != nil {
-		t.Fatal(err)
-	}
-	e := New(db, Options{})
-	pq, err := e.Prepare(query1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	// Warm the statistics and the buffer pool outside the clock.
-	auto, err := pq.Execute(ctx, ExecOptions{Strategy: exec.StrategyPhysical})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	minWall := func(kind match.MatcherKind) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			if _, err := pq.Execute(ctx, ExecOptions{Strategy: exec.StrategyPhysical, Matcher: kind}); err != nil {
-				t.Fatalf("Execute(matcher=%v): %v", kind, err)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-
-	walls := map[match.MatcherKind]time.Duration{}
-	bestWall := time.Duration(1<<63 - 1)
+	costs := map[match.MatcherKind]int64{}
+	best := int64(-1)
 	for _, kind := range []match.MatcherKind{match.MatcherBinary, match.MatcherTwig} {
-		walls[kind] = minWall(kind)
-		if walls[kind] < bestWall {
-			bestWall = walls[kind]
+		costs[kind] = accessCount(t, db, pq, ExecOptions{Strategy: exec.StrategyPhysical, Matcher: kind})
+		if best < 0 || costs[kind] < best {
+			best = costs[kind]
 		}
 	}
-	picked := minWall(auto.Matcher)
-	if float64(picked) > 1.5*float64(bestWall) {
-		t.Errorf("planner picked matcher %v at %v; best runs in %v (> 1.5x; walls %v)",
-			auto.Matcher, picked, bestWall, walls)
+	picked := costs[auto.Matcher]
+	t.Logf("planner picked matcher %v: %d accesses; candidates %v", auto.Matcher, picked, costs)
+	if float64(picked) > 1.5*float64(best) {
+		t.Errorf("planner picked matcher %v at %d accesses; best needs %d (> 1.5x; costs %v)",
+			auto.Matcher, picked, best, costs)
 	}
 }

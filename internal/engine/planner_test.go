@@ -6,10 +6,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"timber/internal/dblpgen"
 	"timber/internal/exec"
+	"timber/internal/obs"
 	"timber/internal/storage"
 	"timber/internal/xmltree"
 )
@@ -281,60 +281,78 @@ func TestStatsCacheRevalidatesAfterIngest(t *testing.T) {
 	}
 }
 
-// TestPlannerPickNeverFarFromBest is the planner-correctness gate: on
-// a bench-style fixture the planner's pick must not be slower than
-// 1.5x the best Spec-level strategy (min-of-3 wall times to damp
-// scheduler noise).
-func TestPlannerPickNeverFarFromBest(t *testing.T) {
+// accessCount runs pq once under o and returns its exact access cost
+// in the planner's units: buffer-pool fetches, plus postings read from
+// the indexes — the executor's IndexPostings and the matchers' traced
+// postings_scanned. Every term is a deterministic count, so gates built
+// on it do not depend on the host's speed or load.
+func accessCount(t *testing.T, db *storage.DB, pq *PreparedQuery, o ExecOptions) int64 {
+	t.Helper()
+	db.ResetStats()
+	tr := db.NewTracer("access")
+	o.Tracer = tr
+	res, err := pq.Execute(context.Background(), o)
+	if err != nil {
+		t.Fatalf("Execute(%+v): %v", o, err)
+	}
+	d := tr.Finish()
+	n := int64(d.Delta.Fetches) + int64(res.Stats.IndexPostings)
+	var scanned func(d *obs.SpanData)
+	scanned = func(d *obs.SpanData) {
+		n += d.Ops["postings_scanned"]
+		for _, c := range d.Children {
+			scanned(c)
+		}
+	}
+	scanned(d)
+	return n
+}
+
+// pickFixture prepares Query 1 over a generated bench-style database
+// and runs it once so the statistics exist before any pick is judged.
+func pickFixture(t *testing.T) (*storage.DB, *PreparedQuery) {
+	t.Helper()
 	db, err := storage.CreateTemp(storage.Options{PoolPages: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	t.Cleanup(func() { db.Close() })
 	if _, err := dblpgen.GenerateToDB(db, dblpgen.Config{Articles: 300, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
-	e := New(db, Options{})
-	pq, err := e.Prepare(query1)
+	pq, err := New(db, Options{}).Prepare(query1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-
-	// Warm the statistics and the buffer pool outside the clock.
-	auto, err := pq.Execute(ctx, ExecOptions{})
-	if err != nil {
+	if _, err := pq.Execute(context.Background(), ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	return db, pq
+}
 
-	minWall := func(strat exec.Strategy) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			if _, err := pq.Execute(ctx, ExecOptions{Strategy: strat}); err != nil {
-				t.Fatalf("Execute(%v): %v", strat, err)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-
-	// The candidates the cost model distinguishes.
-	walls := map[exec.Strategy]time.Duration{}
-	bestWall := time.Duration(1<<63 - 1)
+// TestPlannerPickNeverFarFromBest is the planner-correctness gate: on
+// a bench-style fixture the planner's pick must not cost more than
+// 1.5x the accesses of the best Spec-level strategy it chooses among.
+func TestPlannerPickNeverFarFromBest(t *testing.T) {
+	db, pq := pickFixture(t)
+	costs := map[exec.Strategy]int64{}
+	best := int64(-1)
 	for _, strat := range []exec.Strategy{
 		exec.StrategyGroupBy, exec.StrategyGroupByMat, exec.StrategyDirect,
 	} {
-		walls[strat] = minWall(strat)
-		if walls[strat] < bestWall {
-			bestWall = walls[strat]
+		costs[strat] = accessCount(t, db, pq, ExecOptions{Strategy: strat})
+		if best < 0 || costs[strat] < best {
+			best = costs[strat]
 		}
 	}
-	picked := minWall(auto.Strategy)
-	if float64(picked) > 1.5*float64(bestWall) {
-		t.Errorf("planner picked %v at %v; best strategy runs in %v (> 1.5x; walls %v)",
-			auto.Strategy, picked, bestWall, walls)
+	auto, err := pq.Execute(context.Background(), ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	picked := accessCount(t, db, pq, ExecOptions{Strategy: auto.Strategy})
+	t.Logf("planner picked %v: %d accesses; candidates %v", auto.Strategy, picked, costs)
+	if float64(picked) > 1.5*float64(best) {
+		t.Errorf("planner picked %v at %d accesses; best strategy needs %d (> 1.5x; costs %v)",
+			auto.Strategy, picked, best, costs)
 	}
 }

@@ -17,25 +17,11 @@ import (
 	"timber/internal/xq"
 )
 
-const query1Src = `
-FOR $a IN distinct-values(document("bib.xml")//author)
-RETURN
-<authorpubs>
-  {$a}
-  {
-    FOR $b IN document("bib.xml")//article
-    WHERE $a = $b/author
-    RETURN $b/title
-  }
-</authorpubs>`
-
-const queryCountSrc = `
-FOR $a IN distinct-values(document("bib.xml")//author)
-LET $t := document("bib.xml")//article[author = $a]/title
-RETURN
-<authorpubs>
-  {$a} {count($t)}
-</authorpubs>`
+// The paper's Query 1 and its Sec. 6 count variant.
+const (
+	query1Src     = paperdata.Query1Text
+	queryCountSrc = paperdata.QueryCountText
+)
 
 func plansFor(t *testing.T, src string) (naive, rewritten plan.Op, spec Spec) {
 	t.Helper()

@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"timber/internal/dblpgen"
+	"timber/internal/storage"
 )
 
 // TestParseStrategyRoundTrip: every Strategy's String() parses back to
@@ -131,5 +135,105 @@ func TestRunCancelledContext(t *testing.T) {
 	_, rewritten, _ := plansFor(t, query1Src)
 	if _, err := ExecPhysical(db, rewritten, Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Errorf("ExecPhysical err = %v, want context.Canceled", err)
+	}
+}
+
+// specStrategies are the five Spec-level strategies of the Sec. 6
+// comparison: the naive materialized direct plan, its nested-loops and
+// batch variants, the groupby identifier plan and the Sec. 5.3
+// replicating strawman.
+var specStrategies = []Strategy{
+	StrategyDirect, StrategyDirectNested, StrategyDirectBatch,
+	StrategyGroupBy, StrategyReplicating,
+}
+
+// generatedDB loads a synthetic DBLP document of the given size.
+func generatedDB(t *testing.T, articles int, seed int64) *storage.DB {
+	t.Helper()
+	db, err := storage.CreateTemp(storage.Options{PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	if _, err := dblpgen.GenerateToDB(db, dblpgen.Config{Articles: articles, Seed: seed}); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestGroupByFewestValueLookups is the paper's Sec. 5 claim in exact
+// counts: on both Sec. 6 queries every strategy forms the same groups,
+// and the groupby identifier plan populates strictly fewer values than
+// each of the other four, each run starting from a cold pool.
+func TestGroupByFewestValueLookups(t *testing.T) {
+	db := generatedDB(t, 400, 11)
+	for _, src := range []string{query1Src, queryCountSrc} {
+		_, _, spec := plansFor(t, src)
+		stats := map[Strategy]ExecStats{}
+		for _, strat := range specStrategies {
+			if err := db.DropCache(); err != nil {
+				t.Fatal(err)
+			}
+			db.ResetStats()
+			spec := spec
+			spec.Strategy = strat
+			res, err := Run(db, spec, Options{})
+			if err != nil {
+				t.Fatalf("%v: %v", strat, err)
+			}
+			if db.Stats().PhysicalReads == 0 {
+				t.Errorf("%v: no physical reads on a cold pool", strat)
+			}
+			stats[strat] = res.Stats
+		}
+		gb := stats[StrategyGroupBy]
+		if gb.Groups == 0 {
+			t.Fatal("no groups produced")
+		}
+		for strat, st := range stats {
+			if st.Groups != gb.Groups {
+				t.Errorf("%v groups = %d, groupby groups = %d", strat, st.Groups, gb.Groups)
+			}
+			if strat != StrategyGroupBy && gb.ValueLookups >= st.ValueLookups {
+				t.Errorf("groupby did %d value look-ups, %v %d: want strictly fewer", gb.ValueLookups, strat, st.ValueLookups)
+			}
+		}
+	}
+}
+
+// TestResultsMatchAcrossStrategies: all five strategies build the same
+// result trees (as an order-insensitive multiset of rendered groups)
+// on a generated database.
+func TestResultsMatchAcrossStrategies(t *testing.T) {
+	db := generatedDB(t, 150, 21)
+	_, _, spec := plansFor(t, query1Src)
+	render := func(res *Result) []string {
+		var out []string
+		for _, tr := range res.Trees {
+			var b strings.Builder
+			for _, c := range tr.Children {
+				b.WriteString(c.Tag + "=" + c.Content + ";")
+			}
+			out = append(out, b.String())
+		}
+		sort.Strings(out)
+		return out
+	}
+	var want []string
+	for _, strat := range specStrategies {
+		spec := spec
+		spec.Strategy = strat
+		res, err := Run(db, spec, Options{})
+		if err != nil {
+			t.Fatalf("%v: %v", strat, err)
+		}
+		got := render(res)
+		if want == nil {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v result differs from the direct plan's", strat)
+		}
 	}
 }

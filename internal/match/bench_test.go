@@ -152,3 +152,32 @@ func TestTwigAllocCeiling(t *testing.T) {
 		}
 	}
 }
+
+// TestTwigWinsDeepChain pins the holistic matcher's reason to exist in
+// access counts, which are exact per run: on the sparse deep chain of
+// the benchmark corpus (built smaller here) the twig matcher finds the
+// binary cascade's witnesses while decoding strictly fewer postings and
+// holding strictly fewer intermediate bindings.
+func TestTwigWinsDeepChain(t *testing.T) {
+	db := benchCorpusDB(t, 16, 60)
+	pt := mustParsePattern(t, benchPatterns[0].text)
+	_, binary, err := MatchKindObs(nil, db, pt, MatcherBinary, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, twig, err := MatchKindObs(nil, db, pt, MatcherTwig, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("postings scanned binary %d, twig %d; intermediate bindings binary %d, twig %d; %d witnesses",
+		binary.PostingsScanned, twig.PostingsScanned, binary.IntermediateBindings, twig.IntermediateBindings, twig.Witnesses)
+	if twig.Witnesses == 0 || twig.Witnesses != binary.Witnesses {
+		t.Fatalf("witnesses binary %d, twig %d", binary.Witnesses, twig.Witnesses)
+	}
+	if twig.PostingsScanned >= binary.PostingsScanned {
+		t.Errorf("twig scanned %d postings, binary %d: want strictly fewer", twig.PostingsScanned, binary.PostingsScanned)
+	}
+	if twig.IntermediateBindings >= binary.IntermediateBindings {
+		t.Errorf("twig held %d intermediate bindings, binary %d: want strictly fewer", twig.IntermediateBindings, binary.IntermediateBindings)
+	}
+}

@@ -1,58 +1,45 @@
-package bench
+package planner
 
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
-
-	"timber/internal/dblpgen"
-	"timber/internal/engine"
-	"timber/internal/obs"
-	"timber/internal/pagestore"
-	"timber/internal/storage"
 )
 
 // CalibrationQuantity summarizes the planner's estimation error for
 // one estimated quantity (one plan_estimate label) across a journal's
 // worth of executions.
 type CalibrationQuantity struct {
-	Quantity string `json:"quantity"`
-	Samples  int    `json:"samples"`
+	Quantity string
+	Samples  int
 	// MeanRelErr / MedianRelErr / MaxRelErr aggregate the per-event
 	// relative errors (|est - actual| / max(actual, 1)).
-	MeanRelErr   float64 `json:"mean_rel_err"`
-	MedianRelErr float64 `json:"median_rel_err"`
-	MaxRelErr    float64 `json:"max_rel_err"`
+	MeanRelErr   float64
+	MedianRelErr float64
+	MaxRelErr    float64
 	// Bias is the geometric mean of actual/estimate: > 1 means the
 	// planner systematically underestimates, < 1 overestimates. A
-	// +1 smoothing on both sides keeps zero counts finite.
-	Bias float64 `json:"bias"`
-	// SuggestedScale is the multiplier that would zero the geometric
-	// bias — the calibration knob for the estimate (or the cost
-	// constant it feeds).
-	SuggestedScale float64 `json:"suggested_scale"`
+	// +1 smoothing on both sides keeps zero counts finite. It is also
+	// the multiplier that would zero the bias — the calibration knob
+	// for the estimate (or the cost constant it feeds).
+	Bias float64
 	// Suggestion says what to do about it, in words.
-	Suggestion string `json:"suggestion"`
+	Suggestion string
 }
 
-// CalibrationReport is the -calibrate output: per-quantity planner
-// estimation accuracy recovered from plan_estimate journal events.
+// CalibrationReport is the planner's estimation accuracy recovered
+// from the plan_estimate events of a journal dump, per quantity.
 type CalibrationReport struct {
-	// Source names where the events came from (a dump path, or
-	// "self-calibration").
-	Source string `json:"source"`
 	// Lines and Events count the journal lines read and the
 	// plan_estimate events among them.
-	Lines  int `json:"lines"`
-	Events int `json:"events"`
+	Lines  int
+	Events int
 
-	Quantities []CalibrationQuantity `json:"quantities"`
+	Quantities []CalibrationQuantity
 }
 
 // dumpLine matches both journal serializations: the crash-dump wrapper
@@ -88,7 +75,7 @@ func ReadCalibration(r io.Reader) (*CalibrationReport, error) {
 		rep.Lines++
 		var dl dumpLine
 		if err := json.Unmarshal(line, &dl); err != nil {
-			return nil, fmt.Errorf("bench: calibrate: line %d: %v", rep.Lines, err)
+			return nil, fmt.Errorf("planner: calibrate: line %d: %v", rep.Lines, err)
 		}
 		if dl.Kind != "" {
 			// Dump wrapper: only event payloads can carry plan_estimate.
@@ -96,7 +83,7 @@ func ReadCalibration(r io.Reader) (*CalibrationReport, error) {
 				continue
 			}
 			if err := json.Unmarshal(dl.Payload, &dl); err != nil {
-				return nil, fmt.Errorf("bench: calibrate: line %d payload: %v", rep.Lines, err)
+				return nil, fmt.Errorf("planner: calibrate: line %d payload: %v", rep.Lines, err)
 			}
 		}
 		if dl.Type != "plan_estimate" || dl.Label == "" {
@@ -110,7 +97,7 @@ func ReadCalibration(r io.Reader) (*CalibrationReport, error) {
 		return nil, err
 	}
 	if rep.Events == 0 {
-		return nil, fmt.Errorf("bench: calibrate: no plan_estimate events in %d lines — run auto-strategy queries with the journal on first", rep.Lines)
+		return nil, fmt.Errorf("planner: calibrate: no plan_estimate events in %d lines — run auto-strategy queries with the journal on first", rep.Lines)
 	}
 
 	for quantity, samples := range byQuantity {
@@ -129,7 +116,6 @@ func ReadCalibration(r io.Reader) (*CalibrationReport, error) {
 		sort.Float64s(errs)
 		q.MedianRelErr = errs[len(errs)/2]
 		q.Bias = math.Exp(logBias / float64(len(samples)))
-		q.SuggestedScale = q.Bias
 		switch {
 		case q.Bias > 1.25:
 			q.Suggestion = fmt.Sprintf("planner underestimates %s by ~%.2fx; scale the %s estimate (or the cost constants it feeds) up by that factor, or re-run ANALYZE for fresher distinct-value counts", quantity, q.Bias, quantity)
@@ -144,81 +130,8 @@ func ReadCalibration(r io.Reader) (*CalibrationReport, error) {
 	return rep, nil
 }
 
-// ReadCalibrationFile is ReadCalibration over a dump file on disk.
-func ReadCalibrationFile(path string) (*CalibrationReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep, err := ReadCalibration(f)
-	if err != nil {
-		return nil, err
-	}
-	rep.Source = path
-	return rep, nil
-}
-
-// RunSelfCalibration produces calibration input when no journal dump
-// exists: it builds a synthetic database with the event journal wired
-// in, runs the Section 6 queries under the auto planner (each
-// stats-informed execution emits one plan_estimate event), then feeds
-// the journal's own dump through the same reader the -calibrate flag
-// uses on operator-supplied files.
-func RunSelfCalibration(articles, poolMB int, seed int64, logf func(format string, args ...any)) (*CalibrationReport, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	if articles <= 0 {
-		articles = 2000
-	}
-	if poolMB <= 0 {
-		poolMB = 32
-	}
-	journal := obs.NewJournal(obs.DefaultJournalEvents)
-	db, err := storage.CreateTemp(storage.Options{
-		PoolPages: poolMB * 1024 * 1024 / pagestore.DefaultPageSize,
-		Journal:   journal,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer db.Close()
-	if _, err := dblpgen.GenerateToDB(db, dblpgen.Config{Articles: articles, Seed: seed}); err != nil {
-		return nil, err
-	}
-
-	eng := engine.New(db, engine.Options{})
-	ctx := context.Background()
-	for _, text := range []string{Query1Text, QueryCountText} {
-		pq, err := eng.Prepare(text)
-		if err != nil {
-			return nil, err
-		}
-		// Three auto executions per query: repeated samples damp the
-		// run-to-run noise in the actuals without new machinery.
-		for i := 0; i < 3; i++ {
-			if _, err := pq.Execute(ctx, engine.ExecOptions{}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	logf("self-calibration: %d articles, %d journal events", articles, journal.Seq())
-
-	var buf bytes.Buffer
-	if err := journal.WriteDump(&buf); err != nil {
-		return nil, err
-	}
-	rep, err := ReadCalibration(&buf)
-	if err != nil {
-		return nil, err
-	}
-	rep.Source = "self-calibration"
-	return rep, nil
-}
-
-// CalibrationTable renders the report as the aligned text table the
-// -calibrate flag prints.
+// CalibrationTable renders the report as an aligned text table, one
+// row per quantity, followed by the suggestions.
 func CalibrationTable(r *CalibrationReport) string {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%-12s %8s %12s %12s %12s %8s\n", "quantity", "samples", "mean relerr", "med relerr", "max relerr", "bias")
@@ -230,13 +143,4 @@ func CalibrationTable(r *CalibrationReport) string {
 		fmt.Fprintf(&b, "  %s\n", q.Suggestion)
 	}
 	return b.String()
-}
-
-// WriteJSON writes the report, indented, to path.
-func (r *CalibrationReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

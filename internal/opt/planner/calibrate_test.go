@@ -1,4 +1,4 @@
-package bench
+package planner
 
 import (
 	"strings"
@@ -48,27 +48,5 @@ func TestReadCalibration(t *testing.T) {
 func TestReadCalibrationEmpty(t *testing.T) {
 	if _, err := ReadCalibration(strings.NewReader(`{"seq":1,"type":"plan_decision","label":"groupby"}`)); err == nil {
 		t.Error("no-estimate dump should fail")
-	}
-}
-
-// TestRunSelfCalibration: the no-dump fallback builds its own journal,
-// emits plan_estimate events through real auto executions, and the
-// report flows through the same reader as operator dumps.
-func TestRunSelfCalibration(t *testing.T) {
-	rep, err := RunSelfCalibration(300, 8, 7, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Source != "self-calibration" || rep.Events == 0 {
-		t.Fatalf("report = %+v", rep)
-	}
-	found := false
-	for _, q := range rep.Quantities {
-		if q.Quantity == "groups" && q.Samples >= 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no groups quantity with repeated samples: %+v", rep.Quantities)
 	}
 }

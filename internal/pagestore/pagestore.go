@@ -40,9 +40,16 @@ import (
 // DefaultPageSize is the page size used by the paper's experiments.
 const DefaultPageSize = 8192
 
-// DefaultShards is the default buffer pool shard count (clamped so that
-// every shard holds at least one frame).
+// DefaultShards is the default buffer pool shard count, lowered for
+// pools too small to give every shard MinShardFrames frames.
 const DefaultShards = 16
+
+// MinShardFrames is the fewest frames a default-sharded pool gives one
+// shard. Eviction is shard-local, so a shard must outlast the deepest
+// pin stack one query holds on it (a B+tree descent, a heap page and
+// the operators' open cursors); with two-frame shards a small pool
+// reported exhaustion while most of its frames were free.
+const MinShardFrames = 8
 
 // PageID identifies a page within a store. Pages are numbered densely
 // from 0 in allocation order.
@@ -111,9 +118,10 @@ type Options struct {
 	// pages (32 MB at the default page size, matching the paper).
 	PoolPages int
 	// Shards is the number of buffer pool shards. Defaults to
-	// DefaultShards, clamped to PoolPages so each shard holds at least
-	// one frame. Shards: 1 reproduces the single-lock pool exactly
-	// (one global LRU).
+	// DefaultShards, lowered so each shard holds at least
+	// MinShardFrames frames; an explicit count is clamped to PoolPages.
+	// Shards: 1 reproduces the single-lock pool exactly (one global
+	// LRU).
 	Shards int
 	// Codec enables per-page compression (see codec.go). Every page
 	// write records its compressed and uncompressed byte counts in
@@ -130,7 +138,7 @@ func (o Options) withDefaults() Options {
 		o.PoolPages = 4096
 	}
 	if o.Shards == 0 {
-		o.Shards = DefaultShards
+		o.Shards = min(DefaultShards, o.PoolPages/MinShardFrames)
 	}
 	if o.Shards > o.PoolPages {
 		o.Shards = o.PoolPages

@@ -157,6 +157,25 @@ func TestShardCapacityPartition(t *testing.T) {
 	}
 }
 
+// TestDefaultShardsHoldMinFrames: a default-sharded small pool keeps at
+// least MinShardFrames frames in every shard, while large pools keep
+// the full DefaultShards.
+func TestDefaultShardsHoldMinFrames(t *testing.T) {
+	for _, tc := range []struct{ pool, shards int }{
+		{1, 1}, {7, 1}, {32, 4}, {100, 12}, {320, 16}, {4096, 16},
+	} {
+		st := tempStore(t, Options{PageSize: 128, PoolPages: tc.pool})
+		if st.Shards() != tc.shards {
+			t.Errorf("pool=%d: %d shards, want %d", tc.pool, st.Shards(), tc.shards)
+		}
+		for i := range st.shards {
+			if c := st.shards[i].cap; c < min(tc.pool, MinShardFrames) {
+				t.Errorf("pool=%d: shard %d holds %d frames, want >= %d", tc.pool, i, c, MinShardFrames)
+			}
+		}
+	}
+}
+
 // TestConcurrentReadersStress hammers a small sharded pool from many
 // goroutines (run under -race by the Makefile's check target): every
 // fetch must observe the page's stamped contents even while other

@@ -71,7 +71,7 @@ func (sn *Snapshot) GetNodeAt(rid pagestore.RID) (*NodeRecord, error) {
 	var rec *NodeRecord
 	err := sn.heap.View(rid, func(b []byte) error {
 		var err error
-		rec, err = sn.db.decodeNodeRecord(b)
+		rec, err = decodeRecordCompact(b)
 		return err
 	})
 	if err != nil {
@@ -114,17 +114,8 @@ func (sn *Snapshot) TagPostings(tag string) ([]Posting, error) {
 	var out []Posting
 	var inner error
 	err := sn.tagIdx.ScanPrefix(prefix, func(k, v []byte) bool {
-		if sn.db.compact {
-			out, inner = appendBlockPostings(out, k[len(k)-8:], v)
-			return inner == nil
-		}
-		p, perr := decodePosting(k[len(prefix):], v)
-		if perr != nil {
-			inner = perr
-			return false
-		}
-		out = append(out, p)
-		return true
+		out, inner = appendBlockPostings(out, k[len(k)-8:], v)
+		return inner == nil
 	})
 	if err != nil {
 		return nil, err
@@ -157,17 +148,8 @@ func (sn *Snapshot) ValuePostings(tag, content string) ([]Posting, error) {
 	var out []Posting
 	var inner error
 	err := sn.valIdx.ScanPrefix(prefix, func(k, v []byte) bool {
-		if sn.db.compact {
-			out, inner = appendBlockPostings(out, k[len(k)-8:], v)
-			return inner == nil
-		}
-		p, perr := decodePosting(k[len(prefix):], v)
-		if perr != nil {
-			inner = perr
-			return false
-		}
-		out = append(out, p)
-		return true
+		out, inner = appendBlockPostings(out, k[len(k)-8:], v)
+		return inner == nil
 	})
 	if err != nil {
 		return nil, err

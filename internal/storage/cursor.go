@@ -27,15 +27,13 @@ type TagCursor struct {
 	// nil — the caller's pin outlives the cursor.
 	pin *Snapshot
 
-	// compact cursors decode a whole posting block per index cell and
-	// serve it from buf; plain cursors decode one posting per cell.
-	compact bool
-	buf     []Posting
-	bufPos  int
-	target  []byte // plain cursors' seek key, reused across Seeks
+	// The cursor decodes a whole posting block per index cell and
+	// serves it from buf.
+	buf    []Posting
+	bufPos int
 
 	// decoded counts postings decoded from index cells (whole blocks
-	// count in full); skippedBlocks counts compact blocks Seek jumped
+	// count in full); skippedBlocks counts blocks Seek jumped
 	// over without decoding. Together they quantify how much index the
 	// cursor actually touched — the holistic matcher's cost unit.
 	decoded       int
@@ -46,7 +44,7 @@ type TagCursor struct {
 // all documents.
 func (sn *Snapshot) OpenTagCursor(tag string) *TagCursor {
 	prefix := tagPrefix(tag)
-	return &TagCursor{it: sn.tagIdx.Seek(prefix), prefix: prefix, compact: sn.db.compact}
+	return &TagCursor{it: sn.tagIdx.Seek(prefix), prefix: prefix}
 }
 
 // OpenTagCursor pins a snapshot for the cursor's lifetime; the pin is
@@ -66,7 +64,7 @@ func (db *DB) OpenTagCursor(tag string) *TagCursor {
 func (sn *Snapshot) OpenTagDocCursor(tag string, doc xmltree.DocID) *TagCursor {
 	prefix := tagPrefix(tag)
 	prefix = append(prefix, be32(uint32(doc))...)
-	return &TagCursor{it: sn.tagIdx.Seek(prefix), prefix: prefix, compact: sn.db.compact}
+	return &TagCursor{it: sn.tagIdx.Seek(prefix), prefix: prefix}
 }
 
 // OpenTagDocCursor pins a snapshot for the cursor's lifetime; the pin
@@ -100,36 +98,25 @@ func (c *TagCursor) Next() (Posting, bool) {
 		return Posting{}, false
 	}
 	// Keys end in the fixed-width (doc, start) pair regardless of how
-	// long the prefix was (tags cannot contain NUL).
-	if c.compact {
-		// One cell is a whole block; blocks never span documents, so a
-		// per-document prefix match covers every posting inside.
-		buf, err := appendBlockPostings(c.buf[:0], k[len(k)-8:], c.it.Value())
-		if err != nil || len(buf) == 0 {
-			c.err = err
-			c.done = true
-			return Posting{}, false
-		}
-		c.decoded += len(buf)
-		c.buf = buf
-		c.bufPos = 1
-		c.it.Next()
-		return buf[0], true
-	}
-	p, err := decodePosting(k[len(k)-8:], c.it.Value())
-	if err != nil {
+	// long the prefix was (tags cannot contain NUL). One cell is a
+	// whole block; blocks never span documents, so a per-document
+	// prefix match covers every posting inside.
+	buf, err := appendBlockPostings(c.buf[:0], k[len(k)-8:], c.it.Value())
+	if err != nil || len(buf) == 0 {
 		c.err = err
 		c.done = true
 		return Posting{}, false
 	}
-	c.decoded++
+	c.decoded += len(buf)
+	c.buf = buf
+	c.bufPos = 1
 	c.it.Next()
-	return p, true
+	return buf[0], true
 }
 
 // Seek fast-forwards the cursor so the next Next returns the first
 // remaining posting at or after (doc, start) in (doc, start) order; it
-// never moves backward. Compact posting blocks are bounded by their
+// never moves backward. Posting blocks are bounded by their
 // header key and never span documents, so whole blocks strictly below
 // the target are skipped without decoding — one-cell lookahead inside
 // the leaf decides whether the current block can straddle the target.
@@ -150,17 +137,6 @@ func (c *TagCursor) Seek(doc xmltree.DocID, start uint32) {
 		c.bufPos = 0
 	}
 	if c.done || c.err != nil {
-		return
-	}
-	if !c.compact {
-		// One cell per posting: the target key is exact, so the B+tree
-		// forward seek lands on it (or the first key past it) directly.
-		if c.it.Valid() {
-			k := c.it.Key()
-			c.target = append(c.target[:0], k[:len(k)-8]...)
-			c.target = append(c.target, suffix[:]...)
-			c.it.SeekForward(c.target)
-		}
 		return
 	}
 	for c.it.Valid() {
@@ -220,7 +196,7 @@ func postingSearch(ps []Posting, doc xmltree.DocID, start uint32) int {
 // remainders the caller never consumed.
 func (c *TagCursor) PostingsDecoded() int { return c.decoded }
 
-// BlocksSkipped reports how many compact posting blocks Seek jumped
+// BlocksSkipped reports how many posting blocks Seek jumped
 // over without decoding.
 func (c *TagCursor) BlocksSkipped() int { return c.skippedBlocks }
 
@@ -268,7 +244,7 @@ func (sn *Snapshot) ContentsBatch(ps []Posting, out []string) error {
 				st.Unpin(p, false)
 				return rerr
 			}
-			content, derr := sn.db.nodeContent(b)
+			content, derr := recordContentCompact(b)
 			if derr != nil {
 				st.Unpin(p, false)
 				return derr

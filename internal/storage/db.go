@@ -85,13 +85,6 @@ type Options struct {
 	// NoValueIndex disables the (tag, content) value index, halving
 	// index build cost for workloads that never use value predicates.
 	NoValueIndex bool
-	// Uncompressed disables the compact on-disk formats: varint posting
-	// blocks and node records, and the page-level codec. The default
-	// (compressed) is what production databases should use; the
-	// uncompressed form exists for equivalence testing and A/B
-	// measurement. Open ignores this field — an existing file declares
-	// its own format.
-	Uncompressed bool
 	// SyncPolicy is the default durability of InsertDocument and
 	// DeleteDocument calls that pass SyncDefault. Unset means SyncGroup.
 	SyncPolicy SyncPolicy
@@ -105,13 +98,9 @@ type Options struct {
 }
 
 // psOptions maps storage options onto the page store's, attaching the
-// built-in LZ page codec unless the database is uncompressed.
+// built-in LZ page codec.
 func (o Options) psOptions() pagestore.Options {
-	ps := pagestore.Options{PageSize: o.PageSize, PoolPages: o.PoolPages}
-	if !o.Uncompressed {
-		ps.Codec = pagestore.LZ()
-	}
-	return ps
+	return pagestore.Options{PageSize: o.PageSize, PoolPages: o.PoolPages, Codec: pagestore.LZ()}
 }
 
 // DocInfo describes one loaded document in the catalog.
@@ -150,10 +139,6 @@ type DB struct {
 	st   *pagestore.Store
 	wal  *wal.Log // nil: no log (CreateOnFiles with a nil WAL file); ingest is non-durable
 	opts Options
-	// compact selects the compact codecs: varint posting blocks in the
-	// tag/value indices and varint node records in the heap. Fixed at
-	// creation (persisted in the meta flags byte), never per-call.
-	compact bool
 	// idxMetrics counts B+tree traversal work across all indices; the
 	// observability layer snapshots it at span boundaries.
 	idxMetrics btree.Metrics
@@ -208,18 +193,6 @@ type ingestStats struct {
 	spoolRunsLeaked atomic.Uint64
 	spoolPagesFreed atomic.Uint64
 	snapshotsPinned atomic.Int64
-}
-
-// metaFlags encodes the database's format bits for the meta blob.
-func (db *DB) metaFlags() byte {
-	var flags byte
-	if db.compact {
-		flags |= metaFlagCompact
-	}
-	if db.st.CodecName() != "" {
-		flags |= metaFlagPageCodec
-	}
-	return flags
 }
 
 // tree opens a read handle over a persisted root, wired to the shared
@@ -309,7 +282,7 @@ func CreateOnFiles(dbFile, walFile pagestore.File, opts Options) (*DB, error) {
 }
 
 func initDB(st *pagestore.Store, walFile pagestore.File, opts Options) (*DB, error) {
-	db := &DB{st: st, opts: opts, compact: !opts.Uncompressed, pins: make(map[uint64]int), journal: opts.Journal}
+	db := &DB{st: st, opts: opts, pins: make(map[uint64]int), journal: opts.Journal}
 	if walFile != nil {
 		db.wal = wal.Open(walFile, 0, 0)
 		db.wal.SetJournal(opts.Journal)
@@ -440,10 +413,7 @@ func OpenOnFiles(dbFile, walFile pagestore.File, opts Options) (*DB, error) {
 	if opts.PageSize != 0 && opts.PageSize != int(m.pageSize) {
 		return closeAll(fmt.Errorf("storage: database uses %d-byte pages, opened with %d", m.pageSize, opts.PageSize))
 	}
-	psOpts := pagestore.Options{PageSize: int(m.pageSize), PoolPages: opts.PoolPages}
-	if m.flags&metaFlagPageCodec != 0 {
-		psOpts.Codec = pagestore.LZ()
-	}
+	psOpts := Options{PageSize: int(m.pageSize), PoolPages: opts.PoolPages}.psOptions()
 	st, err := pagestore.OpenOn(dbFile, psOpts) // closes dbFile on error
 	if err != nil {
 		if walFile != nil {
@@ -453,7 +423,7 @@ func OpenOnFiles(dbFile, walFile pagestore.File, opts Options) (*DB, error) {
 	}
 	st.SetRawPage(0)
 
-	db := &DB{st: st, opts: opts, compact: m.flags&metaFlagCompact != 0, pins: make(map[uint64]int), journal: opts.Journal}
+	db := &DB{st: st, opts: opts, pins: make(map[uint64]int), journal: opts.Journal}
 	state := m.s
 	numPages := m.numPages
 	var committedLen int64
@@ -674,7 +644,7 @@ func (db *DB) loadCatalog(root pagestore.PageID) ([]DocInfo, error) {
 // writeMeta0 copies the encoded metadata for state into page 0
 // (in-pool; the caller decides when it reaches disk).
 func (db *DB) writeMeta0(s *snapState) error {
-	blob := encodeMeta(s, db.st.SlotSize(), db.metaFlags(), db.st.NumPages())
+	blob := encodeMeta(s, db.st.SlotSize(), db.st.NumPages())
 	p, err := db.st.Fetch(0)
 	if err != nil {
 		return err
@@ -1037,39 +1007,6 @@ func (db *DB) DebugStatus() DebugStatus {
 	db.pinMu.Unlock()
 	sort.Slice(ds.PinnedEpochs, func(i, j int) bool { return ds.PinnedEpochs[i] < ds.PinnedEpochs[j] })
 	return ds
-}
-
-// Compact reports whether the database uses the compact codecs
-// (posting blocks and varint records).
-func (db *DB) Compact() bool { return db.compact }
-
-// encodeNodeRecord serializes a record in the database's format.
-func (db *DB) encodeNodeRecord(r *NodeRecord) []byte {
-	if db.compact {
-		return encodeRecordCompact(r)
-	}
-	return encodeRecord(r)
-}
-
-// decodeNodeRecord parses a stored record in the database's format.
-func (db *DB) decodeNodeRecord(b []byte) (*NodeRecord, error) {
-	if db.compact {
-		return decodeRecordCompact(b)
-	}
-	return decodeRecord(b)
-}
-
-// nodeContent extracts just the content field of a stored record —
-// what ContentsBatch materializes per output row.
-func (db *DB) nodeContent(b []byte) (string, error) {
-	if db.compact {
-		return recordContentCompact(b)
-	}
-	rec, err := decodeRecord(b)
-	if err != nil {
-		return "", err
-	}
-	return rec.Content, nil
 }
 
 // ResetStats zeroes the buffer pool and index-traversal counters.

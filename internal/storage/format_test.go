@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"strings"
 	"testing"
@@ -28,47 +30,79 @@ func buildFormatDB(t *testing.T, path string, opts Options) {
 	}
 }
 
-// TestOpenSniffsFormat loads the same document into a compressed and an
-// uncompressed database and reopens both with plain options: Open must
-// detect each file's framing and produce identical query-visible data.
+// TestOpenSniffsFormat reopens a database with plain options: Open
+// must read the file's framing and page size from its meta blob and
+// serve the same query-visible data. A meta blob whose flags byte lacks
+// the compact or the page-codec bit declares a format this build no
+// longer writes, and Open must refuse it with ErrNeedsRebuild.
 func TestOpenSniffsFormat(t *testing.T) {
+	t.Run("compressed", func(t *testing.T) {
+		path := t.TempDir() + "/db"
+		buildFormatDB(t, path, Options{})
+		db, err := Open(path, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		ps, err := db.TagPostings("author")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ps) != 3 {
+			t.Fatalf("got %d author postings, want 3", len(ps))
+		}
+		content, err := db.Content(ps[0])
+		if err != nil || content != "A" {
+			t.Fatalf("Content = %q, %v", content, err)
+		}
+		vp, err := db.ValuePostings("author", "A")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vp) != 2 {
+			t.Fatalf("got %d value postings for author=A, want 2", len(vp))
+		}
+	})
 	for _, tc := range []struct {
-		name         string
-		uncompressed bool
+		name  string
+		clear byte
 	}{
-		{"compressed", false},
-		{"uncompressed", true},
+		{"no-compact-flag", metaFlagCompact},
+		{"no-page-codec-flag", metaFlagPageCodec},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := t.TempDir() + "/db"
-			buildFormatDB(t, path, Options{Uncompressed: tc.uncompressed})
-			db, err := Open(path, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			if db.Compact() == tc.uncompressed {
-				t.Errorf("Compact() = %v for %s file", db.Compact(), tc.name)
-			}
-			ps, err := db.TagPostings("author")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ps) != 3 {
-				t.Fatalf("got %d author postings, want 3", len(ps))
-			}
-			content, err := db.Content(ps[0])
-			if err != nil || content != "A" {
-				t.Fatalf("Content = %q, %v", content, err)
-			}
-			vp, err := db.ValuePostings("author", "A")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(vp) != 2 {
-				t.Fatalf("got %d value postings for author=A, want 2", len(vp))
+			buildFormatDB(t, path, Options{})
+			clearMetaFlag(t, path, tc.clear)
+			_, err := Open(path, Options{})
+			if !errors.Is(err, ErrNeedsRebuild) {
+				t.Fatalf("Open with flag %#x cleared: %v, want ErrNeedsRebuild", tc.clear, err)
 			}
 		})
+	}
+}
+
+// clearMetaFlag clears bits in the flags byte of the checkpointed meta
+// blob on page 0 and re-seals the slot checksum, so the file differs
+// from a valid one only in the format it declares. The write-ahead log
+// is emptied so recovery cannot supply a newer blob.
+func clearMetaFlag(t *testing.T, path string, bits byte) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Page 0 slot: [flag][clen u32][crc u32][payload]; the meta blob's
+	// flags byte sits at payload offset 39.
+	const payload = 9
+	clen := binary.LittleEndian.Uint32(raw[1:5])
+	raw[payload+39] &^= bits
+	binary.LittleEndian.PutUint32(raw[5:9], crc32.Checksum(raw[payload:payload+int(clen)], metaCastagnoli))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(walPath(path), 0); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -163,8 +197,8 @@ func TestSizeInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Compact || info.Codec != "lz" {
-		t.Errorf("default DB should be compact+lz, got %+v", info)
+	if info.Codec != "lz" {
+		t.Errorf("DB should use the lz page codec, got %+v", info)
 	}
 	if info.HeapPages == 0 || info.IndexPages == 0 || info.TagCells == 0 {
 		t.Errorf("zero components: %+v", info)

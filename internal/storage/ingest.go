@@ -305,15 +305,12 @@ func (db *DB) buildInsert(name string, root *xmltree.Node) (*txn, DocInfo, error
 // storeNodeCOW writes one node through the transaction's handles —
 // the incremental counterpart of storeNode.
 func (db *DB) storeNodeCOW(h *writeHandles, rec *NodeRecord) error {
-	rid, err := h.heap.Insert(db.encodeNodeRecord(rec))
+	rid, err := h.heap.Insert(encodeRecordCompact(rec))
 	if err != nil {
 		return err
 	}
 	id := rec.ID()
-	indexValue := postingValue(rec.Interval, rid)
-	if db.compact {
-		indexValue = blockValue1(rec.Interval, rid)
-	}
+	indexValue := blockValue1(rec.Interval, rid)
 	if err := h.locator.Insert(locatorKey(id), ridValue(rid)); err != nil {
 		return fmt.Errorf("locator: %w", err)
 	}
@@ -357,7 +354,7 @@ func (db *DB) buildDelete(name string) (*txn, error) {
 			return false
 		}
 		if err := heap.View(rid, func(b []byte) error {
-			rec, err := db.decodeNodeRecord(b)
+			rec, err := decodeRecordCompact(b)
 			if err != nil {
 				return err
 			}
@@ -505,7 +502,7 @@ func (db *DB) commitLocked(t *txn) error {
 		}
 		// The logged metadata's numPages must cover every logged page so
 		// recovery's SetNumPages keeps them.
-		blob := encodeMeta(t.state, db.st.SlotSize(), db.metaFlags(), db.st.NumPages())
+		blob := encodeMeta(t.state, db.st.SlotSize(), db.st.NumPages())
 		if err := db.wal.AppendMeta(blob); err != nil {
 			return err
 		}

@@ -144,19 +144,16 @@ type indexEntries struct {
 // storeNode writes the record to the heap and either queues (bulk) or
 // inserts (incremental) its index entries.
 func (db *DB) storeNode(h *loadHandles, rec *NodeRecord, bulk *indexEntries) error {
-	rid, err := h.heap.Insert(db.encodeNodeRecord(rec))
+	rid, err := h.heap.Insert(encodeRecordCompact(rec))
 	if err != nil {
 		return err
 	}
 	id := rec.ID()
-	// Bulk loads always queue the fixed-width v1 value; bulkBuildIndexes
+	// Bulk loads queue the fixed-width posting value; bulkBuildIndexes
 	// converts the sorted run into posting blocks in one pass. Only the
-	// incremental path writes the final form directly.
-	indexValue := postingValue(rec.Interval, rid)
-	if bulk == nil && db.compact {
-		indexValue = blockValue1(rec.Interval, rid)
-	}
+	// incremental path writes one-posting blocks directly.
 	if bulk != nil {
+		indexValue := postingValue(rec.Interval, rid)
 		bulk.loc = append(bulk.loc, btree.KV{Key: locatorKey(id), Value: ridValue(rid)})
 		bulk.tag = append(bulk.tag, btree.KV{Key: tagKey(rec.Tag, id), Value: indexValue})
 		if h.valIdx != nil && rec.Content != "" && len(rec.Content) <= maxIndexedContent {
@@ -164,6 +161,7 @@ func (db *DB) storeNode(h *loadHandles, rec *NodeRecord, bulk *indexEntries) err
 		}
 		return nil
 	}
+	indexValue := blockValue1(rec.Interval, rid)
 	if err := h.locator.Insert(locatorKey(id), ridValue(rid)); err != nil {
 		return fmt.Errorf("locator: %w", err)
 	}
@@ -185,19 +183,17 @@ func (db *DB) storeNode(h *loadHandles, rec *NodeRecord, bulk *indexEntries) err
 func (db *DB) bulkBuildIndexes(h *loadHandles, e *indexEntries) error {
 	sortKVs(e.tag)
 	sortKVs(e.val)
-	tag, val := e.tag, e.val
-	var err error
-	if db.compact {
-		// Pack the sorted posting runs into delta/varint blocks. The
-		// locator keeps per-node cells: its values are bare RIDs and its
-		// range scans address individual keys.
-		maxCell := btree.MaxCellFor(db.st.PageSize())
-		if tag, err = blockKVs(tag, maxCell); err != nil {
-			return fmt.Errorf("tag index blocks: %w", err)
-		}
-		if val, err = blockKVs(val, maxCell); err != nil {
-			return fmt.Errorf("value index blocks: %w", err)
-		}
+	// Pack the sorted posting runs into delta/varint blocks. The locator
+	// keeps per-node cells: its values are bare RIDs and its range scans
+	// address individual keys.
+	maxCell := btree.MaxCellFor(db.st.PageSize())
+	tag, err := blockKVs(e.tag, maxCell)
+	if err != nil {
+		return fmt.Errorf("tag index blocks: %w", err)
+	}
+	val, err := blockKVs(e.val, maxCell)
+	if err != nil {
+		return fmt.Errorf("value index blocks: %w", err)
 	}
 	if h.locator, err = btree.BulkLoad(db.st, e.loc); err != nil {
 		return fmt.Errorf("locator bulk load: %w", err)

@@ -39,12 +39,14 @@ const (
 	metaVersion = 3
 	metaLen     = 48
 
-	// Meta flags: which optional codecs the file uses. flagCompact
-	// covers the posting-block and varint-record formats; flagPageCodec
-	// records that pages (other than page 0 and raw heaps) are written
-	// through the store's compression codec.
+	// Meta flags: which codecs the file uses. flagCompact covers the
+	// posting-block and varint-record formats; flagPageCodec records
+	// that pages (other than page 0 and raw heaps) are written through
+	// the store's compression codec. This build writes both and opens
+	// only files that carry both.
 	metaFlagCompact   = 1 << 0
 	metaFlagPageCodec = 1 << 1
+	metaFlags         = metaFlagCompact | metaFlagPageCodec
 )
 
 // ErrNeedsRebuild is returned by Open for a database written in an
@@ -75,11 +77,10 @@ type snapState struct {
 type metaBlob struct {
 	s        snapState // epoch and docs are not persisted
 	pageSize uint32
-	flags    byte
 	numPages uint32
 }
 
-func encodeMeta(s *snapState, pageSize int, flags byte, numPages uint32) []byte {
+func encodeMeta(s *snapState, pageSize int, numPages uint32) []byte {
 	b := make([]byte, metaLen)
 	copy(b[0:8], metaMagic)
 	binary.LittleEndian.PutUint16(b[8:], metaVersion)
@@ -93,7 +94,7 @@ func encodeMeta(s *snapState, pageSize int, flags byte, numPages uint32) []byte 
 	}
 	binary.LittleEndian.PutUint32(b[31:], uint32(s.val))
 	binary.LittleEndian.PutUint32(b[35:], uint32(pageSize))
-	b[39] = flags
+	b[39] = metaFlags
 	binary.LittleEndian.PutUint32(b[40:], numPages)
 	binary.LittleEndian.PutUint32(b[44:], s.nextDocID)
 	return b
@@ -121,11 +122,14 @@ func decodeMeta(b []byte) (metaBlob, error) {
 	m.s.hasVal = b[30] == 1
 	m.s.val = pagestore.PageID(binary.LittleEndian.Uint32(b[31:]))
 	m.pageSize = binary.LittleEndian.Uint32(b[35:])
-	m.flags = b[39]
+	flags := b[39]
 	m.numPages = binary.LittleEndian.Uint32(b[40:])
 	m.s.nextDocID = binary.LittleEndian.Uint32(b[44:])
 	if m.pageSize < 64 || m.pageSize > 1<<24 {
 		return m, fmt.Errorf("storage: implausible page size %d in metadata", m.pageSize)
+	}
+	if flags&metaFlags != metaFlags {
+		return m, fmt.Errorf("%w (file lacks the compact or page-codec format, flags %#x)", ErrNeedsRebuild, flags)
 	}
 	return m, nil
 }

@@ -22,7 +22,7 @@ import (
 //
 // Block cell layout:
 //
-//	key:   the full v1 key of the block's FIRST posting
+//	key:   the full per-posting key of the block's FIRST posting
 //	       (…prefix…, doc be32, start be32) — prefix scans and seeks
 //	       work unchanged, and doc/start₀ are recovered from the key's
 //	       8-byte suffix instead of being stored again
@@ -162,10 +162,11 @@ func appendBlockPostings(dst []Posting, keySuffix, value []byte) ([]Posting, err
 	return dst, nil
 }
 
-// blockKVs converts sorted v1 index pairs (one 12-byte value per
-// posting) into block pairs, greedily packing key-adjacent postings up
-// to blockMaxPostings or the tree's cell budget. The input stays
-// untouched; bulkBuildIndexes feeds the result straight to BulkLoad.
+// blockKVs converts the bulk loader's sorted per-posting pairs (one
+// 12-byte postingValue each) into block pairs, greedily packing
+// key-adjacent postings up to blockMaxPostings or the tree's cell
+// budget. The input stays untouched; bulkBuildIndexes feeds the result
+// straight to BulkLoad.
 func blockKVs(kvs []btree.KV, maxCell int) ([]btree.KV, error) {
 	out := make([]btree.KV, 0, len(kvs)/8+1)
 	i := 0

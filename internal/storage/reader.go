@@ -42,7 +42,6 @@ type Reader interface {
 	DocumentByName(name string) (DocInfo, bool)
 	CardStats() (*stats.Catalog, error)
 	HasValueIndex() bool
-	Compact() bool
 	Epoch() uint64
 
 	// Scratch space for blocking operators.

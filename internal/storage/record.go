@@ -41,109 +41,12 @@ type NodeRecord struct {
 // ID returns the record's node identifier.
 func (r *NodeRecord) ID() xmltree.NodeID { return r.Interval.ID() }
 
-// encodeRecord serializes a node record. Layout (little endian):
-//
-//	doc u32, start u32, end u32, level u16, parentStart u32,
-//	tagLen u16, tag, contentLen u32, content,
-//	nattrs u16, { nameLen u16, name, valLen u32, value }*
-func encodeRecord(r *NodeRecord) []byte {
-	size := 4 + 4 + 4 + 2 + 4 + 2 + len(r.Tag) + 4 + len(r.Content) + 2
-	for _, a := range r.Attrs {
-		size += 2 + len(a.Name) + 4 + len(a.Value)
-	}
-	buf := make([]byte, 0, size)
-	var tmp [4]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:], v)
-		buf = append(buf, tmp[:4]...)
-	}
-	put16 := func(v uint16) {
-		binary.LittleEndian.PutUint16(tmp[:2], v)
-		buf = append(buf, tmp[:2]...)
-	}
-	put32(uint32(r.Interval.Doc))
-	put32(r.Interval.Start)
-	put32(r.Interval.End)
-	put16(r.Interval.Level)
-	put32(r.ParentStart)
-	put16(uint16(len(r.Tag)))
-	buf = append(buf, r.Tag...)
-	put32(uint32(len(r.Content)))
-	buf = append(buf, r.Content...)
-	put16(uint16(len(r.Attrs)))
-	for _, a := range r.Attrs {
-		put16(uint16(len(a.Name)))
-		buf = append(buf, a.Name...)
-		put32(uint32(len(a.Value)))
-		buf = append(buf, a.Value...)
-	}
-	return buf
-}
-
 var errCorruptRecord = errors.New("storage: corrupt node record")
 
-// decodeRecord parses a stored node record.
-func decodeRecord(b []byte) (*NodeRecord, error) {
-	r := &NodeRecord{}
-	off := 0
-	need := func(n int) bool { return off+n <= len(b) }
-	get32 := func() uint32 {
-		v := binary.LittleEndian.Uint32(b[off:])
-		off += 4
-		return v
-	}
-	get16 := func() uint16 {
-		v := binary.LittleEndian.Uint16(b[off:])
-		off += 2
-		return v
-	}
-	if !need(20) { // fixed header (18 bytes) + tag length (2 bytes)
-		return nil, errCorruptRecord
-	}
-	r.Interval.Doc = xmltree.DocID(get32())
-	r.Interval.Start = get32()
-	r.Interval.End = get32()
-	r.Interval.Level = get16()
-	r.ParentStart = get32()
-	tagLen := int(get16())
-	if !need(tagLen + 4) {
-		return nil, errCorruptRecord
-	}
-	r.Tag = string(b[off : off+tagLen])
-	off += tagLen
-	contentLen := int(get32())
-	if !need(contentLen + 2) {
-		return nil, errCorruptRecord
-	}
-	r.Content = string(b[off : off+contentLen])
-	off += contentLen
-	nattrs := int(get16())
-	for i := 0; i < nattrs; i++ {
-		if !need(2) {
-			return nil, errCorruptRecord
-		}
-		nameLen := int(get16())
-		if !need(nameLen + 4) {
-			return nil, errCorruptRecord
-		}
-		name := string(b[off : off+nameLen])
-		off += nameLen
-		valLen := int(get32())
-		if !need(valLen) {
-			return nil, errCorruptRecord
-		}
-		val := string(b[off : off+valLen])
-		off += valLen
-		r.Attrs = append(r.Attrs, xmltree.Attr{Name: name, Value: val})
-	}
-	return r, nil
-}
-
-// encodeRecordCompact is the format-v2 record layout: the same fields
-// as encodeRecord, but every integer is a varint and the end number is
-// stored as an extent (end − start). Small nodes — the vast majority at
-// DBLP scale, where most elements hold a short string — shrink from an
-// 18-byte fixed header to 5-8 bytes.
+// encodeRecordCompact serializes a node record. Every integer is a
+// varint and the end number is stored as an extent (end − start), so
+// small nodes — the vast majority at DBLP scale, where most elements
+// hold a short string — carry a 5-8 byte header.
 //
 //	doc, start, extent, level, parentStart,
 //	tagLen, tag, contentLen, content,
@@ -344,7 +247,8 @@ func valuePrefix(tag, content string) []byte {
 // maxIndexedContent bounds the content portion of value-index keys.
 const maxIndexedContent = 512
 
-// postingValue encodes the non-key part of an index posting:
+// postingValue encodes the non-key part of one posting in the bulk
+// loader's sorted run, before blockKVs packs the run into blocks:
 // end u32, level u16, rid.page u32, rid.slot u16 (little endian).
 func postingValue(iv xmltree.Interval, rid pagestore.RID) []byte {
 	b := make([]byte, 12)

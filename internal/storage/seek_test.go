@@ -10,7 +10,7 @@ import (
 )
 
 // seekTestDoc builds a synthetic document with enough same-tag nodes to
-// span many compact posting blocks (blockMaxPostings is 128).
+// span many posting blocks (blockMaxPostings is 128).
 func seekTestDoc(items int) string {
 	var b strings.Builder
 	b.WriteString("<root>")
@@ -39,83 +39,76 @@ func seekDB(t *testing.T, opts Options, docs, items int) *DB {
 
 // TestTagCursorSeekMatchesScan: seeking to any (doc, start) target
 // yields exactly the suffix a full scan would produce from that point,
-// in both the compact and uncompressed formats, whether the cursor is
-// fresh or mid-stream.
+// whether the cursor is fresh or mid-stream.
 func TestTagCursorSeekMatchesScan(t *testing.T) {
-	for _, opts := range []Options{{}, {Uncompressed: true}} {
-		name := "compact"
-		if opts.Uncompressed {
-			name = "uncompressed"
+	t.Run("compact", func(t *testing.T) {
+		db := seekDB(t, Options{}, 3, 400)
+		all, err := db.TagPostings("item")
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			db := seekDB(t, opts, 3, 400)
-			all, err := db.TagPostings("item")
-			if err != nil {
-				t.Fatal(err)
+		if len(all) != 1200 {
+			t.Fatalf("have %d item postings, want 1200", len(all))
+		}
+		rng := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 60; trial++ {
+			c := db.OpenTagCursor("item")
+			// Optionally consume a few postings first so the seek
+			// starts mid-buffer / mid-stream.
+			burn := rng.Intn(3) * rng.Intn(200)
+			for i := 0; i < burn; i++ {
+				c.Next()
 			}
-			if len(all) != 1200 {
-				t.Fatalf("have %d item postings, want 1200", len(all))
-			}
-			rng := rand.New(rand.NewSource(7))
-			for trial := 0; trial < 60; trial++ {
-				c := db.OpenTagCursor("item")
-				// Optionally consume a few postings first so the seek
-				// starts mid-buffer / mid-stream.
-				burn := rng.Intn(3) * rng.Intn(200)
-				for i := 0; i < burn; i++ {
-					c.Next()
+			var doc xmltree.DocID
+			var start uint32
+			wantFrom := len(all)
+			if trial%10 == 9 {
+				doc, start = 99, 0 // past every document
+			} else {
+				target := rng.Intn(len(all))
+				doc, start = all[target].Interval.Doc, all[target].Interval.Start
+				if trial%2 == 1 {
+					start++ // between-posting target
 				}
-				var doc xmltree.DocID
-				var start uint32
-				wantFrom := len(all)
-				if trial%10 == 9 {
-					doc, start = 99, 0 // past every document
-				} else {
-					target := rng.Intn(len(all))
-					doc, start = all[target].Interval.Doc, all[target].Interval.Start
-					if trial%2 == 1 {
-						start++ // between-posting target
-					}
-					for i, p := range all {
-						iv := p.Interval
-						if iv.Doc > doc || (iv.Doc == doc && iv.Start >= start) {
-							wantFrom = i
-							break
-						}
-					}
-				}
-				if wantFrom < burn {
-					wantFrom = burn // Seek never rewinds past consumed postings
-				}
-				c.Seek(doc, start)
-				var got []Posting
-				for {
-					p, ok := c.Next()
-					if !ok {
+				for i, p := range all {
+					iv := p.Interval
+					if iv.Doc > doc || (iv.Doc == doc && iv.Start >= start) {
+						wantFrom = i
 						break
 					}
-					got = append(got, p)
-				}
-				if err := c.Close(); err != nil {
-					t.Fatal(err)
-				}
-				want := all[wantFrom:]
-				if len(got) != len(want) {
-					t.Fatalf("trial %d (burn %d, target %d/%d): got %d postings after seek, want %d",
-						trial, burn, doc, start, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d: posting %d = %+v, want %+v", trial, i, got[i], want[i])
-					}
 				}
 			}
-		})
-	}
+			if wantFrom < burn {
+				wantFrom = burn // Seek never rewinds past consumed postings
+			}
+			c.Seek(doc, start)
+			var got []Posting
+			for {
+				p, ok := c.Next()
+				if !ok {
+					break
+				}
+				got = append(got, p)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := all[wantFrom:]
+			if len(got) != len(want) {
+				t.Fatalf("trial %d (burn %d, target %d/%d): got %d postings after seek, want %d",
+					trial, burn, doc, start, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d: posting %d = %+v, want %+v", trial, i, got[i], want[i])
+				}
+			}
+		}
+	})
 }
 
 // TestTagCursorSeekSkipsBlocks: a document-level jump over a long
-// posting list must skip whole compact blocks undecoded — the
+// posting list must skip whole blocks undecoded — the
 // PostingsDecoded account stays far below the full list.
 func TestTagCursorSeekSkipsBlocks(t *testing.T) {
 	db := seekDB(t, Options{}, 4, 500)

@@ -7,11 +7,8 @@ package storage
 type SizeInfo struct {
 	// PageSize is the on-disk slot size in bytes.
 	PageSize int `json:"page_size"`
-	// Codec names the page compression codec, or "" when uncompressed.
+	// Codec names the page compression codec.
 	Codec string `json:"codec,omitempty"`
-	// Compact reports whether the compact record and posting codecs are
-	// in use.
-	Compact bool `json:"compact"`
 	// TotalPages and TotalBytes cover the whole file.
 	TotalPages uint32 `json:"total_pages"`
 	TotalBytes uint64 `json:"total_bytes"`
@@ -25,8 +22,7 @@ type SizeInfo struct {
 	ValuePages   uint32 `json:"value_pages"`
 	IndexPages   uint32 `json:"index_pages"`
 	IndexBytes   uint64 `json:"index_bytes"`
-	// TagCells/ValueCells are leaf cell counts: per-posting in v1
-	// databases, per-block in compact ones.
+	// TagCells/ValueCells are leaf cell counts, one per posting block.
 	TagCells   uint64 `json:"tag_cells"`
 	ValueCells uint64 `json:"value_cells"`
 }
@@ -41,7 +37,6 @@ func (sn *Snapshot) SizeInfo() (SizeInfo, error) {
 	info := SizeInfo{
 		PageSize:   st.SlotSize(),
 		Codec:      st.CodecName(),
-		Compact:    sn.db.compact,
 		TotalPages: st.NumPages(),
 	}
 	info.TotalBytes = uint64(info.TotalPages) * slot

@@ -96,9 +96,6 @@ func (sn *Snapshot) DocumentByName(name string) (DocInfo, bool) {
 // HasValueIndex reports whether the (tag, content) value index exists.
 func (sn *Snapshot) HasValueIndex() bool { return sn.valIdx != nil }
 
-// Compact reports whether the database uses the compact codecs.
-func (sn *Snapshot) Compact() bool { return sn.db.compact }
-
 // NumPages exposes the store's allocated page count.
 func (sn *Snapshot) NumPages() uint32 { return sn.db.st.NumPages() }
 

@@ -58,7 +58,7 @@ func (db *DB) SpillTrees(trees []*xmltree.Node) ([]*xmltree.Node, error) {
 			if n.Parent != nil {
 				rec.ParentStart = n.Parent.Interval.Start
 			}
-			if _, err := heap.Insert(db.encodeNodeRecord(rec)); err != nil {
+			if _, err := heap.Insert(encodeRecordCompact(rec)); err != nil {
 				werr = err
 				return false
 			}
@@ -75,7 +75,7 @@ func (db *DB) SpillTrees(trees []*xmltree.Node) ([]*xmltree.Node, error) {
 	out := make([]*xmltree.Node, 0, len(trees))
 	var stack []*xmltree.Node
 	err = heap.Scan(func(_ pagestore.RID, b []byte) error {
-		rec, err := db.decodeNodeRecord(b)
+		rec, err := decodeRecordCompact(b)
 		if err != nil {
 			return err
 		}

@@ -135,9 +135,6 @@ func (db *DB) collectCardStats(s *snapState) (*stats.Catalog, error) {
 	cat.Documents = uint64(len(s.docs))
 
 	countPostings := func(v []byte) (uint64, error) {
-		if !db.compact {
-			return 1, nil
-		}
 		n, w := binary.Uvarint(v)
 		if w <= 0 || n < 1 {
 			return 0, errCorruptBlock

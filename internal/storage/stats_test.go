@@ -221,30 +221,6 @@ func TestCardStatsNoMaintenanceWithoutStats(t *testing.T) {
 	}
 }
 
-func TestCardStatsUncompressedFormat(t *testing.T) {
-	// The v2 (uncompressed) posting format stores one posting per cell;
-	// the ANALYZE scan and incremental path must agree there too.
-	db := testDB(t, Options{Uncompressed: true})
-	if _, err := db.InsertDocument("bib.xml", paperdata.SampleDatabase(), SyncAlways); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.BuildCardStats(SyncAlways); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.InsertDocument("dblp.xml", paperdata.TransactionArticles(), SyncAlways); err != nil {
-		t.Fatal(err)
-	}
-	got, err := db.CardStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := collectFresh(t, db)
-	want.Epoch = got.Epoch
-	if !got.Fresh || !got.Equal(want) {
-		t.Errorf("uncompressed maintenance:\n got %+v (fresh=%v)\nwant %+v", got, got.Fresh, want)
-	}
-}
-
 // statsSnapshotView checks the Reader interface path: a pinned snapshot
 // sees the statistics of its own epoch, not later ones.
 func TestCardStatsSnapshotIsolation(t *testing.T) {

@@ -48,7 +48,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		{Interval: xmltree.Interval{Doc: 1, Start: 1, End: 100}, Tag: "x", Content: strings.Repeat("y", 300)},
 	}
 	for i, r := range recs {
-		got, err := decodeRecord(encodeRecord(r))
+		got, err := decodeRecordCompact(encodeRecordCompact(r))
 		if err != nil {
 			t.Fatalf("rec %d: %v", i, err)
 		}
@@ -59,9 +59,9 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestRecordDecodeCorrupt(t *testing.T) {
-	good := encodeRecord(&NodeRecord{Tag: "a", Content: "b", Attrs: []xmltree.Attr{{Name: "n", Value: "v"}}})
+	good := encodeRecordCompact(&NodeRecord{Tag: "a", Content: "b", Attrs: []xmltree.Attr{{Name: "n", Value: "v"}}})
 	for cut := 0; cut < len(good); cut++ {
-		if _, err := decodeRecord(good[:cut]); err == nil {
+		if _, err := decodeRecordCompact(good[:cut]); err == nil {
 			t.Errorf("decode of %d-byte prefix should fail", cut)
 		}
 	}
@@ -69,6 +69,9 @@ func TestRecordDecodeCorrupt(t *testing.T) {
 
 func TestRecordRoundTripProperty(t *testing.T) {
 	prop := func(doc uint32, start, end uint32, level uint16, tag, content string, an, av string) bool {
+		if end < start {
+			start, end = end, start // intervals never end before they start
+		}
 		r := &NodeRecord{
 			Interval: xmltree.Interval{Doc: xmltree.DocID(doc), Start: start, End: end, Level: level},
 			Tag:      tag, Content: content,
@@ -79,7 +82,7 @@ func TestRecordRoundTripProperty(t *testing.T) {
 		if len(tag) > 1000 || len(content) > 5000 {
 			return true // outside record bounds by construction elsewhere
 		}
-		got, err := decodeRecord(encodeRecord(r))
+		got, err := decodeRecordCompact(encodeRecordCompact(r))
 		return err == nil && reflect.DeepEqual(got, r)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
