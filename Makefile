@@ -66,12 +66,12 @@ metrics-check:
 	rm -f /tmp/timber-metrics-check.db /tmp/timber-serve-metrics-check
 
 # stream-check gates the streaming executor: every corpus query must
-# produce byte-identical trees and stats to the materializing
-# reference (groupby-mat), at parallelism 1 and 4 and across batch
-# sizes, under the race detector — plus the spill-equivalence and
-# materialize-budget suites and the facade-level equivalence.
+# produce the logical evaluator's rows and the recorded golden stats,
+# byte-identical at parallelism 1 and 4, across batch sizes and with
+# sort spilling, under the race detector — plus the spill-equivalence
+# and materialize-budget suites and the facade-level equivalence.
 stream-check:
-	$(GO) test -race -run 'Streaming|Materialize|GroupByMat|FacadeStreaming|FacadeMaterialize' \
+	$(GO) test -race -run 'Streaming|Materialize|FacadeStreaming|FacadeMaterialize' \
 		./internal/exec/ ./internal/engine/
 
 # wal-check gates the durable write path: the crash-recovery harness

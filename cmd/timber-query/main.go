@@ -15,9 +15,9 @@
 // statistics and runs the cheapest. The explicit overrides are
 // logical (reference in-memory evaluation), physical (generic
 // index-accelerated evaluation of any translatable query), direct
-// (the naive plan with materialized intermediates), direct-nested,
-// direct-batch, groupby (streaming identifier processing),
-// groupby-mat (the materializing groupby reference), and replicating.
+// (the naive plan with materialized intermediates), direct-batch (the
+// naive plan as index identification plus a hash join), and groupby
+// (streaming identifier processing).
 // Strategies that need the grouping rewrite fall back to the physical
 // plan, with a note, when the idiom is not detected.
 //
@@ -74,7 +74,7 @@ import (
 func main() {
 	dbPath := flag.String("db", "timber.db", "database file")
 	queryFile := flag.String("f", "", "read the query from this file")
-	strategy := flag.String("plan", "auto", "execution strategy: auto (cost-based planner; default), logical, physical, direct, direct-nested, direct-batch, groupby, groupby-mat, replicating")
+	strategy := flag.String("plan", "auto", "execution strategy: "+strings.Join(exec.StrategyNames(), ", ")+" (auto = cost-based planner)")
 	matcher := flag.String("matcher", "auto", "pattern matcher for the physical plan: auto (planner decides; default), binary, twig")
 	poolMB := flag.Int("poolmb", 32, "buffer pool size in MiB")
 	parallel := flag.Int("parallel", 0, "worker bound for the physical executors (0 = GOMAXPROCS, 1 = sequential)")

@@ -24,7 +24,7 @@
 //	     results either way).
 //	     200 JSON result; 400 malformed query/strategy/matcher; 504 per-request
 //	     timeout exceeded; 429 admission limit reached (Retry-After: 1);
-//	     405 for other methods. Every response carries an X-Query-ID
+//	     503 buffer pool exhausted (Retry-After: 1); 405 for other methods. Every response carries an X-Query-ID
 //	     header that matches the structured request log.
 //	POST   /ingest?name=NAME[&sync=always|group|none]  body: XML document.
 //	DELETE /ingest?name=NAME[&sync=always|group|none]

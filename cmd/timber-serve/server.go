@@ -16,6 +16,7 @@ import (
 	"timber/internal/exec"
 	"timber/internal/match"
 	"timber/internal/obs"
+	"timber/internal/pagestore"
 )
 
 // config carries the service knobs from flags (or tests) to the server.
@@ -261,6 +262,20 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// queryErrorStatus maps a failed query's error to its HTTP status: 504
+// for a timeout or cancellation, 503 for buffer-pool exhaustion (every
+// frame pinned by concurrent work — transient, so the client is asked
+// to retry), 500 for anything else.
+func queryErrorStatus(err error) int {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, pagestore.ErrPoolExhausted):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
+}
+
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
@@ -426,12 +441,16 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		err:         err,
 	})
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		code := queryErrorStatus(err)
+		switch code {
+		case http.StatusGatewayTimeout:
 			s.timeouts.Inc()
-			writeError(w, http.StatusGatewayTimeout, "query timed out after %v", timeout)
+			writeError(w, code, "query timed out after %v", timeout)
 			return
+		case http.StatusServiceUnavailable:
+			w.Header().Set("Retry-After", "1")
 		}
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		writeError(w, code, "%v", err)
 		return
 	}
 	s.okCount.Inc()

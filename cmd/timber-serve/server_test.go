@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,6 +19,7 @@ import (
 	"timber/internal/engine"
 	"timber/internal/exec"
 	"timber/internal/obs"
+	"timber/internal/pagestore"
 	"timber/internal/paperdata"
 	"timber/internal/storage"
 	"timber/internal/xmltree"
@@ -231,6 +233,44 @@ func TestQueryTimeout(t *testing.T) {
 	}
 }
 
+// TestQueryErrorStatus pins the error → status mapping: a pool
+// exhaustion wrapped by any layer is a retryable 503, a deadline a 504,
+// anything else a 500.
+func TestQueryErrorStatus(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"pool exhausted", fmt.Errorf("exec: sort: %w", pagestore.ErrPoolExhausted), http.StatusServiceUnavailable},
+		{"deadline", fmt.Errorf("exec: %w", context.DeadlineExceeded), http.StatusGatewayTimeout},
+		{"plain", errors.New("storage: corrupt page"), http.StatusInternalServerError},
+	} {
+		if got := queryErrorStatus(tc.err); got != tc.want {
+			t.Errorf("%s: status = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestQueryPoolExhausted: a query that runs out of buffer-pool frames
+// answers 503 with Retry-After, not 500.
+func TestQueryPoolExhausted(t *testing.T) {
+	s := testServer(t, config{})
+	s.execute = func(ctx context.Context, pq *engine.PreparedQuery, o engine.ExecOptions) (*engine.Result, error) {
+		return nil, fmt.Errorf("exec: spill: %w", pagestore.ErrPoolExhausted)
+	}
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	body, _ := json.Marshal(queryRequest{Query: query1})
+	resp, raw := postQuery(t, ts, string(body))
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
+	}
+	if resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("Retry-After = %q, want 1", resp.Header.Get("Retry-After"))
+	}
+}
+
 // TestQueryBackpressure: with the admission limit saturated, the next
 // request is rejected with 429 + Retry-After, and succeeds once the
 // limit frees up.
@@ -286,7 +326,7 @@ func TestConcurrentClients(t *testing.T) {
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
-	strategies := []string{"groupby", "direct", "direct-nested", "direct-batch", "replicating", "physical"}
+	strategies := []string{"groupby", "direct", "direct-batch", "physical"}
 	want := map[string]string{}
 	for _, name := range strategies {
 		body, _ := json.Marshal(queryRequest{Query: query1, Strategy: name})

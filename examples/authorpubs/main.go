@@ -31,15 +31,12 @@ func main() {
 }
 
 // strategies are the table rows: the paper's two measured plans (the
-// naive direct plan and the groupby identifier plan) bracketed by a
-// nested-loops and a batch direct plan and the Sec. 5.3 replicating
-// strawman.
+// naive direct plan and the groupby identifier plan) with the batch
+// direct plan Sec. 6's prose describes between them.
 var strategies = []exec.Strategy{
 	exec.StrategyDirect,
-	exec.StrategyDirectNested,
 	exec.StrategyDirectBatch,
 	exec.StrategyGroupBy,
-	exec.StrategyReplicating,
 }
 
 func run(articles int) error {

@@ -174,8 +174,7 @@ func TestExecuteStrategiesAgree(t *testing.T) {
 	}
 	want := groupRows(logical)
 	for _, strat := range []exec.Strategy{
-		exec.StrategyPhysical, exec.StrategyGroupBy, exec.StrategyGroupByMat,
-		exec.StrategyReplicating, exec.StrategyDirect, exec.StrategyDirectNested,
+		exec.StrategyPhysical, exec.StrategyGroupBy, exec.StrategyDirect,
 		exec.StrategyDirectBatch,
 	} {
 		res, err := pq.Execute(ctx, ExecOptions{Strategy: strat})
@@ -238,8 +237,8 @@ func TestEngineConcurrentHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	strats := []exec.Strategy{
-		exec.StrategyGroupBy, exec.StrategyDirect, exec.StrategyDirectNested,
-		exec.StrategyDirectBatch, exec.StrategyReplicating, exec.StrategyPhysical,
+		exec.StrategyGroupBy, exec.StrategyDirect, exec.StrategyDirectBatch,
+		exec.StrategyPhysical,
 	}
 	baseline := map[exec.Strategy]string{}
 	for _, s := range strats {

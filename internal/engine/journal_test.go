@@ -91,7 +91,7 @@ func TestJournalByteIdentity(t *testing.T) {
 		0, // auto: the planner decides
 		exec.StrategyGroupBy,
 		exec.StrategyDirect,
-		exec.StrategyDirectNested,
+		exec.StrategyDirectBatch,
 	}
 	for _, par := range []int{1, 4} {
 		for _, strat := range strategies {

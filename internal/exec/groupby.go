@@ -47,11 +47,11 @@ type ExecStats struct {
 // Sec. 5.3 allows) are fetched inside the fragments, per batch.
 //
 // Groups are emitted in ascending grouping-value order, and the result
-// trees, group order and ExecStats are byte-identical to
-// groupByMaterialized for every parallelism and batch size: the
-// exchange merges fragment rows in document order, the sort's
-// comparator is a total order (arrival position breaks every tie), and
-// each operator preserves its input's row order.
+// trees, group order and ExecStats are byte-identical for every
+// parallelism, batch size and sort budget: the exchange merges fragment
+// rows in document order, the sort's comparator is a total order
+// (arrival position breaks every tie), and each operator preserves its
+// input's row order.
 func groupByExec(db storage.Reader, spec Spec, o Options) (*Result, error) {
 	if err := o.err(); err != nil {
 		return nil, err

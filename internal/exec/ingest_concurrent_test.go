@@ -36,14 +36,14 @@ func sidecarDoc(t *testing.T, w, i int) *xmltree.Node {
 // TestConcurrentIngestByteIdentity is the snapshot-isolation
 // acceptance check: while writers insert and delete documents through
 // the WAL, every concurrently executing query — streaming groupby and
-// the materializing reference, at parallelism 1 and 4, with tracing
-// on — returns bytes identical to the quiesced run. Run under -race
-// by make wal-check.
+// the materializing batch direct plan, at parallelism 1 and 4, with
+// tracing on — returns bytes identical to the quiesced run. Run under
+// -race by make wal-check.
 func TestConcurrentIngestByteIdentity(t *testing.T) {
 	db := sampleDB(t)
 	_, _, spec := plansFor(t, query1Src)
 
-	strategies := []Strategy{StrategyGroupBy, StrategyGroupByMat}
+	strategies := []Strategy{StrategyGroupBy, StrategyDirectBatch}
 	parallelisms := []int{1, 4}
 	want := map[string]string{}
 	for _, st := range strategies {

@@ -172,10 +172,4 @@ func TestExecutorsOnClosedDB(t *testing.T) {
 	if _, err := directBatch(db, spec, Options{}); err == nil {
 		t.Error("DirectBatch on closed db should fail")
 	}
-	if _, err := directNestedLoops(db, spec, Options{}); err == nil {
-		t.Error("DirectNestedLoops on closed db should fail")
-	}
-	if _, err := groupByReplicating(db, spec, Options{}); err == nil {
-		t.Error("GroupByReplicating on closed db should fail")
-	}
 }

@@ -98,8 +98,8 @@ func (m *mergeLOJIter) Next(b *Batch) error {
 			return err
 		}
 		if span == nil {
-			// Drain the right tail so the value-pair count is complete
-			// (the materializing executor always computed every pair).
+			// Drain the right tail so the value-pair count is complete:
+			// IndexPostings counts every value pair, matched or not.
 			if err := m.drainRight(); err != nil {
 				return err
 			}

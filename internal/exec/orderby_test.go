@@ -157,9 +157,7 @@ func TestOrderByAllPlansAgreeProperty(t *testing.T) {
 		if !reflect.DeepEqual(sorted(rows(lr.Trees)), sorted(nRows)) {
 			return false
 		}
-		for _, strat := range []Strategy{
-			StrategyDirect, StrategyDirectNested, StrategyDirectBatch, StrategyGroupBy, StrategyReplicating,
-		} {
+		for _, strat := range specStrategies {
 			spec := spec
 			spec.Strategy = strat
 			res, err := Run(db, spec, Options{})

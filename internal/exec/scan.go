@@ -63,7 +63,7 @@ func (s *scanIter) Close() error {
 // A fragment scans its member postings once and feeds them to the
 // join-path, value-path and order-path pipelines through replays, so
 // the member scan costs one index pass however many pipelines consume
-// it (matching the materializing executor's single TagPostings call).
+// it.
 type sliceSource struct {
 	postings []storage.Posting
 	pos      int

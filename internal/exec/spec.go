@@ -1,7 +1,8 @@
 // Package exec implements the physical evaluation plans of Sec. 6 over
 // the storage layer: the "direct" execution of the XQuery as written
-// (a nested-loops plan probing indices per outer binding, plus the
-// batch variant the experiment section describes), and the TIMBER
+// (the naive plan with every intermediate collection materialized
+// through storage, plus the batch variant the experiment section
+// describes: index identification and a hash join), and the TIMBER
 // groupby plan with identifier-only processing and deferred value
 // population (Sec. 5.3).
 //

@@ -29,42 +29,29 @@ const (
 	// StrategyDirect is the fully materialized direct execution of the
 	// naive plan (Sec. 4.1 / Sec. 6 "direct").
 	StrategyDirect
-	// StrategyDirectNested is the nested-loops direct plan probing the
-	// value index per outer binding.
-	StrategyDirectNested
 	// StrategyDirectBatch is the batch direct variant (index
 	// identification + hash join).
 	StrategyDirectBatch
-	// StrategyReplicating is the early-replication grouping strawman
-	// Sec. 5.3 argues against.
-	StrategyReplicating
 	// StrategyLogical evaluates the logical plan over fully loaded
-	// documents — the reference semantics. It needs the plan itself,
-	// not a Spec, so Run rejects it; the engine facade (or ExecLogical)
-	// is the path that runs it.
+	// documents — the reference semantics every physical plan is tested
+	// against. It needs the plan itself, not a Spec, so Run rejects it;
+	// the engine facade (or ExecLogical) is the path that runs it.
 	StrategyLogical
 	// StrategyPhysical is the generic index-accelerated evaluation of
 	// an arbitrary logical plan. Like StrategyLogical it needs the
 	// plan, so Run rejects it; the engine facade (or ExecPhysical) runs
 	// it.
 	StrategyPhysical
-	// StrategyGroupByMat is the materializing groupby executor the
-	// streaming pipeline replaced — kept as the byte-equality reference
-	// and the baseline of the streaming-memory experiment.
-	StrategyGroupByMat
 )
 
 // strategyNames maps each Strategy to its canonical flag spelling.
 var strategyNames = map[Strategy]string{
-	StrategyAuto:         "auto",
-	StrategyGroupBy:      "groupby",
-	StrategyDirect:       "direct",
-	StrategyDirectNested: "direct-nested",
-	StrategyDirectBatch:  "direct-batch",
-	StrategyReplicating:  "replicating",
-	StrategyLogical:      "logical",
-	StrategyPhysical:     "physical",
-	StrategyGroupByMat:   "groupby-mat",
+	StrategyAuto:        "auto",
+	StrategyGroupBy:     "groupby",
+	StrategyDirect:      "direct",
+	StrategyDirectBatch: "direct-batch",
+	StrategyLogical:     "logical",
+	StrategyPhysical:    "physical",
 }
 
 func (s Strategy) String() string {
@@ -116,16 +103,10 @@ func Run(db storage.Reader, spec Spec, o Options) (*Result, error) {
 		// Auto below the engine has no planner to consult; the groupby
 		// plan is the documented fallback.
 		return groupByExec(db, spec, o)
-	case StrategyGroupByMat:
-		return groupByMaterialized(db, spec, o)
 	case StrategyDirect:
 		return directMaterialized(db, spec, o)
-	case StrategyDirectNested:
-		return directNestedLoops(db, spec, o)
 	case StrategyDirectBatch:
 		return directBatch(db, spec, o)
-	case StrategyReplicating:
-		return groupByReplicating(db, spec, o)
 	case StrategyLogical, StrategyPhysical:
 		return nil, fmt.Errorf("exec: strategy %v evaluates a logical plan, not a Spec; use the engine facade (or ExecLogical/ExecPhysical)", spec.Strategy)
 	default:

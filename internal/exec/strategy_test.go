@@ -16,8 +16,7 @@ import (
 // itself, and unknown spellings are rejected with a helpful message.
 func TestParseStrategyRoundTrip(t *testing.T) {
 	all := []Strategy{
-		StrategyAuto, StrategyGroupBy, StrategyGroupByMat, StrategyDirect,
-		StrategyDirectNested, StrategyDirectBatch, StrategyReplicating,
+		StrategyAuto, StrategyGroupBy, StrategyDirect, StrategyDirectBatch,
 		StrategyLogical, StrategyPhysical,
 	}
 	for _, s := range all {
@@ -40,8 +39,9 @@ func TestParseStrategyRoundTrip(t *testing.T) {
 			t.Errorf("ParseStrategy error %q does not list %q", err, name)
 		}
 	}
-	if len(StrategyNames()) != len(all) {
-		t.Errorf("StrategyNames() has %d entries, want %d", len(StrategyNames()), len(all))
+	want := []string{"auto", "direct", "direct-batch", "groupby", "logical", "physical"}
+	if got := StrategyNames(); !reflect.DeepEqual(got, want) || len(got) != len(all) {
+		t.Errorf("StrategyNames() = %v, want %v", got, want)
 	}
 }
 
@@ -56,10 +56,7 @@ func TestRunDispatchesEveryStrategy(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := sorted(rows(ln.Trees))
-	for _, strat := range []Strategy{
-		StrategyGroupBy, StrategyDirect, StrategyDirectNested,
-		StrategyDirectBatch, StrategyReplicating,
-	} {
+	for _, strat := range specStrategies {
 		spec := spec
 		spec.Strategy = strat
 		res, err := Run(db, spec, Options{})
@@ -115,10 +112,7 @@ func TestRunCancelledContext(t *testing.T) {
 	_, _, spec := plansFor(t, query1Src)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, strat := range []Strategy{
-		StrategyGroupBy, StrategyDirect, StrategyDirectNested,
-		StrategyDirectBatch, StrategyReplicating,
-	} {
+	for _, strat := range specStrategies {
 		for _, p := range []int{1, 4} {
 			spec := spec
 			spec.Strategy = strat
@@ -138,14 +132,10 @@ func TestRunCancelledContext(t *testing.T) {
 	}
 }
 
-// specStrategies are the five Spec-level strategies of the Sec. 6
-// comparison: the naive materialized direct plan, its nested-loops and
-// batch variants, the groupby identifier plan and the Sec. 5.3
-// replicating strawman.
-var specStrategies = []Strategy{
-	StrategyDirect, StrategyDirectNested, StrategyDirectBatch,
-	StrategyGroupBy, StrategyReplicating,
-}
+// specStrategies are the three Spec-level strategies of the Sec. 6
+// comparison: the naive materialized direct plan, its batch variant and
+// the groupby identifier plan.
+var specStrategies = []Strategy{StrategyDirect, StrategyDirectBatch, StrategyGroupBy}
 
 // generatedDB loads a synthetic DBLP document of the given size.
 func generatedDB(t *testing.T, articles int, seed int64) *storage.DB {
@@ -164,7 +154,7 @@ func generatedDB(t *testing.T, articles int, seed int64) *storage.DB {
 // TestGroupByFewestValueLookups is the paper's Sec. 5 claim in exact
 // counts: on both Sec. 6 queries every strategy forms the same groups,
 // and the groupby identifier plan populates strictly fewer values than
-// each of the other four, each run starting from a cold pool.
+// each of the other two, each run starting from a cold pool.
 func TestGroupByFewestValueLookups(t *testing.T) {
 	db := generatedDB(t, 400, 11)
 	for _, src := range []string{query1Src, queryCountSrc} {
@@ -201,7 +191,7 @@ func TestGroupByFewestValueLookups(t *testing.T) {
 	}
 }
 
-// TestResultsMatchAcrossStrategies: all five strategies build the same
+// TestResultsMatchAcrossStrategies: all three strategies build the same
 // result trees (as an order-insensitive multiset of rendered groups)
 // on a generated database.
 func TestResultsMatchAcrossStrategies(t *testing.T) {

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"timber/internal/dblpgen"
@@ -11,42 +12,59 @@ import (
 )
 
 // The streaming iterator executor must be invisible: for every corpus
-// query, every parallelism and every batch size, groupByExec produces
-// byte-identical trees and identical ExecStats to the materializing
-// reference executor it replaced (groupByMaterialized, strategy
-// "groupby-mat"). These tests pin that equivalence, including under
-// sort spilling and the materialization budget.
+// query, every parallelism, every batch size and with or without sort
+// spilling, groupByExec produces byte-identical trees across all arms,
+// the same rows as the logical evaluator on the rewritten plan, and
+// exactly the ExecStats the materializing groupby executor it replaced
+// recorded on the same databases (kept below as golden values).
 
 // streamCorpus is every groupby query shape the package tests cover:
-// titles, count, ascending and descending ordering lists.
+// titles, count, ascending and descending ordering lists. multi and
+// spill are the golden ExecStats on multiDocDB(7, 11, 13) and on
+// TestStreamingSpillEquivalence's larger-than-pool database.
 var streamCorpus = []struct {
-	name string
-	src  string
+	name         string
+	src          string
+	multi, spill ExecStats
 }{
-	{"titles", query1Src},
-	{"count", queryCountSrc},
-	{"ordered-desc", queryOrderedSrc},
-	{"ordered-year", queryOrderedByYearSrc},
+	{"titles", query1Src, ExecStats{384, 396, 0, 18}, ExecStats{1021, 1082, 0, 31}},
+	{"count", queryCountSrc, ExecStats{384, 198, 0, 18}, ExecStats{1021, 541, 0, 31}},
+	{"ordered-desc", queryOrderedSrc, ExecStats{477, 489, 0, 18}, ExecStats{1261, 1322, 0, 31}},
+	{"ordered-year", queryOrderedByYearSrc, ExecStats{477, 489, 0, 18}, ExecStats{1261, 1322, 0, 31}},
 }
 
-func assertStreamEqual(t *testing.T, db *storage.DB, spec Spec, label string) {
+// assertStreamEqual runs every streaming arm (parallelism × batch size ×
+// sort spilling) and checks each against the logical plan's sorted
+// rows, the first arm's bytes and the golden stats.
+func assertStreamEqual(t *testing.T, db *storage.DB, src, label string, want ExecStats) {
 	t.Helper()
-	want, err := groupByMaterialized(db, spec, Options{})
+	_, rewritten, spec := plansFor(t, src)
+	logical, err := ExecLogical(db, rewritten)
 	if err != nil {
-		t.Fatalf("%s: materialized: %v", label, err)
+		t.Fatalf("%s: logical: %v", label, err)
 	}
-	wantBytes := serializeTrees(want.Trees)
+	wantRows := sorted(rows(logical.Trees))
+	var wantBytes string
 	for _, p := range []int{1, 4} {
 		for _, bs := range []int{0, 1, 3} {
-			got, err := groupByExec(db, spec, Options{Parallelism: p, BatchSize: bs})
-			if err != nil {
-				t.Fatalf("%s p=%d bs=%d: %v", label, p, bs, err)
-			}
-			if gotBytes := serializeTrees(got.Trees); gotBytes != wantBytes {
-				t.Errorf("%s p=%d bs=%d: trees differ\ngot  %s\nwant %s", label, p, bs, gotBytes, wantBytes)
-			}
-			if got.Stats != want.Stats {
-				t.Errorf("%s p=%d bs=%d: stats = %+v, want %+v", label, p, bs, got.Stats, want.Stats)
+			for _, mem := range []int{0, 16} {
+				arm := fmt.Sprintf("%s p=%d bs=%d sortmem=%d", label, p, bs, mem)
+				got, err := groupByExec(db, spec, Options{Parallelism: p, BatchSize: bs, SortMemRows: mem})
+				if err != nil {
+					t.Fatalf("%s: %v", arm, err)
+				}
+				if gotRows := sorted(rows(got.Trees)); !reflect.DeepEqual(gotRows, wantRows) {
+					t.Errorf("%s: rows differ from the logical plan\ngot  %v\nwant %v", arm, gotRows, wantRows)
+				}
+				gotBytes := serializeTrees(got.Trees)
+				if wantBytes == "" {
+					wantBytes = gotBytes
+				} else if gotBytes != wantBytes {
+					t.Errorf("%s: trees differ from the first arm\ngot  %s\nwant %s", arm, gotBytes, wantBytes)
+				}
+				if got.Stats != want {
+					t.Errorf("%s: stats = %+v, want %+v", arm, got.Stats, want)
+				}
 			}
 		}
 	}
@@ -55,16 +73,16 @@ func assertStreamEqual(t *testing.T, db *storage.DB, spec Spec, label string) {
 func TestStreamingMatchesMaterializedCorpus(t *testing.T) {
 	db := multiDocDB(t, 7, 11, 13)
 	for _, q := range streamCorpus {
-		_, _, spec := plansFor(t, q.src)
-		assertStreamEqual(t, db, spec, q.name)
+		assertStreamEqual(t, db, q.src, q.name, q.multi)
 	}
 }
 
 func TestStreamingMatchesMaterializedDescendant(t *testing.T) {
-	_, _, spec := plansFor(t, queryDescSrc)
-	for seed := int64(1); seed <= 4; seed++ {
+	golden := []ExecStats{{12, 8, 0, 3}, {9, 6, 0, 2}, {15, 10, 0, 3}, {9, 6, 0, 2}}
+	for i, want := range golden {
+		seed := int64(i + 1)
 		db, _ := deepDB(t, seed)
-		assertStreamEqual(t, db, spec, fmt.Sprintf("descendant seed=%d", seed))
+		assertStreamEqual(t, db, queryDescSrc, fmt.Sprintf("descendant seed=%d", seed), want)
 		db.Close()
 	}
 }
@@ -81,7 +99,6 @@ RETURN
     RETURN $b/title
   }
 </instpubs>`
-	_, _, spec := plansFor(t, src)
 	db, err := storage.CreateTemp(storage.Options{PageSize: 512, PoolPages: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -96,14 +113,14 @@ RETURN
 	if _, err := db.LoadDocument("bib.xml", root); err != nil {
 		t.Fatal(err)
 	}
-	assertStreamEqual(t, db, spec, "institution")
+	assertStreamEqual(t, db, src, "institution", ExecStats{9, 6, 0, 2})
 }
 
 // TestStreamingSpillEquivalence is the blocking-operator spill
 // regression: a GROUPBY over a collection larger than the buffer pool,
 // with a sort budget small enough to force many spilled runs, must be
-// byte-identical to the in-memory sort and to the materializing
-// executor — and must give every temporary page back.
+// byte-identical to the in-memory sort, agree with the logical plan and
+// keep the golden stats — and must give every temporary page back.
 func TestStreamingSpillEquivalence(t *testing.T) {
 	db, err := storage.CreateTemp(storage.Options{PageSize: 512, PoolPages: 32})
 	if err != nil {
@@ -120,8 +137,8 @@ func TestStreamingSpillEquivalence(t *testing.T) {
 		t.Fatalf("collection (%d pages) does not exceed the pool (%d pages)", pages, pool)
 	}
 	for _, q := range streamCorpus {
-		_, _, spec := plansFor(t, q.src)
-		want, err := groupByMaterialized(db, spec, Options{})
+		_, rewritten, spec := plansFor(t, q.src)
+		logical, err := ExecLogical(db, rewritten)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,15 +157,14 @@ func TestStreamingSpillEquivalence(t *testing.T) {
 		if after := db.NumPages(); after != before {
 			t.Errorf("%s: spill leaked pages: %d -> %d", q.name, before, after)
 		}
-		wantBytes := serializeTrees(want.Trees)
-		if got := serializeTrees(inMem.Trees); got != wantBytes {
-			t.Errorf("%s: in-memory streaming differs from materialized", q.name)
+		if got, want := sorted(rows(inMem.Trees)), sorted(rows(logical.Trees)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: in-memory streaming rows differ from the logical plan\ngot  %v\nwant %v", q.name, got, want)
 		}
-		if got := serializeTrees(spilled.Trees); got != wantBytes {
-			t.Errorf("%s: spilled streaming differs from materialized", q.name)
+		if serializeTrees(spilled.Trees) != serializeTrees(inMem.Trees) {
+			t.Errorf("%s: spilled streaming differs from in-memory", q.name)
 		}
-		if inMem.Stats != want.Stats || spilled.Stats != want.Stats {
-			t.Errorf("%s: stats diverge: mat=%+v mem=%+v spill=%+v", q.name, want.Stats, inMem.Stats, spilled.Stats)
+		if inMem.Stats != q.spill || spilled.Stats != q.spill {
+			t.Errorf("%s: stats diverge: golden=%+v mem=%+v spill=%+v", q.name, q.spill, inMem.Stats, spilled.Stats)
 		}
 	}
 }
@@ -185,25 +201,5 @@ func TestMaterializeLimit(t *testing.T) {
 	_, _, countSpec := plansFor(t, queryCountSrc)
 	if _, err := groupByExec(db, countSpec, Options{MaxMaterializeBytes: 16}); err != nil {
 		t.Errorf("count under tight budget: %v", err)
-	}
-}
-
-func TestGroupByMatStrategy(t *testing.T) {
-	s, err := ParseStrategy("groupby-mat")
-	if err != nil || s != StrategyGroupByMat {
-		t.Fatalf("ParseStrategy = %v, %v", s, err)
-	}
-	if s.String() != "groupby-mat" {
-		t.Errorf("String = %q", s.String())
-	}
-	db := sampleDB(t)
-	_, _, spec := plansFor(t, query1Src)
-	spec.Strategy = StrategyGroupByMat
-	res, err := Run(db, spec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trees) != 3 {
-		t.Errorf("groups = %d, want 3", len(res.Trees))
 	}
 }

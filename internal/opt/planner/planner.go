@@ -157,11 +157,6 @@ func Choose(cat *stats.Catalog, spec exec.Spec) *Decision {
 		costMaterialize*(e.groups+outputLookups) +
 		orderCost
 
-	// Materializing groupby: same index work, but every phase builds a
-	// full intermediate (witness array, value-pair map) before the next
-	// starts.
-	mat := streaming + costMaterialize*(e.witnesses+e.values)
-
 	// Naive direct plan: populate ALL basis values up front (B
 	// look-ups, not W), then navigate per distinct value to build the
 	// product trees — locator probes instead of identifier joins.
@@ -175,8 +170,6 @@ func Choose(cat *stats.Catalog, spec exec.Spec) *Decision {
 	cands := []Candidate{
 		{Strategy: exec.StrategyGroupBy, Cost: streaming,
 			Detail: fmt.Sprintf("scan %.0f + populate %.0f values + sort %.0f rows", e.members+e.joinScan+e.valueScan, e.witnesses, e.merged)},
-		{Strategy: exec.StrategyGroupByMat, Cost: mat,
-			Detail: fmt.Sprintf("streaming cost + materialize %.0f intermediates", e.witnesses+e.values)},
 		{Strategy: exec.StrategyDirect, Cost: direct,
 			Detail: fmt.Sprintf("populate %.0f basis values + navigate %.0f witnesses", e.basis, e.witnesses)},
 	}
@@ -192,12 +185,9 @@ func Choose(cat *stats.Catalog, spec exec.Spec) *Decision {
 		StatsUsed:  true,
 		StatsFresh: cat.Fresh,
 	}
-	switch d.Strategy {
-	case exec.StrategyGroupByMat:
-		d.Operators = materializedOps(spec, e)
-	case exec.StrategyDirect:
-		d.Operators = directOps(spec, e)
-	default:
+	if d.Strategy == exec.StrategyDirect {
+		d.Operators = directOps(e)
+	} else {
 		d.Operators = streamingOps(spec, e)
 	}
 	return d
@@ -206,8 +196,7 @@ func Choose(cat *stats.Catalog, spec exec.Spec) *Decision {
 // Describe returns the per-operator estimates for an explicitly
 // requested strategy — EXPLAIN under an override still shows what the
 // planner expects of it. Returns nil for strategies the cost model
-// doesn't cover (nested/batch/replicating variants, plan-level
-// strategies).
+// doesn't cover (the batch direct variant, plan-level strategies).
 func Describe(cat *stats.Catalog, spec exec.Spec, strat exec.Strategy) []OpEstimate {
 	var e cardEst
 	if cat != nil && len(cat.Tags) > 0 && cat.TotalNodes > 0 {
@@ -216,10 +205,8 @@ func Describe(cat *stats.Catalog, spec exec.Spec, strat exec.Strategy) []OpEstim
 	switch strat {
 	case exec.StrategyAuto, exec.StrategyGroupBy:
 		return streamingOps(spec, e)
-	case exec.StrategyGroupByMat:
-		return materializedOps(spec, e)
 	case exec.StrategyDirect:
-		return directOps(spec, e)
+		return directOps(e)
 	}
 	return nil
 }
@@ -260,25 +247,8 @@ func streamingOps(spec exec.Spec, e cardEst) []OpEstimate {
 	return ops
 }
 
-// materializedOps mirrors groupByMaterialized's phase spans.
-func materializedOps(spec exec.Spec, e cardEst) []OpEstimate {
-	ops := []OpEstimate{
-		{"scan: member postings", e.members},
-		{"sjoin: join path", e.witnesses},
-		{"sjoin: value path", e.values},
-		{"populate: grouping values", e.witnesses},
-	}
-	if spec.OrderPath != nil {
-		ops = append(ops, OpEstimate{"populate: ordering values", e.order})
-	}
-	ops = append(ops,
-		OpEstimate{"sort: witnesses", e.witnesses},
-		OpEstimate{"materialize: groups", e.groups})
-	return ops
-}
-
 // directOps mirrors directMaterialized's phase spans.
-func directOps(spec exec.Spec, e cardEst) []OpEstimate {
+func directOps(e cardEst) []OpEstimate {
 	return []OpEstimate{
 		{"materialize: outer selection", e.basis},
 		{"sjoin: join path", e.witnesses},

@@ -55,15 +55,15 @@ func TestChooseWithoutStats(t *testing.T) {
 }
 
 // TestChooseCostsAllCandidates: with statistics the decision lists the
-// three costed plans cheapest-first, the chosen strategy is the
+// two costed plans cheapest-first, the chosen strategy is the
 // cheapest, and the headline cardinalities are populated.
 func TestChooseCostsAllCandidates(t *testing.T) {
 	d := Choose(dblpCatalog(), e1Spec())
 	if !d.StatsUsed || !d.StatsFresh {
 		t.Errorf("StatsUsed=%v StatsFresh=%v, want both true", d.StatsUsed, d.StatsFresh)
 	}
-	if len(d.Candidates) != 3 {
-		t.Fatalf("candidates = %d, want 3", len(d.Candidates))
+	if len(d.Candidates) != 2 {
+		t.Fatalf("candidates = %d, want 2", len(d.Candidates))
 	}
 	seen := map[exec.Strategy]bool{}
 	for i, c := range d.Candidates {
@@ -75,7 +75,7 @@ func TestChooseCostsAllCandidates(t *testing.T) {
 			t.Errorf("candidates not sorted by cost: %+v", d.Candidates)
 		}
 	}
-	for _, s := range []exec.Strategy{exec.StrategyGroupBy, exec.StrategyGroupByMat, exec.StrategyDirect} {
+	for _, s := range []exec.Strategy{exec.StrategyGroupBy, exec.StrategyDirect} {
 		if !seen[s] {
 			t.Errorf("candidate %v missing", s)
 		}
@@ -129,19 +129,19 @@ func TestOperatorEstimates(t *testing.T) {
 	}
 }
 
-// TestDescribeForcedStrategies: Describe covers the costed trio (and
+// TestDescribeForcedStrategies: Describe covers the costed pair (and
 // auto), returns nil for plans the cost model has no operator map for.
 func TestDescribeForcedStrategies(t *testing.T) {
 	cat, spec := dblpCatalog(), e1Spec()
 	for _, s := range []exec.Strategy{
-		exec.StrategyAuto, exec.StrategyGroupBy, exec.StrategyGroupByMat, exec.StrategyDirect,
+		exec.StrategyAuto, exec.StrategyGroupBy, exec.StrategyDirect,
 	} {
 		if ops := Describe(cat, spec, s); len(ops) == 0 {
 			t.Errorf("Describe(%v) = empty", s)
 		}
 	}
 	for _, s := range []exec.Strategy{
-		exec.StrategyDirectNested, exec.StrategyReplicating, exec.StrategyLogical,
+		exec.StrategyDirectBatch, exec.StrategyLogical, exec.StrategyPhysical,
 	} {
 		if ops := Describe(cat, spec, s); ops != nil {
 			t.Errorf("Describe(%v) = %v, want nil", s, ops)

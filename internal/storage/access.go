@@ -167,37 +167,6 @@ func (db *DB) ValuePostings(tag, content string) ([]Posting, error) {
 	return sn.ValuePostings(tag, content)
 }
 
-// DocRootPosting returns the posting for a document's root node.
-func (sn *Snapshot) DocRootPosting(doc xmltree.DocID) (Posting, error) {
-	for _, d := range sn.s.docs {
-		if d.ID != doc {
-			continue
-		}
-		id := xmltree.NodeID{Doc: doc, Start: d.RootStart}
-		v, err := sn.locator.Get(locatorKey(id))
-		if err != nil {
-			return Posting{}, err
-		}
-		rid, err := decodeRID(v)
-		if err != nil {
-			return Posting{}, err
-		}
-		rec, err := sn.GetNodeAt(rid)
-		if err != nil {
-			return Posting{}, err
-		}
-		return Posting{Interval: rec.Interval, RID: rid}, nil
-	}
-	return Posting{}, fmt.Errorf("storage: unknown document %d", doc)
-}
-
-// DocRootPosting is the pin-per-call form of Snapshot.DocRootPosting.
-func (db *DB) DocRootPosting(doc xmltree.DocID) (Posting, error) {
-	sn := db.Snapshot()
-	defer sn.Close()
-	return sn.DocRootPosting(doc)
-}
-
 // ScanRange calls fn for every node of doc whose start number lies in
 // [lo, hi), in document order. fn receives the decoded record. This is
 // the subtree-scan primitive: a node's subtree is exactly the start
@@ -227,13 +196,6 @@ func (sn *Snapshot) ScanRange(doc xmltree.DocID, lo, hi uint32, fn func(*NodeRec
 		return err
 	}
 	return inner
-}
-
-// ScanRange is the pin-per-call form of Snapshot.ScanRange.
-func (db *DB) ScanRange(doc xmltree.DocID, lo, hi uint32, fn func(*NodeRecord) error) error {
-	sn := db.Snapshot()
-	defer sn.Close()
-	return sn.ScanRange(doc, lo, hi, fn)
 }
 
 // GetSubtree materializes the full subtree rooted at id as an xmltree,

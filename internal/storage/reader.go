@@ -20,19 +20,16 @@ import (
 //	... use sn as a Reader ...
 type Reader interface {
 	// Point and range access to stored records.
-	GetNode(id xmltree.NodeID) (*NodeRecord, error)
 	GetNodeAt(rid pagestore.RID) (*NodeRecord, error)
 	LocateRID(id xmltree.NodeID) (pagestore.RID, error)
 	Content(p Posting) (string, error)
 	ContentsBatch(ps []Posting, out []string) error
 	GetSubtree(id xmltree.NodeID) (*xmltree.Node, error)
-	ScanRange(doc xmltree.DocID, lo, hi uint32, fn func(*NodeRecord) error) error
 	ScanDocument(doc xmltree.DocID, fn func(*NodeRecord) error) error
 
 	// Index access.
 	TagPostings(tag string) ([]Posting, error)
 	ValuePostings(tag, content string) ([]Posting, error)
-	DocRootPosting(doc xmltree.DocID) (Posting, error)
 	OpenTagCursor(tag string) *TagCursor
 	OpenTagDocCursor(tag string, doc xmltree.DocID) *TagCursor
 	Tags() ([]string, error)

@@ -376,16 +376,6 @@ func TestMultipleDocuments(t *testing.T) {
 	if len(posts) != 7 { // 3 in sample + 4 in transactions
 		t.Errorf("article postings = %d, want 7", len(posts))
 	}
-	root2, err := db.DocRootPosting(d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root2.Interval.Doc != d2 || root2.Interval.Start != 1 {
-		t.Errorf("root posting = %+v", root2)
-	}
-	if _, err := db.DocRootPosting(99); err == nil {
-		t.Error("bogus doc root should fail")
-	}
 }
 
 func TestLoadXML(t *testing.T) {
