@@ -148,7 +148,7 @@ func resp405Allow(t *testing.T, ts *httptest.Server) string {
 // clients query; every query runs on one pinned snapshot, so each
 // response is byte-identical to the pre-ingest reference (the inserted
 // documents contain no tags the query pattern matches). Run under
-// -race by make serve-check.
+// -race by make race.
 func TestIngestConcurrentWithQueries(t *testing.T) {
 	s := testServer(t, config{maxInFlight: 64})
 	ts := httptest.NewServer(s.handler())

@@ -75,6 +75,7 @@ import (
 
 	"timber/internal/engine"
 	"timber/internal/obs"
+	"timber/internal/pagestore"
 	"timber/internal/storage"
 )
 
@@ -131,7 +132,7 @@ func run(dbPath, addr string, poolMB, cacheSize int, cfg config, drainTimeout ti
 	// The journal goes in through storage.Options so recovery events
 	// fired during Open land in it too.
 	db, err := storage.Open(dbPath, storage.Options{
-		PoolPages:  poolMB * 1024 * 1024 / 8192,
+		PoolPages:  poolMB * 1024 * 1024 / pagestore.DefaultPageSize,
 		SyncPolicy: syncPol,
 		Journal:    journal,
 	})

@@ -235,7 +235,7 @@ type queryRequest struct {
 }
 
 // queryResponse is the /query success body. Trees carries the result
-// serialized exactly as timber-query prints it, so the two paths are
+// serialized exactly as `timber query` prints it, so the two paths are
 // byte-comparable.
 type queryResponse struct {
 	Trees    string `json:"trees"`

@@ -602,7 +602,7 @@ func (e *Engine) Query(ctx context.Context, query string, o ExecOptions) (*Resul
 }
 
 // Serialize renders the result trees as concatenated XML documents —
-// the byte format timber-query prints and timber-serve returns, kept
+// the byte format `timber query` prints and timber-serve returns, kept
 // in one place so the two agree byte for byte.
 func (r *Result) Serialize() string {
 	var b strings.Builder

@@ -16,8 +16,8 @@ import (
 // TestSelfCalibration closes the planner-calibration loop in process:
 // auto-strategy executions of the Sec. 6 queries over a journaled
 // database emit plan_estimate events, and the journal's own dump reads
-// back through planner.ReadCalibration — the reader timber-stats
-// -calibrate runs on operator dumps — as one quantity per estimate with
+// back through planner.ReadCalibration — the reader `timber stats
+// -calibrate` runs on operator dumps — as one quantity per estimate with
 // the repeated samples counted.
 func TestSelfCalibration(t *testing.T) {
 	journal := obs.NewJournal(obs.DefaultJournalEvents)

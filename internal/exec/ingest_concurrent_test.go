@@ -38,7 +38,7 @@ func sidecarDoc(t *testing.T, w, i int) *xmltree.Node {
 // the WAL, every concurrently executing query — streaming groupby and
 // the materializing batch direct plan, at parallelism 1 and 4, with
 // tracing on — returns bytes identical to the quiesced run. Run under
-// -race by make wal-check.
+// -race by make race.
 func TestConcurrentIngestByteIdentity(t *testing.T) {
 	db := sampleDB(t)
 	_, _, spec := plansFor(t, query1Src)

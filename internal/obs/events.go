@@ -7,7 +7,7 @@ import (
 
 // EventType identifies one kind of journal event. Every type emitted
 // anywhere in the tree must be registered in eventInfos below — the
-// schema lint (cmd/eventslint) fails the build when an emission site
+// schema test (TestEventSchema) fails when an emission site
 // references an unregistered type, when a registered type carries no
 // documentation, or when a registered type is never emitted. The
 // registry is the single source of truth the /debug/events filter and
@@ -61,7 +61,7 @@ const (
 )
 
 // EventTypeInfo documents one registered event type for the schema
-// lint and the /debug endpoints.
+// test and the /debug endpoints.
 type EventTypeInfo struct {
 	Type EventType `json:"-"`
 	// ConstName is the Go identifier emission sites use (obs.EvXxx).
@@ -69,8 +69,8 @@ type EventTypeInfo struct {
 	// Name is the wire spelling (snake_case) used in JSON output and
 	// the /debug/events?type= filter.
 	Name string `json:"name"`
-	// Doc is the one-line description; the lint requires it non-empty
-	// and requires Name to appear in DESIGN.md §7.3.
+	// Doc is the one-line description; TestEventSchema requires it
+	// non-empty and requires Name to appear in DESIGN.md §7.3.
 	Doc string `json:"doc"`
 }
 
@@ -116,7 +116,7 @@ func EventTypeByName(name string) (EventType, bool) {
 }
 
 // EventTypes returns the registered types sorted by wire name — the
-// schema the lint validates and /debug/events documents.
+// schema TestEventSchema validates and /debug/events documents.
 func EventTypes() []EventTypeInfo {
 	out := make([]EventTypeInfo, 0, len(eventInfos))
 	for i := range eventInfos {

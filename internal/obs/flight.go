@@ -11,7 +11,7 @@ import "sync"
 // /debug/flight.
 type FlightRecord struct {
 	// QID is the query ID (empty for runs below the server, e.g.
-	// timber-query).
+	// `timber query`).
 	QID string `json:"qid"`
 	// Query is the source text (set by the server; executors below the
 	// engine do not know it).

@@ -120,7 +120,10 @@ func NewRegistry() *Registry {
 // on first registration. Re-registering an existing name returns the
 // incumbent; a type or label-arity mismatch is a programmer error and
 // panics — metric names are a global contract and silently aliasing
-// two schemas would corrupt the exposition.
+// two schemas would corrupt the exposition. A metric or label name
+// outside the Prometheus text format's grammar panics at first
+// registration too, so a malformed name fails the first test that
+// registers it rather than a scrape.
 func (r *Registry) family(name, help string, typ MetricType, labels []string, bounds []float64, fn func() float64) *family {
 	if v, ok := r.families.Load(name); ok {
 		f := v.(*family)
@@ -134,6 +137,14 @@ func (r *Registry) family(name, help string, typ MetricType, labels []string, bo
 		f.check(typ, labels)
 		return f
 	}
+	if !validMetricName(name) {
+		panic(fmt.Sprintf("obs: invalid metric name %q", name))
+	}
+	for _, l := range labels {
+		if !validLabelName(l) {
+			panic(fmt.Sprintf("obs: metric %q has invalid label name %q", name, l))
+		}
+	}
 	f := &family{name: name, help: help, typ: typ, labels: labels, bounds: bounds, fn: fn}
 	r.families.Store(name, f)
 	return f
@@ -144,6 +155,38 @@ func (f *family) check(typ MetricType, labels []string) {
 		panic(fmt.Sprintf("obs: metric %q re-registered as %v with %d labels (have %v with %d labels)",
 			f.name, typ, len(labels), f.typ, len(f.labels)))
 	}
+}
+
+// validMetricName reports whether s matches the Prometheus metric name
+// grammar [a-zA-Z_:][a-zA-Z0-9_:]*.
+func validMetricName(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		alpha := c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+		if !alpha && (i == 0 || c < '0' || c > '9') {
+			return false
+		}
+	}
+	return true
+}
+
+// validLabelName reports whether s matches the Prometheus label name
+// grammar [a-zA-Z_][a-zA-Z0-9_]*.
+func validLabelName(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		alpha := c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+		if !alpha && (i == 0 || c < '0' || c > '9') {
+			return false
+		}
+	}
+	return true
 }
 
 // Counter returns the unlabeled counter with the given name, creating

@@ -69,3 +69,34 @@ func TestRegistryConcurrent(t *testing.T) {
 		t.Errorf("shared = %d, want 8000", got)
 	}
 }
+
+// TestRegistryRejectsInvalidNames: first registration panics on a
+// metric or label name the Prometheus text format cannot carry, for
+// every registration kind, and accepts the grammar's full alphabet.
+func TestRegistryRejectsInvalidNames(t *testing.T) {
+	cases := []struct {
+		name      string
+		register  func(r *Registry)
+		wantPanic bool
+	}{
+		{"counter a_b:c", func(r *Registry) { r.Counter("a_b:c") }, false},
+		{"label vec a_b:c{x_1}", func(r *Registry) { r.CounterVec("a_b:c", "", "x_1") }, false},
+		{"counter leading digit", func(r *Registry) { r.Counter("0bad") }, true},
+		{"counter dash", func(r *Registry) { r.Counter("bad-name") }, true},
+		{"gauge dot", func(r *Registry) { r.Gauge("bad.name", "") }, true},
+		{"empty histogram name", func(r *Registry) { r.Histogram("", "", DefaultLatencyBuckets) }, true},
+		{"label with colon", func(r *Registry) { r.CounterVec("ok_total", "", "a:b") }, true},
+		{"label leading digit", func(r *Registry) { r.HistogramVec("ok_seconds", "", DefaultLatencyBuckets, "1op") }, true},
+		{"empty label", func(r *Registry) { r.GaugeVec("ok", "", "") }, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); (p != nil) != tc.wantPanic {
+					t.Errorf("panic = %v, want panic %v", p, tc.wantPanic)
+				}
+			}()
+			tc.register(NewRegistry())
+		})
+	}
+}

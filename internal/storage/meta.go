@@ -51,7 +51,7 @@ const (
 
 // ErrNeedsRebuild is returned by Open for a database written in an
 // older on-disk format. There is no in-place migration: rebuild the
-// database by reloading its source documents (timber-load, or the
+// database by reloading its source documents (`timber load`, or the
 // generator that produced it).
 var ErrNeedsRebuild = errors.New("storage: database uses an old on-disk format; rebuild it from the source documents")
 
