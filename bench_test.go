@@ -20,9 +20,9 @@
 // TIMBER_BENCH_ARTICLES to scale (440000 reproduces the paper's 4.6M
 // nodes; expect a long setup).
 //
-// BenchmarkE1GroupByTitles has journal=off and journal=on
-// sub-benchmarks: the same plan with and without the event journal's
-// flight-recorder hand-off, so the journal's query-path cost reads off
+// BenchmarkE1GroupByTitles has trace=off and trace=on sub-benchmarks:
+// the same plan without a tracer and with the wall-clock-only tracer
+// the engine attaches to every query, so that per-query cost reads off
 // as the ns/op, allocs/op and fetches/op difference.
 package timber_test
 
@@ -188,12 +188,11 @@ func BenchmarkE1DirectBatchTitles(b *testing.B) {
 
 func BenchmarkE1GroupByTitles(b *testing.B) {
 	_, titles, _ := setupBench(b)
-	b.Run("journal=off", func(b *testing.B) {
+	b.Run("trace=off", func(b *testing.B) {
 		runPlan(b, titles, exec.StrategyGroupBy, exec.Options{})
 	})
-	b.Run("journal=on", func(b *testing.B) {
-		j := obs.NewJournal(obs.DefaultJournalEvents)
-		runPlan(b, titles, exec.StrategyGroupBy, exec.Options{Journal: j})
+	b.Run("trace=on", func(b *testing.B) {
+		runPlan(b, titles, exec.StrategyGroupBy, exec.Options{Tracer: obs.New("bench", nil)})
 	})
 }
 

@@ -404,6 +404,92 @@ func TestDebugFlightExplain(t *testing.T) {
 	}
 }
 
+// TestFlightRecordPerRequest: every served query — plain or explain,
+// with or without a slow-query threshold, succeeded or timed out —
+// files exactly one flight record, and its trace is the request's own
+// span tree, rooted at the query ID. A failed run keeps its error text.
+func TestFlightRecordPerRequest(t *testing.T) {
+	type tc struct {
+		name    string
+		slow    time.Duration
+		explain bool
+		timeout bool
+	}
+	var cases []tc
+	for _, slow := range []time.Duration{0, time.Nanosecond} {
+		for _, explain := range []bool{false, true} {
+			cases = append(cases, tc{fmt.Sprintf("slowquery=%v/explain=%v", slow, explain), slow, explain, false})
+		}
+	}
+	cases = append(cases, tc{name: "timeout", timeout: true})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := testServerEvents(t, config{slowQuery: c.slow})
+			req := queryRequest{Query: query1, Explain: c.explain}
+			want := http.StatusOK
+			if c.timeout {
+				// Park until the deadline, then run the real engine on
+				// the expired context, so the error comes from Execute.
+				orig := s.execute
+				s.execute = func(ctx context.Context, pq *engine.PreparedQuery, o engine.ExecOptions) (*engine.Result, error) {
+					<-ctx.Done()
+					return orig(ctx, pq, o)
+				}
+				req.TimeoutMS = 20
+				want = http.StatusGatewayTimeout
+			}
+			ts := httptest.NewServer(s.handler())
+			defer ts.Close()
+
+			body, _ := json.Marshal(req)
+			resp, raw := postQuery(t, ts, string(body))
+			if resp.StatusCode != want {
+				t.Fatalf("status = %d, want %d; body %s", resp.StatusCode, want, raw)
+			}
+			qid := resp.Header.Get("X-Query-ID")
+
+			_, all := getDebug(t, ts, "/debug/flight")
+			var recs []obs.FlightRecord
+			if err := json.Unmarshal([]byte(all), &recs); err != nil {
+				t.Fatalf("/debug/flight not JSON: %v\n%s", err, all)
+			}
+			n := 0
+			for _, r := range recs {
+				if r.QID == qid {
+					n++
+				}
+			}
+			if n != 1 {
+				t.Fatalf("%d flight records for %s, want exactly 1: %s", n, qid, all)
+			}
+
+			fresp, fbody := getDebug(t, ts, "/debug/flight?qid="+qid)
+			if fresp.StatusCode != http.StatusOK {
+				t.Fatalf("/debug/flight?qid= status = %d, body %s", fresp.StatusCode, fbody)
+			}
+			var fr obs.FlightRecord
+			if err := json.Unmarshal([]byte(fbody), &fr); err != nil {
+				t.Fatalf("flight record not JSON: %v\n%s", err, fbody)
+			}
+			if fr.Trace == nil || fr.Trace.Name != qid {
+				t.Fatalf("flight trace = %+v, want a tree rooted at %q", fr.Trace, qid)
+			}
+			if c.timeout {
+				if !strings.Contains(fr.Error, "deadline exceeded") {
+					t.Errorf("errored record lost its error text: %q", fr.Error)
+				}
+				return
+			}
+			if len(fr.Trace.Children) == 0 || fr.Error != "" || fr.Slow != (c.slow > 0) {
+				t.Errorf("flight record = %+v, want operator spans, no error, slow=%v", fr, c.slow > 0)
+			}
+			if c.explain && fr.Explain == nil {
+				t.Error("explain run's record lacks its EXPLAIN report")
+			}
+		})
+	}
+}
+
 // TestDebugEventsConcurrentHammer exercises the full stack under
 // -race: concurrent ingest transactions, queries and checkpoints all
 // write the journal while readers stream /debug/events. Afterwards

@@ -50,16 +50,16 @@
 //
 // Observability: every request is logged as one structured log/slog
 // line (text by default, JSON with -logjson) carrying the query ID,
-// method, path, status and latency. With -slowquery D, each query is
-// traced and any execution taking at least D additionally logs a
-// "slow query" line whose trace field holds the full per-operator
-// span tree, root named by the same query ID, plus the WAL commit
-// window and checkpoint count the run overlapped; /debug/flight?qid=
-// serves the matching record. -events N sizes the in-memory event
-// journal the storage engine, WAL, planner and executor write into
-// (0 disables it and every /debug journal endpoint answers 503). On
-// panic or SIGQUIT the journal is dumped to a timestamped JSON-lines
-// file in -crashdump's directory.
+// method, path, status and latency. Every query is traced, its span
+// tree rooted at the same query ID, and files one flight record that
+// /debug/flight?qid= serves. With -slowquery D, any execution taking
+// at least D additionally logs a "slow query" line whose trace field
+// holds that full per-operator span tree, plus the WAL commit window
+// and checkpoint count the run overlapped. -events N sizes the
+// in-memory event journal the storage engine, WAL, planner and query
+// engine write into (0 disables it and every /debug journal endpoint
+// answers 503). On panic or SIGQUIT the journal is dumped to a
+// timestamped JSON-lines file in -crashdump's directory.
 package main
 
 import (
@@ -89,7 +89,7 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request timeout")
 	maxTimeout := flag.Duration("maxtimeout", 5*time.Minute, "cap on client-requested timeouts")
 	drainTimeout := flag.Duration("drain", 30*time.Second, "shutdown drain deadline for in-flight requests")
-	slowQuery := flag.Duration("slowquery", 0, "trace every query and log one structured line with the full operator trace for executions at or above this duration (0 = disabled, e.g. 250ms)")
+	slowQuery := flag.Duration("slowquery", 0, "log one structured line with the full operator trace for executions at or above this duration (0 = disabled, e.g. 250ms)")
 	events := flag.Int("events", obs.DefaultJournalEvents, "event journal capacity in events (0 = journal disabled)")
 	debug := flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/ (off by default; /debug/events etc. are always on)")
 	crashDump := flag.String("crashdump", ".", "directory for panic/SIGQUIT event-journal dumps")

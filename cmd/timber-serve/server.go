@@ -31,9 +31,9 @@ type config struct {
 	maxTimeout time.Duration
 	// parallelism is the per-query worker bound (0 = GOMAXPROCS).
 	parallelism int
-	// slowQuery, when positive, traces every query and emits one
-	// structured log line — query ID, query text, full operator trace —
-	// for each execution at or above this duration.
+	// slowQuery, when positive, is the threshold at or above which an
+	// execution emits one structured log line — query ID, query text,
+	// full operator trace. Every query is traced regardless.
 	slowQuery time.Duration
 	// debug mounts net/http/pprof on the /debug mux. Off by default:
 	// profiling endpoints are an explicit operator choice.
@@ -391,19 +391,14 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// With a slow-query threshold configured, every execution runs
-	// under a private wall-clock-only tracer whose root span is named
-	// by the request's query ID — the EXPLAIN-ANALYZE trace is already
-	// in hand if the run turns out slow, with no second execution.
+	// Every execution runs under a wall-clock-only tracer whose root
+	// span is named by the request's query ID. The engine finishes it
+	// and folds its operator spans into the metrics; the same tree then
+	// goes into the flight record and, for a slow run, the slow-query
+	// log line — with no second execution.
 	qid := obs.QueryIDFrom(r.Context())
-	var tracer *obs.Tracer
-	if s.cfg.slowQuery > 0 && !req.Explain {
-		// An explain run owns its tracer (ExplainExecute joins the
-		// trace's actuals into the report), so the slow-query tracer
-		// only wraps plain executions.
-		tracer = obs.New(qid, nil)
-		eo.Tracer = tracer
-	}
+	tracer := obs.New(qid, nil)
+	eo.Tracer = tracer
 
 	// The correlation window: the WAL commit sequence and checkpoint
 	// count on either side of the execution join this query to the
@@ -469,7 +464,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // queryObservation carries one execution's observability payload from
-// handleQuery into observeQuery: the optional slow-query tracer, the
+// handleQuery into observeQuery: the request's tracer, the
 // WAL/checkpoint correlation window, and the outcome.
 type queryObservation struct {
 	tracer      *obs.Tracer
@@ -486,22 +481,16 @@ type queryObservation struct {
 	err         error
 }
 
-// observeQuery finishes a slow-query tracer (operator spans fold into
-// the cumulative exec_operator_seconds histograms — children only, the
-// root is named by query ID, an unbounded label value), files the
-// query's flight record, and — for an execution at or above the
-// threshold — emits the slow_query journal event plus one structured
-// log line carrying the query ID, the query text, the WAL/checkpoint
-// window and the full span tree as JSON. /debug/flight?qid=... serves
-// the same record the log line describes.
+// observeQuery reads the request's finished span tree (the engine
+// already finished the tracer and folded its operator spans into the
+// metrics; Finish is idempotent), files the query's one flight record,
+// and — for an execution at or above the threshold — emits the
+// slow_query journal event plus one structured log line carrying the
+// query ID, the query text, the WAL/checkpoint window and the full span
+// tree as JSON. /debug/flight?qid=... serves the same record the log
+// line describes.
 func (s *server) observeQuery(qo queryObservation) {
-	var d *obs.SpanData
-	if qo.tracer != nil {
-		d = qo.tracer.Finish()
-		for _, c := range d.Children {
-			obs.RecordTree(s.eng.Registry(), c)
-		}
-	}
+	d := qo.tracer.Finish()
 	slow := s.cfg.slowQuery > 0 && qo.elapsed >= s.cfg.slowQuery
 	if j := s.journal(); j != nil {
 		rec := obs.FlightRecord{
@@ -528,17 +517,7 @@ func (s *server) observeQuery(qo queryObservation) {
 		if qo.err != nil {
 			rec.Error = qo.err.Error()
 		}
-		// When the executor already filed a trace-only record for this
-		// qid (journal on, no server tracer), merge into it — keeping
-		// its trace — rather than filing a duplicate.
-		if !j.AnnotateFlight(qo.qid, func(fr *obs.FlightRecord) {
-			if rec.Trace == nil {
-				rec.Trace = fr.Trace
-			}
-			*fr = rec
-		}) {
-			j.AddFlight(rec)
-		}
+		j.AddFlight(rec)
 		if slow {
 			j.Emit(obs.Event{
 				Type:   obs.EvSlowQuery,

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"timber/internal/exec"
+	"timber/internal/obs"
 	"timber/internal/paperdata"
 )
 
@@ -31,6 +33,7 @@ func TestCLI(t *testing.T) {
 	db := filepath.Join(dir, "bib.timber")
 	xmlPath := filepath.Join(dir, "journals.xml")
 	queryPath := filepath.Join(dir, "q1.xq")
+	traceFile := filepath.Join(dir, "trace.json")
 	if err := os.WriteFile(queryPath, []byte(paperdata.Query1Text), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +88,27 @@ func TestCLI(t *testing.T) {
 		{"query -trace", []string{"query", "-db", db, "-f", queryPath, "-plans=false", "-q", "-trace"}, 0, contains("stderr", "result trees")},
 		{"query without query", []string{"query", "-db", db}, 2, nil},
 		{"query bad flag", []string{"query", "-nosuchflag"}, 2, contains("stderr", "nosuchflag")},
-		{"query -explain -trace", []string{"query", "-db", db, "-f", queryPath, "-explain", "-trace"}, 1, contains("stderr", "owns the run's tracer")},
+		{"query -explain -trace", []string{"query", "-db", db, "-f", queryPath, "-plans=false", "-q", "-explain", "-trace", "-tracefile", traceFile}, 0,
+			func(t *testing.T, _, stderr string) {
+				// The report and the verified trace come from one run:
+				// the trace holds the operator spans EXPLAIN joined.
+				for _, want := range []string{"--- EXPLAIN ---", "actual", "exec: "} {
+					if !strings.Contains(stderr, want) {
+						t.Errorf("stderr lacks %q:\n%s", want, stderr)
+					}
+				}
+				raw, err := os.ReadFile(traceFile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var root obs.SpanData
+				if err := json.Unmarshal(raw, &root); err != nil {
+					t.Fatal(err)
+				}
+				if len(root.Children) == 0 || !strings.HasPrefix(root.Children[0].Name, "exec: ") {
+					t.Errorf("trace file has no operator spans: %s", raw)
+				}
+			}},
 		{"help", []string{"stats", "-h"}, 0, contains("stderr", "-calibrate")},
 		{"unknown subcommand", []string{"frobnicate"}, 2, contains("stderr", "gen, load, match, query, stats")},
 		{"no subcommand", nil, 2, contains("stderr", "usage: timber")},

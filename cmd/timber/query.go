@@ -27,8 +27,8 @@ import (
 // and those that need the grouping rewrite fall back to the physical
 // plan, with a note, when the idiom is not detected. -trace fails the
 // command unless the span deltas sum to the database's global counters
-// (the exactness invariant). -explain owns the run's tracer, so it
-// cannot be combined with -trace.
+// (the exactness invariant). With -explain as well, the report's
+// actuals are joined from that same traced run.
 func (c *cli) query(args []string) error {
 	fs := c.flags("query")
 	dbPath := fs.String("db", "timber.db", "database file")
@@ -73,9 +73,6 @@ func (c *cli) query(args []string) error {
 	}
 	wantExplain := *explain || *explainFile != ""
 	wantTrace := *trace || *traceFile != ""
-	if wantExplain && wantTrace {
-		return fmt.Errorf("-explain owns the run's tracer; drop -trace/-tracefile or run them separately")
-	}
 	if *pprofAddr != "" {
 		// A failure to serve profiles is reported but never fails the
 		// query.

@@ -315,9 +315,15 @@ type ExecOptions struct {
 	// buffer; past it, sorted runs spill through the storage spool.
 	// 0 means never spill.
 	SortMemRows int
-	// Tracer, when non-nil, collects the run's span tree. Use only on
-	// solo runs over reset counters — the exactness invariant cannot
-	// hold when concurrent queries share the storage counters.
+	// Tracer, when non-nil, collects the run's span tree; nil means
+	// Execute makes a wall-clock-only one. Either way Execute owns the
+	// tree: after the run, on success or error, it finishes the tracer
+	// and folds the operator spans (the root's descendants) once into
+	// exec_operator_seconds. Finish is idempotent, so the caller reads
+	// the same finished tree afterwards — timber-serve files it in the
+	// flight recorder and the slow-query log. A counter-snapshotting
+	// tracer (storage.DB.NewTracer) is exact only on solo runs over
+	// reset counters: concurrent queries share the storage counters.
 	Tracer *obs.Tracer
 	// Matcher selects the pattern-matching algorithm for the physical
 	// plan's indexed leaf selections. The zero value,
@@ -348,8 +354,25 @@ type Result struct {
 // claims, and per item inside sequential scans — and a cancelled run
 // returns ctx.Err() without corrupting shared storage state.
 func (pq *PreparedQuery) Execute(ctx context.Context, o ExecOptions) (*Result, error) {
+	res, _, err := pq.run(ctx, o)
+	return res, err
+}
+
+// run is Execute plus the run's finished span tree. It is the one
+// owner of a query's tracer (see ExecOptions.Tracer): the caller's, or
+// a wall-clock-only one rooted at the query ID.
+func (pq *PreparedQuery) run(ctx context.Context, o ExecOptions) (*Result, *obs.SpanData, error) {
 	start := time.Now()
+	if o.Tracer == nil {
+		root := obs.QueryIDFrom(ctx)
+		if root == "" {
+			root = "query"
+		}
+		o.Tracer = obs.New(root, nil)
+	}
 	res, err := pq.execute(ctx, o)
+	tree := o.Tracer.Finish()
+	obs.RecordTree(pq.eng.reg, tree)
 	pq.eng.execs.Inc()
 	j := pq.eng.db.Journal()
 	if err != nil {
@@ -360,7 +383,7 @@ func (pq *PreparedQuery) Execute(ctx context.Context, o ExecOptions) (*Result, e
 			DurNS: time.Since(start).Nanoseconds(),
 			Err:   err.Error(),
 		})
-		return nil, err
+		return nil, nil, err
 	}
 	strat := res.Strategy.String()
 	pq.eng.querySeconds.With(strat).ObserveDuration(time.Since(start))
@@ -375,7 +398,7 @@ func (pq *PreparedQuery) Execute(ctx context.Context, o ExecOptions) (*Result, e
 		Bytes: int64(res.Stats.IndexPostings),
 		Label: strat,
 	})
-	return res, nil
+	return res, tree, nil
 }
 
 // resolvePlan maps the requested strategy to the one to run: the
@@ -558,8 +581,6 @@ func (pq *PreparedQuery) execute(ctx context.Context, o ExecOptions) (*Result, e
 		SortMemRows:         o.SortMemRows,
 		Tracer:              o.Tracer,
 		Ctx:                 ctx,
-		Metrics:             pq.eng.reg,
-		Journal:             pq.eng.db.Journal(),
 	}
 	strat, dec := pq.resolvePlan(o.Strategy)
 	switch strat {

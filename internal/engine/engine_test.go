@@ -13,6 +13,7 @@ import (
 
 	"timber/internal/dblpgen"
 	"timber/internal/exec"
+	"timber/internal/obs"
 	"timber/internal/paperdata"
 	"timber/internal/storage"
 )
@@ -338,5 +339,62 @@ func TestExecuteDeadlineExceeded(t *testing.T) {
 	defer cancel()
 	if _, err := pq.Execute(ctx, ExecOptions{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestOperatorSpansFoldOncePerRun: Execute owns the run's span tree —
+// the caller's tracer or its own — and folds each operator span into
+// exec_operator_seconds exactly once per run, whether the run came
+// through Execute or ExplainExecute. The per-request root is never a
+// label, and a caller-supplied tracer finishes with the operator spans
+// the metrics were folded from.
+func TestOperatorSpansFoldOncePerRun(t *testing.T) {
+	e := sampleEngine(t, Options{})
+	pq, err := e.Prepare(query1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	o := ExecOptions{Strategy: exec.StrategyGroupBy}
+	runs := []func() error{
+		func() error { _, err := pq.Execute(ctx, o); return err },
+		func() error { _, _, err := pq.ExplainExecute(ctx, o); return err },
+		func() error {
+			tr := obs.New("caller", nil)
+			oc := o
+			oc.Tracer = tr
+			if _, err := pq.Execute(ctx, oc); err != nil {
+				return err
+			}
+			if d := tr.Finish(); len(d.Children) == 0 || d.Children[0].Name != "exec: groupby" {
+				return fmt.Errorf("caller's tracer holds %+v, want the operator spans", d)
+			}
+			return nil
+		},
+		func() error {
+			oc := o
+			oc.Tracer = obs.New("caller", nil)
+			_, _, err := pq.ExplainExecute(ctx, oc)
+			return err
+		},
+		func() error { _, err := pq.Execute(obs.WithQueryID(ctx, "q-fold"), o); return err },
+	}
+	for i, run := range runs {
+		if err := run(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	hv := e.Registry().HistogramVec(obs.OperatorSecondsMetric, "", obs.DefaultLatencyBuckets, "op")
+	if got := hv.With("exec: groupby").Count(); got != uint64(len(runs)) {
+		t.Errorf(`exec_operator_seconds_count{op="exec: groupby"} = %d, want %d`, got, len(runs))
+	}
+	var b strings.Builder
+	if err := e.Registry().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, root := range []string{"query", "caller", "q-fold"} {
+		if strings.Contains(b.String(), `op="`+root+`"`) {
+			t.Errorf("root span %q folded into %s", root, obs.OperatorSecondsMetric)
+		}
 	}
 }

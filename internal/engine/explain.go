@@ -140,18 +140,16 @@ func (pq *PreparedQuery) Explain(o ExecOptions) *Explain {
 
 // ExplainExecute runs the prepared plan and returns the EXPLAIN report
 // with estimates joined against the actual per-operator row counts
-// from the execution trace, alongside the result itself. The run is
-// traced with a private wall-clock-only tracer; ExecOptions.Tracer is
-// ignored (use Execute directly for counter-exact tracing).
+// from the execution trace, alongside the result itself. The trace is
+// the one Execute owns: the caller's ExecOptions.Tracer when set (so
+// `timber query -explain -trace` and timber-serve read the same tree
+// the report was joined from), else the engine's wall-clock-only one.
 func (pq *PreparedQuery) ExplainExecute(ctx context.Context, o ExecOptions) (*Explain, *Result, error) {
 	x := pq.Explain(o)
 	strat, dec := pq.resolvePlan(o.Strategy)
 	o.Strategy = strat // pin the resolved plan: the run must match the report
-	tr := obs.New("explain", nil)
-	o.Tracer = tr
 	start := time.Now()
-	res, err := pq.Execute(ctx, o)
-	data := tr.Finish()
+	res, data, err := pq.run(ctx, o)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -165,13 +163,11 @@ func (pq *PreparedQuery) ExplainExecute(ctx context.Context, o ExecOptions) (*Ex
 		// result group.
 		x.ActualGroups = int64(len(res.Trees))
 	}
-	if data != nil {
-		actuals := map[string]int64{}
-		collectActuals(data, actuals)
-		for i := range x.Operators {
-			if v, ok := actuals[x.Operators[i].Op]; ok {
-				x.Operators[i].ActualRows = v
-			}
+	actuals := map[string]int64{}
+	collectActuals(data, actuals)
+	for i := range x.Operators {
+		if v, ok := actuals[x.Operators[i].Op]; ok {
+			x.Operators[i].ActualRows = v
 		}
 	}
 	return x, res, nil

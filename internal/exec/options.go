@@ -27,6 +27,9 @@ type Options struct {
 	// only on the orchestrating goroutine — worker pools never touch
 	// the tracer — and a nil Tracer reduces every span operation to a
 	// nil check, so results are byte-identical with tracing on or off.
+	// The executors only write spans: the tracer's owner (the engine,
+	// for queries run through it) finishes it and decides where the
+	// tree goes — metrics, flight records, the slow log, EXPLAIN.
 	Tracer *obs.Tracer
 	// Ctx, when non-nil, cancels the execution: executors check it at
 	// phase boundaries and inside their record-fetch loops (including
@@ -52,16 +55,6 @@ type Options struct {
 	// it fails with ErrMaterializeLimit and returns no partial output.
 	// 0 means unlimited.
 	MaxMaterializeBytes int64
-	// Metrics, when non-nil, receives always-on cumulative telemetry:
-	// each operator phase's wall time folds into the registry's
-	// exec_operator_seconds{op=...} histograms after the run. Unlike
-	// Tracer — which snapshots the shared storage counters and is only
-	// exact on solo runs — Metrics records wall time alone through
-	// lock-free histogram adds, so it stays correct under concurrent
-	// executions and never changes results. When the caller supplies
-	// its own Tracer, it owns Finish and any folding; otherwise the
-	// run creates a private wall-clock-only tracer to collect spans.
-	Metrics *obs.Registry
 	// Matcher selects the pattern-matching algorithm the physical
 	// plan's indexed leaf selections run (match.MatcherBinary cascaded
 	// structural joins, match.MatcherTwig holistic twig join). The zero
@@ -72,42 +65,6 @@ type Options struct {
 	// pattern changes. Spec-level strategies do their own scans and
 	// ignore it.
 	Matcher match.MatcherKind
-	// Journal, when non-nil, receives the run's finished span tree in
-	// its flight recorder, keyed by the query ID in Ctx — the per-query
-	// trace survives the request so /debug/flight can replay it. Like
-	// Metrics this only applies when the run owns its tracer (a
-	// caller-supplied Tracer stays the caller's to finish and record);
-	// a nil Journal costs one nil check. Never changes results.
-	Journal *obs.Journal
-}
-
-// foldSpans arranges for the run's operator spans to fold into
-// o.Metrics and hand off to o.Journal's flight recorder. When the
-// caller did not attach a tracer it installs a private wall-clock-only
-// one (counter snapshots would be wrong under concurrency) and returns
-// the new options plus a finish func for the caller to defer; with
-// neither Metrics nor Journal, or a caller-owned tracer, it returns o
-// unchanged and a no-op.
-func (o Options) foldSpans(root string) (Options, func()) {
-	if (o.Metrics == nil && o.Journal == nil) || o.Tracer != nil {
-		return o, func() {}
-	}
-	t := obs.New(root, nil)
-	o.Tracer = t
-	reg, j, ctx := o.Metrics, o.Journal, o.Ctx
-	return o, func() {
-		d := t.Finish()
-		if reg != nil {
-			obs.RecordTree(reg, d)
-		}
-		if j != nil {
-			qid := ""
-			if ctx != nil {
-				qid = obs.QueryIDFrom(ctx)
-			}
-			j.RecordFlightTrace(qid, d)
-		}
-	}
 }
 
 // trace starts a top-level executor span (no-op when untraced).

@@ -36,8 +36,6 @@ import (
 // o.Ctx cancels the run between leaves and inside the match/
 // materialization pools.
 func ExecPhysical(db storage.Reader, op plan.Op, o Options) (tax.Collection, error) {
-	o, fold := o.foldSpans("exec: physical")
-	defer fold()
 	db, release := storage.Pin(db)
 	defer release()
 	rewritten, err := substituteLeaves(db, op, o)

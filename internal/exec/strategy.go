@@ -90,8 +90,6 @@ func StrategyNames() []string {
 // rejects them — the engine dispatches those to ExecLogical and
 // ExecPhysical with its cached plans.
 func Run(db storage.Reader, spec Spec, o Options) (*Result, error) {
-	o, fold := o.foldSpans("exec: " + spec.Strategy.String())
-	defer fold()
 	// Pin one snapshot for the whole run: every operator of the query —
 	// including exchange fragments on other goroutines — reads the same
 	// committed epoch, so results are byte-identical to a quiesced run

@@ -4,17 +4,15 @@ import "sync"
 
 // FlightRecord is one retained query execution: the correlation keys
 // that join it to the event journal (QID, WAL sequence range, epoch),
-// the headline outcome, and — when the run was traced — the full
-// operator span tree, so a recent query's EXPLAIN-ANALYZE view
-// survives the request that produced it. The server keeps the last N
-// of these in the journal's flight recorder and serves them at
-// /debug/flight.
+// the headline outcome, and the full operator span tree, so a recent
+// query's EXPLAIN-ANALYZE view survives the request that produced it.
+// The server files exactly one record per query request, from the
+// tracer it passed to the engine, keeps the last N in the journal's
+// flight recorder and serves them at /debug/flight.
 type FlightRecord struct {
-	// QID is the query ID (empty for runs below the server, e.g.
-	// `timber query`).
+	// QID is the request's query ID.
 	QID string `json:"qid"`
-	// Query is the source text (set by the server; executors below the
-	// engine do not know it).
+	// Query is the source text.
 	Query string `json:"query,omitempty"`
 	// Strategy is the plan that ran.
 	Strategy string `json:"strategy,omitempty"`
@@ -43,7 +41,7 @@ type FlightRecord struct {
 	Slow bool `json:"slow,omitempty"`
 	// Error is the failure text for runs that errored.
 	Error string `json:"error,omitempty"`
-	// Trace is the full operator span tree, when the run was traced.
+	// Trace is the request's finished span tree, root named by QID.
 	Trace *SpanData `json:"trace,omitempty"`
 	// Explain is the EXPLAIN report for runs that requested one (typed
 	// in the engine; opaque here to keep obs dependency-free).
@@ -51,8 +49,8 @@ type FlightRecord struct {
 }
 
 // flightRing retains the newest N flight records. Additions happen
-// once per query completion and annotations once per request — far off
-// the hot path — so a mutex ring is the right tool.
+// once per request — far off the hot path — so a mutex ring is the
+// right tool.
 type flightRing struct {
 	mu   sync.Mutex
 	buf  []FlightRecord
@@ -80,55 +78,6 @@ func (j *Journal) AddFlight(rec FlightRecord) {
 	r.mu.Unlock()
 }
 
-// RecordFlightTrace hands a finished span tree to the flight recorder:
-// if the newest record for qid has no trace yet the tree is attached
-// to it, otherwise a fresh record is added. This is the executor-side
-// hand-off — exec.Run calls it with its private tracer's output, and
-// the server then annotates the same record with the query text and
-// WAL/checkpoint correlation. Nil-safe in both arguments.
-func (j *Journal) RecordFlightTrace(qid string, d *SpanData) {
-	if j == nil || d == nil {
-		return
-	}
-	if j.AnnotateFlight(qid, func(rec *FlightRecord) {
-		if rec.Trace == nil {
-			rec.Trace = d
-			if rec.WallNS == 0 {
-				rec.WallNS = d.WallNS
-			}
-		}
-	}) {
-		return
-	}
-	j.AddFlight(FlightRecord{QID: qid, WallNS: d.WallNS, Trace: d})
-}
-
-// AnnotateFlight applies fn to the newest record with the given QID,
-// under the recorder's lock. Reports whether a record matched.
-// Nil-safe (returns false). Empty qid never matches — anonymous
-// records cannot be told apart.
-func (j *Journal) AnnotateFlight(qid string, fn func(*FlightRecord)) bool {
-	if j == nil || qid == "" {
-		return false
-	}
-	r := j.flight
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.buf)
-	if !r.full {
-		n = r.next
-	}
-	// Scan newest → oldest.
-	for i := 1; i <= n; i++ {
-		idx := (r.next - i + len(r.buf)) % len(r.buf)
-		if r.buf[idx].QID == qid {
-			fn(&r.buf[idx])
-			return true
-		}
-	}
-	return false
-}
-
 // Flights returns the retained records, newest first. Nil-safe.
 func (j *Journal) Flights() []FlightRecord {
 	if j == nil {
@@ -148,9 +97,15 @@ func (j *Journal) Flights() []FlightRecord {
 	return out
 }
 
-// FlightByQID returns the newest record for qid. Nil-safe.
+// FlightByQID returns the newest record for qid. Nil-safe. Empty qid
+// never matches — anonymous records cannot be told apart.
 func (j *Journal) FlightByQID(qid string) (FlightRecord, bool) {
-	var out FlightRecord
-	ok := j.AnnotateFlight(qid, func(rec *FlightRecord) { out = *rec })
-	return out, ok
+	if qid != "" {
+		for _, rec := range j.Flights() { // newest first
+			if rec.QID == qid {
+				return rec, true
+			}
+		}
+	}
+	return FlightRecord{}, false
 }

@@ -14,7 +14,6 @@ func TestJournalNilIsDisabled(t *testing.T) {
 	var j *Journal
 	j.Emit(Event{Type: EvTxnCommit})
 	j.AddFlight(FlightRecord{QID: "q1"})
-	j.RecordFlightTrace("q1", &SpanData{Name: "x"})
 	if j.Seq() != 0 || j.Capacity() != 0 {
 		t.Fatalf("nil journal reported state: seq=%d cap=%d", j.Seq(), j.Capacity())
 	}
@@ -174,24 +173,14 @@ func TestFlightRecorder(t *testing.T) {
 	if _, ok := j.FlightByQID("q9"); ok {
 		t.Fatal("resolved unknown qid")
 	}
-	if ok := j.AnnotateFlight("", func(*FlightRecord) {}); ok {
+	j.AddFlight(FlightRecord{})
+	if _, ok := j.FlightByQID(""); ok {
 		t.Fatal("empty qid matched")
 	}
-
-	// Trace hand-off attaches to the newest record for the qid...
-	j.RecordFlightTrace("q2", &SpanData{Name: "query", WallNS: 42})
-	rec, _ = j.FlightByQID("q2")
-	if rec.Trace == nil || rec.Trace.Name != "query" {
-		t.Fatalf("trace not attached: %+v", rec)
-	}
-	if len(j.Flights()) != 2 {
-		t.Fatal("trace hand-off created a duplicate record")
-	}
-	// ...and creates one when no record exists yet.
-	j.RecordFlightTrace("q3", &SpanData{Name: "orphan", WallNS: 7})
-	rec, ok = j.FlightByQID("q3")
-	if !ok || rec.Trace == nil || rec.WallNS != 7 {
-		t.Fatalf("orphan trace record: %+v, %v", rec, ok)
+	// A newer record for the same qid shadows the older one.
+	j.AddFlight(FlightRecord{QID: "q1", Rows: 5})
+	if rec, _ := j.FlightByQID("q1"); rec.Rows != 5 {
+		t.Fatalf("FlightByQID(q1) = %+v, want the newest record", rec)
 	}
 
 	// Eviction past capacity keeps the newest N.
@@ -290,7 +279,6 @@ func TestJournalConcurrentHammer(t *testing.T) {
 				}
 				if i%50 == 0 {
 					j.AddFlight(FlightRecord{QID: "q", Rows: int64(i)})
-					j.RecordFlightTrace("q", &SpanData{Name: "hammer"})
 				}
 			}
 		}(w)
@@ -319,6 +307,7 @@ func TestJournalConcurrentHammer(t *testing.T) {
 					}
 				}
 				j.Flights()
+				j.FlightByQID("q")
 				j.Anomalies()
 			}
 		}()

@@ -141,7 +141,9 @@ func (t *Tracer) Start(name string) *Span {
 
 // Finish ends the root span (and any still-open descendants) and
 // returns the completed span tree. Nil-safe: returns nil when
-// disabled. The returned data is immutable; call once per run.
+// disabled. Finish is idempotent: the first call fixes the tree, and
+// every later call returns that same immutable *SpanData — so the
+// engine can finish a run's tracer and its caller read the same tree.
 func (t *Tracer) Finish() *SpanData {
 	if t == nil {
 		return nil

@@ -113,6 +113,12 @@ func TestEndIsIdempotentAndClosesChildren(t *testing.T) {
 	if len(data.Children[0].Children) != 1 {
 		t.Fatalf("open child missing from tree: %+v", data)
 	}
+	// Finish is idempotent too: a second call (the caller reading the
+	// tree the engine already finished) returns the same fixed tree.
+	src.c.Fetches = 9
+	if again := tr.Finish(); again != data || again.Delta.Fetches != 2 {
+		t.Fatalf("second Finish = %p (fetches %d), want %p (fetches 2)", again, again.Delta.Fetches, data)
+	}
 }
 
 func TestRenderers(t *testing.T) {

@@ -47,12 +47,13 @@ func QueryIDFrom(ctx context.Context) string {
 // trees into: one child per operator-phase name.
 const OperatorSecondsMetric = "exec_operator_seconds"
 
-// RecordTree folds a finished span tree into the registry's cumulative
-// per-operator wall-time histograms (exec_operator_seconds{op=...}) —
-// aggregating across queries what a single trace shows for one run.
-// Span names label the histogram children, so callers must not pass
-// spans with unbounded names (per-request roots named by query ID go
-// through their children instead). Nil-safe in both arguments.
+// RecordTree folds a finished per-query span tree into the registry's
+// cumulative per-operator wall-time histograms
+// (exec_operator_seconds{op=...}) — aggregating across queries what a
+// single trace shows for one run. The root stands for the whole query
+// (engine_query_seconds already times it) and is named per request, so
+// only its descendants are folded: each operator span is observed once,
+// labeled by its name. Nil-safe in both arguments.
 func RecordTree(r *Registry, d *SpanData) {
 	if r == nil || d == nil {
 		return
@@ -60,7 +61,9 @@ func RecordTree(r *Registry, d *SpanData) {
 	hv := r.HistogramVec(OperatorSecondsMetric,
 		"Cumulative per-operator wall time across all executions, labeled by operator phase.",
 		DefaultLatencyBuckets, "op")
-	recordSpans(hv, d)
+	for _, c := range d.Children {
+		recordSpans(hv, c)
+	}
 }
 
 func recordSpans(hv *HistogramVec, d *SpanData) {

@@ -853,8 +853,8 @@ func (db *DB) TraceCounters() obs.Counters {
 }
 
 // NewTracer builds an enabled query tracer wired to this database's
-// counters. The caller typically ResetStats first, attaches the tracer
-// to an exec.Spec, and verifies the finished trace against
+// counters. The caller typically ResetStats first, passes the tracer
+// in the run's options, and verifies the finished trace against
 // TraceCounters — the exactness invariant of DESIGN.md "Observability".
 func (db *DB) NewTracer(name string) *obs.Tracer {
 	return obs.New(name, db.TraceCounters)

@@ -52,7 +52,6 @@ type Reader interface {
 	NumPages() uint32
 	SizeInfo() (SizeInfo, error)
 	TraceCounters() obs.Counters
-	NewTracer(name string) *obs.Tracer
 }
 
 var (

@@ -116,9 +116,6 @@ func (sn *Snapshot) ResetStats() { sn.db.ResetStats() }
 // TraceCounters snapshots the shared pool and index counters.
 func (sn *Snapshot) TraceCounters() obs.Counters { return sn.db.TraceCounters() }
 
-// NewTracer builds a tracer wired to the shared counters.
-func (sn *Snapshot) NewTracer(name string) *obs.Tracer { return sn.db.NewTracer(name) }
-
 // retiredSet is a batch of pages superseded by one commit, waiting for
 // reclamation.
 type retiredSet struct {
