@@ -33,11 +33,13 @@ bench:
 # fuzz-smoke runs each native fuzz target briefly — enough to catch
 # parser panics on the corpus plus a short random exploration. The
 # storage and exec targets cover the compressed on-disk codecs
-# (posting blocks, compact records, LZ pages, spill rows).
+# (posting blocks, compact records, LZ pages, spill rows); the btree
+# target checks batch inserts against a map model.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/xq/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTree$$' -fuzztime 5s ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/xmltree/
+	$(GO) test -run '^$$' -fuzz '^FuzzInsertSorted$$' -fuzztime 5s ./internal/btree/
 	$(GO) test -run '^$$' -fuzz '^FuzzPostingBlock$$' -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordCompact$$' -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpillRow$$' -fuzztime 5s ./internal/exec/

@@ -296,7 +296,7 @@ func BenchmarkLoadIncremental(b *testing.B) {
 			b.Fatal(err)
 		}
 		// A first tiny document forces the second load down the
-		// incremental insert path.
+		// incremental path: sorted runs merged by InsertSorted.
 		if _, err := db.LoadDocument("tiny", tiny.Clone()); err != nil {
 			b.Fatal(err)
 		}

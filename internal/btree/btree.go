@@ -6,15 +6,18 @@
 // index posting many nodes under one tag) are obtained by appending a
 // unique suffix — typically the node identifier — to the user key and
 // scanning by prefix. Values are opaque byte strings. The tree supports
-// insertion, exact lookup, and ordered iteration from a seek key, which
-// together cover everything index construction and pattern matching
-// (Sec. 5.2 of the paper) require. The workload is bulk-load-then-query,
-// so deletion is intentionally not provided.
+// bulk loading, batch insertion, exact lookup, and ordered iteration
+// from a seek key, which together cover everything index construction
+// and pattern matching (Sec. 5.2 of the paper) require. Deletion exists
+// only on the copy-on-write handle (COW.Delete) and does not rebalance.
 //
-// Node pages are decoded into small in-memory structs, modified, and
-// re-encoded; splits propagate upward and may grow a new root. The root
-// page ID after loading must be persisted by the caller (the metadata
-// manager does this).
+// Writes are batches: InsertSorted partitions a sorted run by each
+// internal node's separators, decodes every touched node once, merges
+// each leaf's sub-run in one pass, and splits an overfull node into as
+// many balanced pages as it needs, passing the new separators up and
+// growing the root by as many levels as required. Insert is a
+// one-pair batch. The root page ID after loading must be persisted by
+// the caller (the metadata manager does this).
 package btree
 
 import (
@@ -102,9 +105,14 @@ type node struct {
 	firstSep []byte
 }
 
+// decode parses a page into a node. It copies the page once and the
+// cells' keys and values slice into that copy, so the node stays valid
+// after the page is unpinned.
 func decode(data []byte) (*node, error) {
+	data = append([]byte(nil), data...)
 	n := &node{leaf: data[0]&flagLeaf != 0}
 	num := int(binary.LittleEndian.Uint16(data[1:3]))
+	n.cells = make([]cell, 0, num)
 	p := binary.LittleEndian.Uint32(data[3:7])
 	if n.leaf {
 		n.next = pagestore.PageID(p)
@@ -128,15 +136,15 @@ func decode(data []byte) (*node, error) {
 			if off+klen+vlen > len(data) {
 				return nil, errors.New("btree: corrupt node (cell body)")
 			}
-			c.key = append([]byte(nil), data[off:off+klen]...)
+			c.key = data[off : off+klen : off+klen]
 			off += klen
-			c.value = append([]byte(nil), data[off:off+vlen]...)
+			c.value = data[off : off+vlen : off+vlen]
 			off += vlen
 		} else {
 			if off+klen+4 > len(data) {
 				return nil, errors.New("btree: corrupt node (separator)")
 			}
-			c.key = append([]byte(nil), data[off:off+klen]...)
+			c.key = data[off : off+klen : off+klen]
 			off += klen
 			c.child = pagestore.PageID(binary.LittleEndian.Uint32(data[off:]))
 			off += 4
@@ -201,14 +209,15 @@ func (t *Tree) readNode(id pagestore.PageID) (*node, error) {
 	return decode(p.Data())
 }
 
-func (t *Tree) writeNode(id pagestore.PageID, n *node) error {
+// writeNode rewrites page id in place.
+func (t *Tree) writeNode(id pagestore.PageID, n *node) (pagestore.PageID, error) {
 	p, err := t.st.Fetch(id)
 	if err != nil {
-		return err
+		return id, err
 	}
 	n.encode(p.Data())
 	t.st.Unpin(p, true)
-	return nil
+	return id, nil
 }
 
 func (t *Tree) allocNode(n *node) (pagestore.PageID, error) {
@@ -236,20 +245,21 @@ func searchCells(cells []cell, key []byte) int {
 	return lo
 }
 
-// childFor returns the child page to descend into for key.
-func (n *node) childFor(key []byte) pagestore.PageID {
-	// Internal separators: child holds keys >= separator; left holds
-	// keys below the first separator.
+// childIndexFor returns the ordinal of the child to descend into for
+// key (0 = leftmost, k = cells[k-1].child) together with its page. A
+// separator's child holds keys >= the separator; left holds keys below
+// the first separator.
+func (n *node) childIndexFor(key []byte) (int, pagestore.PageID) {
 	i := searchCells(n.cells, key)
 	// cells[i].key >= key; descend into the child left of it unless the
 	// separator equals key, in which case the key lives at/after it.
 	if i < len(n.cells) && bytes.Equal(n.cells[i].key, key) {
-		return n.cells[i].child
+		return i + 1, n.cells[i].child
 	}
 	if i == 0 {
-		return n.left
+		return 0, n.left
 	}
-	return n.cells[i-1].child
+	return i, n.cells[i-1].child
 }
 
 // Get returns the value stored under key, or ErrNotFound. The descent
@@ -257,103 +267,6 @@ func (n *node) childFor(key []byte) pagestore.PageID {
 // allocates only the returned value.
 func (t *Tree) Get(key []byte) ([]byte, error) {
 	return t.getFast(key)
-}
-
-// split divides an overfull node, returning the separator key and the
-// new right sibling's page ID. The left half stays in place (written by
-// the caller).
-func (t *Tree) split(n *node) ([]byte, pagestore.PageID, error) {
-	mid := len(n.cells) / 2
-	var sep []byte
-	right := &node{leaf: n.leaf}
-	if n.leaf {
-		right.cells = append(right.cells, n.cells[mid:]...)
-		right.next = n.next
-		sep = right.cells[0].key
-	} else {
-		// The middle separator moves up; its child becomes the new
-		// right node's leftmost child.
-		sep = n.cells[mid].key
-		right.left = n.cells[mid].child
-		right.cells = append(right.cells, n.cells[mid+1:]...)
-	}
-	rightID, err := t.allocNode(right)
-	if err != nil {
-		return nil, 0, err
-	}
-	if n.leaf {
-		n.cells = n.cells[:mid]
-		n.next = rightID
-	} else {
-		n.cells = n.cells[:mid]
-	}
-	return sep, rightID, nil
-}
-
-// insertInto inserts key/value under page id. On overflow it splits and
-// returns split=true plus the separator and new right page for the
-// parent to absorb.
-func (t *Tree) insertInto(id pagestore.PageID, key, value []byte) (split bool, sep []byte, right pagestore.PageID, err error) {
-	n, err := t.readNode(id)
-	if err != nil {
-		return false, nil, 0, err
-	}
-	if n.leaf {
-		i := searchCells(n.cells, key)
-		if i < len(n.cells) && bytes.Equal(n.cells[i].key, key) {
-			return false, nil, 0, fmt.Errorf("%w: %q", ErrDuplicate, key)
-		}
-		n.cells = append(n.cells, cell{})
-		copy(n.cells[i+1:], n.cells[i:])
-		n.cells[i] = cell{key: append([]byte(nil), key...), value: append([]byte(nil), value...)}
-	} else {
-		childID := n.childFor(key)
-		childSplit, csep, cright, err := t.insertInto(childID, key, value)
-		if err != nil {
-			return false, nil, 0, err
-		}
-		if !childSplit {
-			return false, nil, 0, nil // nothing changed at this level
-		}
-		i := searchCells(n.cells, csep)
-		n.cells = append(n.cells, cell{})
-		copy(n.cells[i+1:], n.cells[i:])
-		n.cells[i] = cell{key: csep, child: cright}
-	}
-	if n.encodedSize() <= t.st.PageSize() {
-		return false, nil, 0, t.writeNode(id, n)
-	}
-	sep, right, err = t.split(n)
-	if err != nil {
-		return false, nil, 0, err
-	}
-	return true, sep, right, t.writeNode(id, n)
-}
-
-// Insert stores value under key. Keys must be unique; inserting an
-// existing key returns ErrDuplicate. key+value must not exceed MaxCell.
-func (t *Tree) Insert(key, value []byte) error {
-	if len(key)+len(value) > t.MaxCell() {
-		return fmt.Errorf("btree: cell of %d bytes exceeds max %d", len(key)+len(value), t.MaxCell())
-	}
-	if len(key) == 0 {
-		return errors.New("btree: empty key")
-	}
-	split, sep, right, err := t.insertInto(t.root, key, value)
-	if err != nil {
-		return err
-	}
-	if !split {
-		return nil
-	}
-	// Root split: grow a new root.
-	newRoot := &node{left: t.root, cells: []cell{{key: sep, child: right}}}
-	id, err := t.allocNode(newRoot)
-	if err != nil {
-		return err
-	}
-	t.root = id
-	return nil
 }
 
 // Len returns the number of keys in the tree. It iterates every cell

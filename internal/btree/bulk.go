@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"bytes"
 	"fmt"
 
 	"timber/internal/pagestore"
@@ -16,21 +15,13 @@ type KV struct {
 // BulkLoad builds a tree bottom-up from key-sorted, duplicate-free
 // pairs: leaves are filled left to right to a fill factor, then each
 // internal level is built over the one below. This is how the index
-// manager constructs indices at document-load time — orders of
-// magnitude cheaper than per-key root-to-leaf inserts, which remain
-// available for incremental additions afterwards.
+// manager builds the indices of a database's first document: each page
+// is written once, and InsertSorted merges later documents' runs into
+// the result.
 func BulkLoad(st *pagestore.Store, kvs []KV) (*Tree, error) {
 	t := &Tree{st: st}
-	for i, kv := range kvs {
-		if len(kv.Key) == 0 {
-			return nil, fmt.Errorf("btree: bulk load: empty key at %d", i)
-		}
-		if i > 0 && bytes.Compare(kvs[i-1].Key, kv.Key) >= 0 {
-			return nil, fmt.Errorf("btree: bulk load: keys not strictly increasing at %d (%q >= %q)", i, kvs[i-1].Key, kv.Key)
-		}
-		if len(kv.Key)+len(kv.Value) > t.MaxCell() {
-			return nil, fmt.Errorf("btree: bulk load: cell %d of %d bytes exceeds max %d", i, len(kv.Key)+len(kv.Value), t.MaxCell())
-		}
+	if err := checkRun(kvs, t.MaxCell()); err != nil {
+		return nil, fmt.Errorf("btree: bulk load: %w", err)
 	}
 	// Leave headroom so post-load inserts do not split immediately.
 	capacity := (st.PageSize() - nodeOverhead) * 9 / 10

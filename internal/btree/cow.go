@@ -2,7 +2,6 @@ package btree
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 
 	"timber/internal/pagestore"
@@ -85,10 +84,10 @@ func (c *COW) allocNode(n *node) (pagestore.PageID, error) {
 	return id, nil
 }
 
-// writeShadow persists n under id if this mutation already owns the
+// writeNode persists n under id if this mutation already owns the
 // page, or under a fresh copy otherwise (recording the superseded
 // page), returning the id the parent must now point at.
-func (c *COW) writeShadow(id pagestore.PageID, n *node) (pagestore.PageID, error) {
+func (c *COW) writeNode(id pagestore.PageID, n *node) (pagestore.PageID, error) {
 	if _, ok := c.fresh[id]; ok {
 		p, err := c.st.Fetch(id)
 		if err != nil {
@@ -109,119 +108,6 @@ func (n *node) setChild(i int, newID pagestore.PageID) {
 	} else {
 		n.cells[i-1].child = newID
 	}
-}
-
-// childIndexFor returns the ordinal of the child to descend into for
-// key (0 = leftmost) together with its page, mirroring childFor.
-func (n *node) childIndexFor(key []byte) (int, pagestore.PageID) {
-	i := searchCells(n.cells, key)
-	if i < len(n.cells) && bytes.Equal(n.cells[i].key, key) {
-		return i + 1, n.cells[i].child
-	}
-	if i == 0 {
-		return 0, n.left
-	}
-	return i, n.cells[i-1].child
-}
-
-// Insert stores value under key through the shadow path. Keys must be
-// unique; inserting an existing key returns ErrDuplicate.
-func (c *COW) Insert(key, value []byte) error {
-	if len(key)+len(value) > c.MaxCell() {
-		return fmt.Errorf("btree: cell of %d bytes exceeds max %d", len(key)+len(value), c.MaxCell())
-	}
-	if len(key) == 0 {
-		return errors.New("btree: empty key")
-	}
-	newRoot, split, sep, right, err := c.insertInto(c.root, key, value)
-	if err != nil {
-		return err
-	}
-	c.root = newRoot
-	if !split {
-		return nil
-	}
-	// Root split: grow a new root (fresh by construction).
-	id, err := c.allocNode(&node{left: c.root, cells: []cell{{key: sep, child: right}}})
-	if err != nil {
-		return err
-	}
-	c.root = id
-	return nil
-}
-
-// insertInto mirrors Tree.insertInto with shadowed writes: it returns
-// the (possibly fresh) id now holding this subtree, plus split results
-// for the parent to absorb.
-func (c *COW) insertInto(id pagestore.PageID, key, value []byte) (newID pagestore.PageID, split bool, sep []byte, right pagestore.PageID, err error) {
-	n, err := c.readNode(id)
-	if err != nil {
-		return 0, false, nil, 0, err
-	}
-	if n.leaf {
-		i := searchCells(n.cells, key)
-		if i < len(n.cells) && bytes.Equal(n.cells[i].key, key) {
-			return 0, false, nil, 0, fmt.Errorf("%w: %q", ErrDuplicate, key)
-		}
-		n.cells = append(n.cells, cell{})
-		copy(n.cells[i+1:], n.cells[i:])
-		n.cells[i] = cell{key: append([]byte(nil), key...), value: append([]byte(nil), value...)}
-	} else {
-		ci, childID := n.childIndexFor(key)
-		newChild, childSplit, csep, cright, err := c.insertInto(childID, key, value)
-		if err != nil {
-			return 0, false, nil, 0, err
-		}
-		if !childSplit && newChild == childID {
-			return id, false, nil, 0, nil // subtree already fresh, nothing changed here
-		}
-		n.setChild(ci, newChild)
-		if childSplit {
-			i := searchCells(n.cells, csep)
-			n.cells = append(n.cells, cell{})
-			copy(n.cells[i+1:], n.cells[i:])
-			n.cells[i] = cell{key: csep, child: cright}
-		}
-	}
-	if n.encodedSize() <= c.st.PageSize() {
-		newID, err = c.writeShadow(id, n)
-		return newID, false, nil, 0, err
-	}
-	sep, right, err = c.split(n)
-	if err != nil {
-		return 0, false, nil, 0, err
-	}
-	newID, err = c.writeShadow(id, n)
-	return newID, true, sep, right, err
-}
-
-// split mirrors Tree.split; the new right sibling is fresh by
-// construction, the left half is written by the caller via
-// writeShadow.
-func (c *COW) split(n *node) ([]byte, pagestore.PageID, error) {
-	mid := len(n.cells) / 2
-	var sep []byte
-	right := &node{leaf: n.leaf}
-	if n.leaf {
-		right.cells = append(right.cells, n.cells[mid:]...)
-		right.next = n.next
-		sep = right.cells[0].key
-	} else {
-		sep = n.cells[mid].key
-		right.left = n.cells[mid].child
-		right.cells = append(right.cells, n.cells[mid+1:]...)
-	}
-	rightID, err := c.allocNode(right)
-	if err != nil {
-		return nil, 0, err
-	}
-	if n.leaf {
-		n.cells = n.cells[:mid]
-		n.next = rightID
-	} else {
-		n.cells = n.cells[:mid]
-	}
-	return sep, rightID, nil
 }
 
 // Delete removes key. It returns ErrNotFound if the key is absent;
@@ -252,7 +138,7 @@ func (c *COW) deleteFrom(id pagestore.PageID, key []byte) (newID pagestore.PageI
 			return id, false, nil
 		}
 		n.cells = append(n.cells[:i], n.cells[i+1:]...)
-		newID, err = c.writeShadow(id, n)
+		newID, err = c.writeNode(id, n)
 		return newID, true, err
 	}
 	ci, childID := n.childIndexFor(key)
@@ -264,6 +150,6 @@ func (c *COW) deleteFrom(id pagestore.PageID, key []byte) (newID pagestore.PageI
 		return id, true, nil // child was already fresh and updated in place
 	}
 	n.setChild(ci, newChild)
-	newID, err = c.writeShadow(id, n)
+	newID, err = c.writeNode(id, n)
 	return newID, true, err
 }

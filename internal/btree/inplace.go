@@ -15,7 +15,7 @@ import (
 
 // internalChildEncoded returns the child page to descend into for key,
 // scanning an encoded internal node in place. Same semantics as
-// (*node).childFor.
+// (*node).childIndexFor.
 func internalChildEncoded(data []byte, key []byte) pagestore.PageID {
 	num := int(uint16(data[1]) | uint16(data[2])<<8)
 	left := pagestore.PageID(uint32(data[3]) | uint32(data[4])<<8 | uint32(data[5])<<16 | uint32(data[6])<<24)

@@ -133,8 +133,8 @@ func TestOpenOldFormat(t *testing.T) {
 	}
 }
 
-// TestIncrementalSecondDocument exercises the singleton-block insert
-// path: a second document goes through per-key inserts, and its
+// TestIncrementalSecondDocument exercises the incremental path: a
+// second document merges its block-packed runs into the trees, and its
 // postings must interleave correctly with the bulk-loaded first.
 func TestIncrementalSecondDocument(t *testing.T) {
 	db, err := CreateTemp(Options{})

@@ -14,7 +14,8 @@ import (
 func FuzzPostingBlock(f *testing.F) {
 	iv := xmltree.Interval{Doc: 1, Start: 10, End: 20, Level: 3}
 	key := tagKey("seed", iv.ID())
-	f.Add(key[len(key)-8:], blockValue1(iv, pagestore.RID{Page: 5, Slot: 2}))
+	suffix, one := encodeTestBlock(f, []Posting{{Interval: iv, RID: pagestore.RID{Page: 5, Slot: 2}}})
+	f.Add(suffix, one)
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 9}, []byte{1, 4, 2, 9, 1})
 	f.Add([]byte{}, []byte{})
 	f.Add(key[len(key)-8:], []byte{0xff, 0xff, 0xff, 0xff, 0xff})

@@ -236,24 +236,9 @@ func (db *DB) buildInsert(name string, root *xmltree.Node) (*txn, DocInfo, error
 		baseVal = db.tree(base.val)
 	}
 
-	var count uint64
-	var walkErr error
-	root.Walk(func(n *xmltree.Node) bool {
-		rec := &NodeRecord{
-			Interval: n.Interval,
-			Tag:      n.Tag,
-			Content:  n.Content,
-			Attrs:    n.Attrs,
-		}
-		if n.Parent != nil {
-			rec.ParentStart = n.Parent.Interval.Start
-		}
-		if err := db.storeNodeCOW(h, rec); err != nil {
-			walkErr = err
-			return false
-		}
-		count++
-		if maintain {
+	var visit func(*NodeRecord) error
+	if maintain {
+		visit = func(rec *NodeRecord) error {
 			ts := delta.tags[rec.Tag]
 			ts.Postings++
 			if baseVal != nil && rec.Content != "" && len(rec.Content) <= maxIndexedContent {
@@ -264,10 +249,9 @@ func (db *DB) buildInsert(name string, root *xmltree.Node) (*txn, DocInfo, error
 					// The pair adds a distinct value iff no prior document
 					// indexed it (the document itself is new, so the base
 					// tree decides).
-					exists, perr := treeHasPrefix(baseVal, valuePrefix(pair[0], pair[1]))
-					if perr != nil {
-						walkErr = perr
-						return false
+					exists, err := treeHasPrefix(baseVal, valuePrefix(pair[0], pair[1]))
+					if err != nil {
+						return err
 					}
 					if !exists {
 						ts.DistinctValues++
@@ -275,12 +259,20 @@ func (db *DB) buildInsert(name string, root *xmltree.Node) (*txn, DocInfo, error
 				}
 			}
 			delta.tags[rec.Tag] = ts
+			return nil
 		}
-		return true
-	})
-	if walkErr != nil {
-		return fail(walkErr)
 	}
+	e, err := storeDocument(h.heap, root, base.hasVal, visit)
+	if err == nil {
+		err = e.pack(btree.MaxCellFor(db.st.PageSize()))
+	}
+	if err == nil {
+		err = e.mergeInto(h.locator, h.tagIdx, h.valIdx)
+	}
+	if err != nil {
+		return fail(err)
+	}
+	count := uint64(len(e.loc))
 	delta.nodes = count
 
 	info := DocInfo{ID: doc, Name: name, RootStart: root.Interval.Start, NodeCount: count}
@@ -300,29 +292,6 @@ func (db *DB) buildInsert(name string, root *xmltree.Node) (*txn, DocInfo, error
 		s.docs = append(s.docs, info)
 	})
 	return t, info, nil
-}
-
-// storeNodeCOW writes one node through the transaction's handles —
-// the incremental counterpart of storeNode.
-func (db *DB) storeNodeCOW(h *writeHandles, rec *NodeRecord) error {
-	rid, err := h.heap.Insert(encodeRecordCompact(rec))
-	if err != nil {
-		return err
-	}
-	id := rec.ID()
-	indexValue := blockValue1(rec.Interval, rid)
-	if err := h.locator.Insert(locatorKey(id), ridValue(rid)); err != nil {
-		return fmt.Errorf("locator: %w", err)
-	}
-	if err := h.tagIdx.Insert(tagKey(rec.Tag, id), indexValue); err != nil {
-		return fmt.Errorf("tag index: %w", err)
-	}
-	if h.valIdx != nil && rec.Content != "" && len(rec.Content) <= maxIndexedContent {
-		if err := h.valIdx.Insert(valueKey(rec.Tag, rec.Content, id), indexValue); err != nil {
-			return fmt.Errorf("value index: %w", err)
-		}
-	}
-	return nil
 }
 
 // buildDelete removes every index entry of the named document into

@@ -19,13 +19,14 @@ import (
 // operations; the database itself keeps no reference to it.
 //
 // LoadDocument is the OFFLINE bulk path: it mutates index pages in
-// place (the first document bulk-loads the trees bottom-up, orders of
-// magnitude faster than per-node inserts) and therefore requires
-// exclusive access — no snapshot, spool or concurrent writer — and is
-// not crash-safe while running (a crash mid-load means rebuilding the
-// database from sources). It checkpoints on entry and exit, so it
-// composes correctly with durable ingest before and after. For online,
-// crash-safe, concurrent-reader-safe ingest use InsertDocument.
+// place (the first document bulk-loads the trees bottom-up; later ones
+// merge their sorted runs in with one descent per touched leaf) and
+// therefore requires exclusive access — no snapshot, spool or
+// concurrent writer — and is not crash-safe while running (a crash
+// mid-load means rebuilding the database from sources). It checkpoints
+// on entry and exit, so it composes correctly with durable ingest
+// before and after. For online, crash-safe, concurrent-reader-safe
+// ingest use InsertDocument.
 func (db *DB) LoadDocument(name string, root *xmltree.Node) (xmltree.DocID, error) {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
@@ -50,62 +51,39 @@ func (db *DB) LoadDocument(name string, root *xmltree.Node) (xmltree.DocID, erro
 	if base.hasVal {
 		valIdx = db.tree(base.val)
 	}
-	h := &loadHandles{heap: heap, locator: locator, tagIdx: tagIdx, valIdx: valIdx}
 
-	bulk := len(base.docs) == 0
-	var entries *indexEntries
-	if bulk {
-		entries = &indexEntries{}
+	e, err := storeDocument(heap, root, base.hasVal, nil)
+	if err == nil {
+		err = e.pack(btree.MaxCellFor(db.st.PageSize()))
 	}
-
-	var count uint64
-	var loadErr error
-	root.Walk(func(n *xmltree.Node) bool {
-		if loadErr != nil {
-			return false
-		}
-		rec := &NodeRecord{
-			Interval: n.Interval,
-			Tag:      n.Tag,
-			Content:  n.Content,
-			Attrs:    n.Attrs,
-		}
-		if n.Parent != nil {
-			rec.ParentStart = n.Parent.Interval.Start
-		}
-		if err := db.storeNode(h, rec, entries); err != nil {
-			loadErr = err
-			return false
-		}
-		count++
-		return true
-	})
-	if loadErr != nil {
-		return 0, fmt.Errorf("storage: load %q: %w", name, loadErr)
-	}
-	if bulk {
-		if err := db.bulkBuildIndexes(h, entries); err != nil {
-			return 0, fmt.Errorf("storage: load %q: %w", name, err)
+	if err == nil {
+		if len(base.docs) == 0 {
+			locator, tagIdx, valIdx, err = db.bulkBuildIndexes(e, valIdx != nil)
+		} else {
+			err = e.mergeInto(locator, tagIdx, valIdx)
 		}
 	}
+	if err != nil {
+		return 0, fmt.Errorf("storage: load %q: %w", name, err)
+	}
 
-	info := DocInfo{ID: doc, Name: name, RootStart: root.Interval.Start, NodeCount: count}
+	info := DocInfo{ID: doc, Name: name, RootStart: root.Interval.Start, NodeCount: uint64(len(e.loc))}
 	if err := catalog.Insert(catalogKey(doc), encodeDocInfo(info)); err != nil {
 		return 0, fmt.Errorf("storage: load %q: catalog: %w", name, err)
 	}
 
 	ns := &snapState{
 		epoch:     base.epoch + 1,
-		heapFirst: h.heap.FirstPage(),
-		heapLast:  h.heap.LastPage(),
+		heapFirst: heap.FirstPage(),
+		heapLast:  heap.LastPage(),
 		catalog:   catalog.Root(),
-		locator:   h.locator.Root(),
-		tag:       h.tagIdx.Root(),
+		locator:   locator.Root(),
+		tag:       tagIdx.Root(),
 		hasVal:    base.hasVal,
 		nextDocID: base.nextDocID + 1,
 	}
-	if h.valIdx != nil {
-		ns.val = h.valIdx.Root()
+	if valIdx != nil {
+		ns.val = valIdx.Root()
 	}
 	ns.docs = make([]DocInfo, 0, len(base.docs)+1)
 	ns.docs = append(ns.docs, base.docs...)
@@ -128,88 +106,111 @@ func (db *DB) LoadXML(name string, r io.Reader) (xmltree.DocID, error) {
 	return db.LoadDocument(name, root)
 }
 
-// loadHandles carries one load's in-place write handles.
-type loadHandles struct {
-	heap    *pagestore.Heap
-	locator *btree.Tree
-	tagIdx  *btree.Tree
-	valIdx  *btree.Tree
-}
-
-// indexEntries accumulates the index pairs of one bulk load.
+// indexEntries accumulates one document's index pairs, one locator
+// entry per node. storeDocument queues them with fixed-width posting
+// values; pack turns the tag and value runs into posting blocks.
 type indexEntries struct {
 	loc, tag, val []btree.KV
 }
 
-// storeNode writes the record to the heap and either queues (bulk) or
-// inserts (incremental) its index entries.
-func (db *DB) storeNode(h *loadHandles, rec *NodeRecord, bulk *indexEntries) error {
-	rid, err := h.heap.Insert(encodeRecordCompact(rec))
-	if err != nil {
-		return err
-	}
-	id := rec.ID()
-	// Bulk loads queue the fixed-width posting value; bulkBuildIndexes
-	// converts the sorted run into posting blocks in one pass. Only the
-	// incremental path writes one-posting blocks directly.
-	if bulk != nil {
-		indexValue := postingValue(rec.Interval, rid)
-		bulk.loc = append(bulk.loc, btree.KV{Key: locatorKey(id), Value: ridValue(rid)})
-		bulk.tag = append(bulk.tag, btree.KV{Key: tagKey(rec.Tag, id), Value: indexValue})
-		if h.valIdx != nil && rec.Content != "" && len(rec.Content) <= maxIndexedContent {
-			bulk.val = append(bulk.val, btree.KV{Key: valueKey(rec.Tag, rec.Content, id), Value: indexValue})
+// storeDocument walks the tree once in document order: it appends each
+// node's record to the heap and queues its index entries (value
+// entries only when withVal). visit, when non-nil, sees every record
+// after it is stored.
+func storeDocument(heap *pagestore.Heap, root *xmltree.Node, withVal bool, visit func(*NodeRecord) error) (*indexEntries, error) {
+	e := &indexEntries{}
+	var err error
+	root.Walk(func(n *xmltree.Node) bool {
+		rec := &NodeRecord{
+			Interval: n.Interval,
+			Tag:      n.Tag,
+			Content:  n.Content,
+			Attrs:    n.Attrs,
 		}
-		return nil
+		if n.Parent != nil {
+			rec.ParentStart = n.Parent.Interval.Start
+		}
+		var rid pagestore.RID
+		if rid, err = heap.Insert(encodeRecordCompact(rec)); err != nil {
+			return false
+		}
+		id := rec.ID()
+		posting := postingValue(rec.Interval, rid)
+		e.loc = append(e.loc, btree.KV{Key: locatorKey(id), Value: ridValue(rid)})
+		e.tag = append(e.tag, btree.KV{Key: tagKey(rec.Tag, id), Value: posting})
+		if withVal && rec.Content != "" && len(rec.Content) <= maxIndexedContent {
+			e.val = append(e.val, btree.KV{Key: valueKey(rec.Tag, rec.Content, id), Value: posting})
+		}
+		if visit != nil {
+			err = visit(rec)
+		}
+		return err == nil
+	})
+	return e, err
+}
+
+// pack sorts the queued runs and packs the tag and value runs into
+// posting blocks, which therefore never span documents. Locator keys
+// come out of the document-order walk already sorted, and the locator
+// keeps per-node cells: its values are bare RIDs and its range scans
+// address individual keys.
+func (e *indexEntries) pack(maxCell int) error {
+	sortKVs(e.tag)
+	sortKVs(e.val)
+	var err error
+	if e.tag, err = blockKVs(e.tag, maxCell); err != nil {
+		return fmt.Errorf("tag index blocks: %w", err)
 	}
-	indexValue := blockValue1(rec.Interval, rid)
-	if err := h.locator.Insert(locatorKey(id), ridValue(rid)); err != nil {
+	if e.val, err = blockKVs(e.val, maxCell); err != nil {
+		return fmt.Errorf("value index blocks: %w", err)
+	}
+	return nil
+}
+
+// sortedInserter is an index tree a packed document merges into: the
+// in-place *btree.Tree of an offline load or the *btree.COW of an
+// online ingest.
+type sortedInserter interface {
+	InsertSorted(kvs []btree.KV) error
+}
+
+// mergeInto merges the packed runs into the index trees, one sorted
+// batch per tree. valIdx is only touched when there are value entries,
+// which storeDocument queues only for a database with a value index.
+func (e *indexEntries) mergeInto(locator, tagIdx, valIdx sortedInserter) error {
+	if err := locator.InsertSorted(e.loc); err != nil {
 		return fmt.Errorf("locator: %w", err)
 	}
-	if err := h.tagIdx.Insert(tagKey(rec.Tag, id), indexValue); err != nil {
+	if err := tagIdx.InsertSorted(e.tag); err != nil {
 		return fmt.Errorf("tag index: %w", err)
 	}
-	if h.valIdx != nil && rec.Content != "" && len(rec.Content) <= maxIndexedContent {
-		if err := h.valIdx.Insert(valueKey(rec.Tag, rec.Content, id), indexValue); err != nil {
+	if len(e.val) > 0 {
+		if err := valIdx.InsertSorted(e.val); err != nil {
 			return fmt.Errorf("value index: %w", err)
 		}
 	}
 	return nil
 }
 
-// bulkBuildIndexes replaces the (empty) index trees with bulk-loaded
-// ones. Locator keys are generated in document order and hence already
-// sorted; tag and value keys are sorted here. The abandoned empty
+// bulkBuildIndexes builds the first document's index trees bottom-up
+// from its packed runs, replacing the empty ones. The abandoned empty
 // roots are a few dead pages, reclaimed at the next rebuild.
-func (db *DB) bulkBuildIndexes(h *loadHandles, e *indexEntries) error {
-	sortKVs(e.tag)
-	sortKVs(e.val)
-	// Pack the sorted posting runs into delta/varint blocks. The locator
-	// keeps per-node cells: its values are bare RIDs and its range scans
-	// address individual keys.
-	maxCell := btree.MaxCellFor(db.st.PageSize())
-	tag, err := blockKVs(e.tag, maxCell)
-	if err != nil {
-		return fmt.Errorf("tag index blocks: %w", err)
+func (db *DB) bulkBuildIndexes(e *indexEntries, withVal bool) (locator, tagIdx, valIdx *btree.Tree, err error) {
+	if locator, err = btree.BulkLoad(db.st, e.loc); err != nil {
+		return nil, nil, nil, fmt.Errorf("locator bulk load: %w", err)
 	}
-	val, err := blockKVs(e.val, maxCell)
-	if err != nil {
-		return fmt.Errorf("value index blocks: %w", err)
+	locator.SetMetrics(&db.idxMetrics)
+	if tagIdx, err = btree.BulkLoad(db.st, e.tag); err != nil {
+		return nil, nil, nil, fmt.Errorf("tag index bulk load: %w", err)
 	}
-	if h.locator, err = btree.BulkLoad(db.st, e.loc); err != nil {
-		return fmt.Errorf("locator bulk load: %w", err)
-	}
-	h.locator.SetMetrics(&db.idxMetrics)
-	if h.tagIdx, err = btree.BulkLoad(db.st, tag); err != nil {
-		return fmt.Errorf("tag index bulk load: %w", err)
-	}
-	h.tagIdx.SetMetrics(&db.idxMetrics)
-	if h.valIdx != nil {
-		if h.valIdx, err = btree.BulkLoad(db.st, val); err != nil {
-			return fmt.Errorf("value index bulk load: %w", err)
+	tagIdx.SetMetrics(&db.idxMetrics)
+	if withVal {
+		if valIdx, err = btree.BulkLoad(db.st, e.val); err != nil {
+			return nil, nil, nil, fmt.Errorf("value index bulk load: %w", err)
 		}
-		h.valIdx.SetMetrics(&db.idxMetrics)
+		valIdx.SetMetrics(&db.idxMetrics)
 	}
-	return nil
+	return locator, tagIdx, valIdx, nil
 }
 
 func sortKVs(kvs []btree.KV) {

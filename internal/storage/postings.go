@@ -72,15 +72,6 @@ func appendNextPosting(dst []byte, prev, p Posting) []byte {
 	return dst
 }
 
-// blockValue1 encodes a single-posting block — the incremental-insert
-// path (documents after the bulk-loaded first one insert one key at a
-// time).
-func blockValue1(iv xmltree.Interval, rid pagestore.RID) []byte {
-	b := make([]byte, 0, 16)
-	b = binary.AppendUvarint(b, 1)
-	return appendFirstPosting(b, Posting{Interval: iv, RID: rid})
-}
-
 // appendBlockPostings decodes a block into dst and returns the extended
 // slice. keySuffix is the block key's trailing 8 bytes (doc, start₀,
 // big endian). The decoder is total: any malformed input returns
@@ -162,11 +153,11 @@ func appendBlockPostings(dst []Posting, keySuffix, value []byte) ([]Posting, err
 	return dst, nil
 }
 
-// blockKVs converts the bulk loader's sorted per-posting pairs (one
+// blockKVs converts one document's sorted per-posting pairs (one
 // 12-byte postingValue each) into block pairs, greedily packing
 // key-adjacent postings up to blockMaxPostings or the tree's cell
-// budget. The input stays untouched; bulkBuildIndexes feeds the result
-// straight to BulkLoad.
+// budget. The input stays untouched; every write path feeds the result
+// to BulkLoad (the first document) or InsertSorted (every later one).
 func blockKVs(kvs []btree.KV, maxCell int) ([]btree.KV, error) {
 	out := make([]btree.KV, 0, len(kvs)/8+1)
 	i := 0

@@ -33,7 +33,7 @@ func randPostings(rng *rand.Rand, n int, doc xmltree.DocID) []Posting {
 
 // encodeTestBlock packs ps (shared doc, ascending starts) exactly as
 // blockKVs does, returning the key suffix and value.
-func encodeTestBlock(t *testing.T, ps []Posting) (keySuffix, value []byte) {
+func encodeTestBlock(t testing.TB, ps []Posting) (keySuffix, value []byte) {
 	t.Helper()
 	kvs := make([]btree.KV, len(ps))
 	for i, p := range ps {
@@ -130,11 +130,13 @@ func TestBlockKVsSplits(t *testing.T) {
 	}
 }
 
-func TestBlockValue1(t *testing.T) {
+// TestSinglePostingBlock: a one-posting run packs into a one-posting
+// block that decodes back to it.
+func TestSinglePostingBlock(t *testing.T) {
 	iv := xmltree.Interval{Doc: 2, Start: 99, End: 105, Level: 4}
 	rid := pagestore.RID{Page: 7, Slot: 3}
-	key := tagKey("x", iv.ID())
-	got, err := appendBlockPostings(nil, key[len(key)-8:], blockValue1(iv, rid))
+	suffix, value := encodeTestBlock(t, []Posting{{Interval: iv, RID: rid}})
+	got, err := appendBlockPostings(nil, suffix, value)
 	if err != nil {
 		t.Fatal(err)
 	}
