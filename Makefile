@@ -18,8 +18,9 @@ vet:
 # planner, twig, event-journal and service suites, the event-schema
 # check (obs.TestEventSchema), the exposition lint
 # (obs.TestEngineExpositionLints) and the traced-query exactness check
-# (cmd/timber.TestCLI) all run here. The few tests that skip under
-# -race (the twig allocation ceiling) run in plain `make test`.
+# (cmd/timber.TestCLI) all run here. The few checks that skip under
+# -race (the twig allocation ceiling, the pool's drop-and-refetch
+# allocation ceiling) run in plain `make test`.
 race:
 	$(GO) test -race ./...
 
@@ -34,7 +35,8 @@ bench:
 # parser panics on the corpus plus a short random exploration. The
 # storage and exec targets cover the compressed on-disk codecs
 # (posting blocks, compact records, LZ pages, spill rows); the btree
-# target checks batch inserts against a map model.
+# target checks batch inserts against a map model, and the group-sort
+# target checks the rank-then-count sort against a comparison sort.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/xq/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTree$$' -fuzztime 5s ./internal/pattern/
@@ -43,5 +45,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPostingBlock$$' -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordCompact$$' -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpillRow$$' -fuzztime 5s ./internal/exec/
+	$(GO) test -run '^$$' -fuzz '^FuzzGroupSortOrder$$' -fuzztime 5s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzLZDecompress$$' -fuzztime 5s ./internal/pagestore/
 	$(GO) test -run '^$$' -fuzz '^FuzzTwigMatch$$' -fuzztime 5s ./internal/match/

@@ -23,7 +23,7 @@ const (
 	queryCountSrc = paperdata.QueryCountText
 )
 
-func plansFor(t *testing.T, src string) (naive, rewritten plan.Op, spec Spec) {
+func plansFor(t testing.TB, src string) (naive, rewritten plan.Op, spec Spec) {
 	t.Helper()
 	naive, err := plan.Translate(xq.MustParse(src))
 	if err != nil {

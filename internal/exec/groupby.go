@@ -32,10 +32,12 @@ type ExecStats struct {
 // groupByExec runs the TIMBER groupby plan (Sec. 5.3) as a streaming
 // iterator pipeline over identifier-only batches:
 //
-//	exchange (per-document fragments, merged in document order)
-//	  fragment: scan → select* (join path) → populate ─┐
-//	            scan replay → select* (value path) ────┤→ merge-LOJ
-//	→ groupsort (blocking: arrival-ordered total sort, spillable)
+//	exchange (member-range fragments over pre-scanned postings)
+//	  fragment: members → select* (join path) → populate ─┐
+//	            members → select* (value path) ───────────┤→ merge-LOJ
+//	→ groupsort (blocking: rank the distinct grouping values, one
+//	             stable counting pass; fragment rows taken by reference;
+//	             spillable)
 //	→ stitch (group boundaries)            [streaming]
 //	→ aggregate (Count mode only)          [streaming]
 //	→ late-materialize sink
@@ -48,10 +50,10 @@ type ExecStats struct {
 //
 // Groups are emitted in ascending grouping-value order, and the result
 // trees, group order and ExecStats are byte-identical for every
-// parallelism, batch size and sort budget: the exchange merges fragment
-// rows in document order, the sort's comparator is a total order
-// (arrival position breaks every tie), and each operator preserves its
-// input's row order.
+// parallelism, batch size and sort budget: the exchange's fragments are
+// cut by the data and their rows arrive at the sort in document order,
+// the sort's order is total (arrival position breaks every tie), and
+// each operator preserves its input's row order.
 func groupByExec(db storage.Reader, spec Spec, o Options) (*Result, error) {
 	if err := o.err(); err != nil {
 		return nil, err
@@ -64,31 +66,35 @@ func groupByExec(db storage.Reader, spec Spec, o Options) (*Result, error) {
 
 	// Phase 1: parallel match. The exchange barrier is also the span
 	// boundary — fragments never touch the tracer.
-	ex := newExchange(db, spec, o.Ctx, o.workers(), bs, ops)
 	exSp := sp.Child("exchange: match fragments")
-	if err := ex.Open(); err != nil {
+	ex, err := runExchange(db, spec, o.Ctx, o.workers(), bs, ops)
+	if err != nil {
 		exSp.End()
 		return nil, err
 	}
-	exSp.Add("rows", int64(len(ex.rows)))
+	exSp.Add("rows", int64(ex.rows))
+	exSp.Add("fragments", int64(len(ex.frags)))
+	exSp.Add("candidates", int64(ex.cands))
 	exSp.Add("fragment_ops", int64(len(ops.order)))
 	exSp.End()
 
-	// Phase 2..4: sort, stitch, aggregate, materialize. The chain is
-	// closed bottom-up through the root before the result spill below
-	// (the sort's spill region shares the temporary-page latch with it).
-	var ordVals func() map[xmltree.NodeID]string
+	// Phase 2..4: sort, stitch, aggregate, materialize. The sort takes
+	// the fragments' rows by reference. The chain is closed bottom-up
+	// through the root before the result spill below (the sort's spill
+	// region shares the temporary-page latch with it).
+	var ov map[xmltree.NodeID]string
 	if spec.OrderPath != nil {
-		ordVals = func() map[xmltree.NodeID]string { return ex.ord }
+		ov = ex.ord
 	}
-	gs := newGroupSort(ex, db, ordVals, spec.OrderDesc, o.SortMemRows, ops.get("sort: witnesses"))
+	gs := newGroupSort(ex.frags, db, ov, spec.OrderDesc, o.SortMemRows, ops.get("sort: witnesses"))
+	ex.frags = nil
 	var top Iterator = newStitch(gs, bs, ops.get("stitch: group boundaries"))
 	if spec.Mode == Count {
 		top = newAggregate(top, bs, ops.get("aggregate: group counts"))
 	}
 
 	sortSp := sp.Child("sort: witnesses")
-	err := gs.Open()
+	err = gs.Open()
 	sortSp.Add("witnesses", gs.counts.rowsIn)
 	if gs.spool != nil {
 		sortSp.Add("spilled_runs", int64(len(gs.runs)))

@@ -17,10 +17,12 @@ import (
 // behaves.
 type Options struct {
 	// Parallelism bounds the worker pools the executors use for their
-	// hot phases (witness value population, output materialization,
-	// per-document structural joins). 0 means GOMAXPROCS; 1 forces the
-	// sequential path. Any setting produces byte-identical results —
-	// partial results merge in document order.
+	// hot phases: the groupby exchange's posting scans and member-range
+	// fragments (a large document runs as several fragments), output
+	// materialization, per-document structural joins. 0 means
+	// GOMAXPROCS; 1 forces the sequential path. Any setting produces
+	// byte-identical results — the fragments are cut by the data, not
+	// by the worker count, and partial results merge in document order.
 	Parallelism int
 	// Tracer, when non-nil, records one span per operator phase of the
 	// execution (EXPLAIN ANALYZE style). Executors create and end spans

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -42,11 +43,11 @@ func multiDocDB(t *testing.T, seeds ...int64) *storage.DB {
 // serializeTrees renders result trees to one byte string for exact
 // comparison (content, attribute and sibling order all included).
 func serializeTrees(trees []*xmltree.Node) string {
-	var out string
+	var out strings.Builder
 	for _, tr := range trees {
-		out += xmltree.SerializeString(tr)
+		out.WriteString(xmltree.SerializeString(tr))
 	}
-	return out
+	return out.String()
 }
 
 func TestGroupByExecParallelEquivalence(t *testing.T) {

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"timber/internal/pagestore"
 	"timber/internal/storage"
@@ -9,32 +11,38 @@ import (
 	"timber/internal/xmltree"
 )
 
-// groupSortIter is the blocking GROUPBY operator: it drains its input,
-// assigns each row its arrival order (the stable-sort tie-breaker),
-// and sorts by (grouping value, member ordering value, arrival).
-// Downstream operators see runs of equal grouping values — the groups
-// — in ascending value order, exactly the sort of Sec. 5.3.
+// groupSortIter is the blocking GROUPBY operator: it takes the
+// exchange's fragment rows by reference (their concatenation is the
+// arrival order, the stable-sort tie-breaker) and orders them by
+// (grouping value, member ordering value, arrival). Downstream
+// operators see runs of equal grouping values — the groups — in
+// ascending value order, exactly the sort of Sec. 5.3.
+//
+// The sort ranks rather than compares rows (sortRows): each distinct
+// grouping value gets an ID, only the distinct values are sorted, and
+// one stable counting pass places every row into a single output
+// array. With an ordering list, a stable sort by ordering value then
+// runs inside each group.
 //
 // Memory: with SortMemRows unset the sort is in-memory (identifier
-// rows only; values were never materialized). With a budget, full
-// buffers are sorted and spilled as encoded-row runs through the
-// storage spool — the spilled pages compete with base data in the
-// buffer pool, the TIMBER intermediate-collection cost model — and
-// Next serves a k-way merge over the runs. Each run's cursor pins one
-// pool frame for the duration of the merge, so the budget should be
-// sized to keep the run count well below the pool size. Either path emits the
-// byte-identical row order: the comparator is a total order (arrival
-// breaks every tie).
+// rows only; values were never materialized). With a budget, each
+// SortMemRows rows of arrival order are sorted and spilled as an
+// encoded-row run through the storage spool — the spilled pages
+// compete with base data in the buffer pool, the TIMBER
+// intermediate-collection cost model — and Next serves a k-way merge
+// over the runs. Each run's cursor pins one pool frame for the duration
+// of the merge, so the budget should be sized to keep the run count
+// well below the pool size. Either path emits the byte-identical row
+// order: the order is total (arrival breaks every tie).
 type groupSortIter struct {
-	child   Iterator
+	frags   [][]Row
 	db      storage.Reader
-	ordVals func() map[xmltree.NodeID]string
+	ov      map[xmltree.NodeID]string
 	desc    bool
 	memRows int
 	counts  *opCounts
 
 	opened bool
-	ov     map[xmltree.NodeID]string
 	buf    []Row
 	// spill state
 	spool   *storage.Spool
@@ -43,17 +51,25 @@ type groupSortIter struct {
 	heads   []Row
 	headOk  []bool
 	// in-memory serve state
-	pos  int
-	next int64 // arrival counter
-	enc  []byte
+	pos int
+	enc []byte
+	// sortRows scratch, reused across spilled runs
+	dict  map[string]int32
+	keys  []string
+	ids   []int32
+	order []int32
+	ends  []int
+	vals  []string
 }
 
-func newGroupSort(child Iterator, db storage.Reader, ordVals func() map[xmltree.NodeID]string, desc bool, memRows int, counts *opCounts) *groupSortIter {
-	return &groupSortIter{child: child, db: db, ordVals: ordVals, desc: desc, memRows: memRows, counts: counts}
+func newGroupSort(frags [][]Row, db storage.Reader, ov map[xmltree.NodeID]string, desc bool, memRows int, counts *opCounts) *groupSortIter {
+	return &groupSortIter{frags: frags, db: db, ov: ov, desc: desc, memRows: memRows, counts: counts}
 }
 
 // less is the total sort order: grouping value, then the member's
 // ordering value under the requested direction, then arrival order.
+// The k-way merge of spilled runs compares with it; sortRows produces
+// the same order without calling it.
 func (g *groupSortIter) less(a, b *Row) bool {
 	if a.Key != b.Key {
 		return a.Key < b.Key
@@ -75,61 +91,154 @@ func (g *groupSortIter) Open() error {
 		return nil
 	}
 	g.opened = true
-	if err := g.child.Open(); err != nil {
-		return err
+	n := 0
+	for _, f := range g.frags {
+		n += len(f)
 	}
-	if g.ordVals != nil {
-		g.ov = g.ordVals()
-	}
-	b := getBatch(0)
-	defer putBatch(b)
-	for {
-		if err := g.child.Next(b); err != nil {
-			return err
-		}
-		if len(b.Rows) == 0 {
-			break
-		}
-		g.counts.in(len(b.Rows))
-		// Bulk-append the batch, then stamp arrival orders in a second
-		// pass — one grow decision per batch instead of per row.
-		base := len(g.buf)
-		g.buf = append(g.buf, b.Rows...)
-		for i := base; i < len(g.buf); i++ {
-			g.buf[i].Ord = g.next
-			g.next++
-		}
-		if g.memRows > 0 && len(g.buf) >= g.memRows {
-			if err := g.spillRun(); err != nil {
+	g.counts.in(n)
+	segs := g.frags
+	g.frags = nil
+	base := 0
+	if g.memRows > 0 {
+		for n-base > g.memRows {
+			var run [][]Row
+			run, segs = splitRows(segs, g.memRows)
+			if err := g.spillRun(run, int64(base)); err != nil {
 				return err
 			}
+			base += g.memRows
 		}
 	}
-	sort.Slice(g.buf, func(i, j int) bool { return g.less(&g.buf[i], &g.buf[j]) })
+	g.buf = g.sortRows(make([]Row, n-base), segs, int64(base))
 	if len(g.runs) > 0 {
 		return g.openMerge()
 	}
 	return nil
 }
 
-// spillRun sorts the buffered rows and writes them as one run.
-func (g *groupSortIter) spillRun() error {
+// splitRows cuts the first n rows off a list of row segments.
+func splitRows(segs [][]Row, n int) (head, tail [][]Row) {
+	for n > 0 {
+		s := segs[0]
+		if len(s) > n {
+			head = append(head, s[:n])
+			segs[0] = s[n:]
+			break
+		}
+		head = append(head, s)
+		segs = segs[1:]
+		n -= len(s)
+	}
+	return head, segs
+}
+
+// sortRows places the rows of segs (arrival order, the first at arrival
+// position base) into dst in the order less defines, stamping each
+// row's Ord with its arrival position, and returns dst. dst must hold
+// exactly the rows of segs.
+func (g *groupSortIter) sortRows(dst []Row, segs [][]Row, base int64) []Row {
+	// Rank: one ID per distinct grouping value, in arrival order.
+	if g.dict == nil {
+		g.dict = map[string]int32{}
+	}
+	clear(g.dict)
+	g.keys, g.ids = g.keys[:0], g.ids[:0]
+	for _, seg := range segs {
+		for i := range seg {
+			id, ok := g.dict[seg[i].Key]
+			if !ok {
+				id = int32(len(g.keys))
+				g.dict[seg[i].Key] = id
+				g.keys = append(g.keys, seg[i].Key)
+			}
+			g.ids = append(g.ids, id)
+		}
+	}
+	// Sort only the distinct values (they are unique, so any sort is
+	// stable), then turn per-ID counts into each group's first slot.
+	g.order = g.order[:0]
+	for id := range g.keys {
+		g.order = append(g.order, int32(id))
+	}
+	slices.SortFunc(g.order, func(a, b int32) int { return strings.Compare(g.keys[a], g.keys[b]) })
+	g.ends = append(g.ends[:0], make([]int, len(g.keys))...)
+	for _, id := range g.ids {
+		g.ends[id]++
+	}
+	slot := 0
+	for _, id := range g.order {
+		n := g.ends[id]
+		g.ends[id] = slot
+		slot += n
+	}
+	// Count: one stable placement pass; afterwards ends[id] is one past
+	// the group's last slot.
+	i := 0
+	for _, seg := range segs {
+		for j := range seg {
+			p := g.ends[g.ids[i]]
+			g.ends[g.ids[i]]++
+			dst[p] = seg[j]
+			dst[p].Ord = base + int64(i)
+			i++
+		}
+	}
+	if g.ov != nil {
+		start := 0
+		for _, id := range g.order {
+			end := g.ends[id]
+			if end-start > 1 {
+				g.sortGroup(dst[start:end])
+			}
+			start = end
+		}
+	}
+	return dst
+}
+
+// sortGroup stably sorts one group's rows (arrival order) by their
+// members' ordering values.
+func (g *groupSortIter) sortGroup(rows []Row) {
+	g.vals = g.vals[:0]
+	for _, r := range rows {
+		g.vals = append(g.vals, g.ov[r.Member.ID()])
+	}
+	sort.Stable(byOrderValue{rows: rows, vals: g.vals, desc: g.desc})
+}
+
+// byOrderValue orders a group's rows by ordering value; vals[i] is
+// rows[i]'s value and moves with it.
+type byOrderValue struct {
+	rows []Row
+	vals []string
+	desc bool
+}
+
+func (s byOrderValue) Len() int           { return len(s.rows) }
+func (s byOrderValue) Less(i, j int) bool { return orderLess(s.vals[i], s.vals[j], s.desc) }
+func (s byOrderValue) Swap(i, j int) {
+	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
+	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
+}
+
+// spillRun sorts one run of arrival order (starting at arrival
+// position base) and writes it to the spool.
+func (g *groupSortIter) spillRun(segs [][]Row, base int64) error {
 	if g.spool == nil {
 		g.spool = g.db.NewSpool()
+		g.buf = make([]Row, g.memRows)
 	}
-	sort.Slice(g.buf, func(i, j int) bool { return g.less(&g.buf[i], &g.buf[j]) })
 	run, err := g.spool.NewRun()
 	if err != nil {
 		return err
 	}
-	for _, r := range g.buf {
+	for _, r := range g.sortRows(g.buf, segs, base) {
 		g.enc = encodeRow(g.enc[:0], r)
 		if err := run.Append(g.enc); err != nil {
 			return err
 		}
 	}
 	g.runs = append(g.runs, run)
-	g.buf = g.buf[:0]
 	return nil
 }
 
@@ -213,7 +322,7 @@ func (g *groupSortIter) Next(b *Batch) error {
 }
 
 func (g *groupSortIter) Close() error {
-	err := g.child.Close()
+	var err error
 	for _, c := range g.cursors {
 		if c == nil {
 			continue

@@ -305,6 +305,10 @@ type shard struct {
 	frames map[PageID]*frame
 	lru    *list.List // of *frame; front = least recently used
 	cap    int
+	// free holds frames DropCache emptied, buffers included; freeFrame
+	// takes from it before allocating, so a cold-cache run refills the
+	// pool without re-allocating it.
+	free []*frame
 }
 
 // Store is a paged file with a sharded buffer pool. It is safe for
@@ -539,7 +543,8 @@ func (s *Store) Occupancy() int {
 func (s *Store) ResetStats() { s.stats.reset() }
 
 // DropCache flushes all dirty pages and empties the buffer pool, so the
-// next fetches hit the disk. It fails if any page is still pinned.
+// next fetches hit the disk. It fails if any page is still pinned. The
+// emptied frames keep their buffers, and the next fetches reuse them.
 func (s *Store) DropCache() error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -565,6 +570,7 @@ func (s *Store) DropCache() error {
 				sh.lru.Remove(fr.lruElem)
 			}
 			delete(sh.frames, id)
+			sh.free = append(sh.free, fr)
 		}
 	}
 	return nil
@@ -800,6 +806,14 @@ func (s *Store) Release(p *Page, dirty bool) error {
 // Caller holds sh.mu.
 func (s *Store) freeFrame(sh *shard, id PageID) (*frame, error) {
 	if len(sh.frames) < sh.cap {
+		// A dropped frame's buffer is reused like a victim's (see below).
+		if n := len(sh.free); n > 0 {
+			fr := sh.free[n-1]
+			sh.free[n-1] = nil
+			sh.free = sh.free[:n-1]
+			*fr = frame{id: id, slot: fr.slot, data: fr.data}
+			return fr, nil
+		}
 		fr := &frame{id: id}
 		fr.slot = make([]byte, s.opts.PageSize)
 		fr.data = fr.slot[slotHeaderLen : slotHeaderLen+s.usable]

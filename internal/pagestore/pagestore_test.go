@@ -224,6 +224,81 @@ func TestDropCacheForcesPhysicalReads(t *testing.T) {
 	}
 }
 
+// TestDropCacheReusesFrames pins the cold-cache refill: after
+// DropCache the pool's frames (and their page buffers) are reused, so
+// pages read back byte-identical, the counters match the first cold
+// pass exactly, and a drop-and-refetch cycle allocates no page buffers
+// (checked without -race only).
+func TestDropCacheReusesFrames(t *testing.T) {
+	for _, codec := range []Codec{nil, LZ()} {
+		const n = 40
+		st := tempStore(t, Options{PageSize: 1024, PoolPages: 64, Codec: codec})
+		rng := rand.New(rand.NewSource(1))
+		var ids []PageID
+		var want [][]byte
+		for i := 0; i < n; i++ {
+			p, err := st.Allocate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Half random, half repetitive: both raw and compressed slots.
+			if i%2 == 0 {
+				rng.Read(p.Data())
+			} else {
+				copy(p.Data(), bytes.Repeat([]byte{byte(i)}, 300))
+			}
+			ids = append(ids, p.ID())
+			want = append(want, append([]byte(nil), p.Data()...))
+			st.Unpin(p, true)
+		}
+		coldPass := func() Stats {
+			t.Helper()
+			if err := st.DropCache(); err != nil {
+				t.Fatal(err)
+			}
+			st.ResetStats()
+			for i, id := range ids {
+				p, err := st.Fetch(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(p.Data(), want[i]) {
+					t.Fatalf("page %d differs after DropCache", id)
+				}
+				st.Unpin(p, false)
+			}
+			return st.Stats()
+		}
+		first := coldPass()
+		if first.PhysicalReads != n || first.Hits != 0 {
+			t.Fatalf("cold pass: %+v, want %d reads and no hits", first, n)
+		}
+		if again := coldPass(); again != first {
+			t.Errorf("second cold pass stats %+v, want %+v", again, first)
+		}
+		if raceEnabled {
+			continue // the race runtime allocates on its own
+		}
+		// Per page: the *Page handle and the LRU element on unpin. A
+		// fresh frame and its page buffer would add two more.
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := st.DropCache(); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range ids {
+				p, err := st.Fetch(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.Unpin(p, false)
+			}
+		})
+		if allocs > 2*n+4 {
+			t.Errorf("drop-and-refetch of %d pages: %.0f allocs, want <= %d", n, allocs, 2*n+4)
+		}
+	}
+}
+
 func TestDropCacheRefusesPinned(t *testing.T) {
 	st := tempStore(t, Options{PageSize: 256})
 	p, _ := st.Allocate()

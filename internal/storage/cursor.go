@@ -57,10 +57,10 @@ func (db *DB) OpenTagCursor(tag string) *TagCursor {
 }
 
 // OpenTagDocCursor positions a cursor at the first posting of tag
-// within one document. Per-document cursors are what the exchange
-// operator hands each fragment: the key layout (tag, 0x00, doc, start)
-// makes a document a contiguous key range, so restricting the scan is
-// one longer prefix, not a filter.
+// within one document. The exchange operator scans each path tag of
+// each document with one: the key layout (tag, 0x00, doc, start) makes
+// a document a contiguous key range, so restricting the scan is one
+// longer prefix, not a filter.
 func (sn *Snapshot) OpenTagDocCursor(tag string, doc xmltree.DocID) *TagCursor {
 	prefix := tagPrefix(tag)
 	prefix = append(prefix, be32(uint32(doc))...)
