@@ -14,6 +14,8 @@
 // quantity is the *shape*: the groupby plan wins both experiments, and
 // wins the count experiment by a much larger factor. Per-iteration buffer-pool fetch counts are reported as
 // "fetches/op" — they are deterministic and machine-independent.
+// TestPaperShape (paper_shape_test.go) asserts that shape on exact
+// counts at a small scale, in every `go test`.
 //
 // The benchmark database defaults to 20,000 articles (~190k nodes) with
 // a pool scaled to keep the paper's roughly 1:3 pool:data ratio. Set

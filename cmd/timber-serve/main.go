@@ -19,8 +19,10 @@
 //
 //	POST /query  {"query": ..., "strategy"?: ..., "matcher"?: ..., "timeout_ms"?: ..., "parallelism"?: ...}
 //	GET  /query?q=...&strategy=...&matcher=...&timeout_ms=...
-//	     matcher selects the physical plan's pattern matcher (auto =
-//	     planner decides; binary, twig override — byte-identical
+//	     strategy "" or auto runs groupby when the grouping rewrite
+//	     applies, else physical; matcher selects the physical plan's
+//	     pattern matcher (auto = twig when every pattern node is
+//	     tagged, else binary; binary, twig override — byte-identical
 //	     results either way).
 //	     200 JSON result; 400 malformed query/strategy/matcher; 504 per-request
 //	     timeout exceeded; 429 admission limit reached (Retry-After: 1);

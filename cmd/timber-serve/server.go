@@ -215,22 +215,24 @@ func (s *server) instrument(next http.Handler) http.Handler {
 type queryRequest struct {
 	// Query is the XQuery-subset text to run.
 	Query string `json:"query"`
-	// Strategy names an exec.Strategy ("" = auto: the cost-based
-	// planner picks the plan; an explicit name is an override).
+	// Strategy names an exec.Strategy ("" = auto: groupby when the
+	// grouping rewrite applies, else physical; an explicit name is an
+	// override).
 	Strategy string `json:"strategy,omitempty"`
 	// Matcher names the pattern matcher for the physical plan ("" or
-	// "auto" = planner decides; "binary"/"twig" are overrides). Results
-	// are byte-identical across matchers.
+	// "auto" = twig when every pattern node is tagged, else binary;
+	// "binary"/"twig" are overrides). Results are byte-identical across
+	// matchers.
 	Matcher string `json:"matcher,omitempty"`
 	// TimeoutMS overrides the service's default per-request timeout,
 	// capped at the configured maximum.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// Parallelism overrides the per-query worker bound.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Explain requests the planner's EXPLAIN report alongside the
-	// result: plan choice, costed candidates, and per-operator
-	// estimates joined against the run's actual row counts
-	// (GET: ?explain=1).
+	// Explain requests the EXPLAIN report alongside the result: the
+	// strategy (and, for physical runs, the matcher) that ran, and the
+	// planner's per-operator estimates joined against the run's actual
+	// row counts (GET: ?explain=1).
 	Explain bool `json:"explain,omitempty"`
 }
 

@@ -676,7 +676,7 @@ func TestRequestLogAndGauges(t *testing.T) {
 }
 
 // TestQueryExplain: ?explain=1 (GET) and {"explain": true} (POST)
-// attach the planner's report — plan choice, candidates, and operator
+// attach the EXPLAIN report — the plan that ran and the operator
 // estimates joined against the run's actuals — without changing the
 // result bytes.
 func TestQueryExplain(t *testing.T) {

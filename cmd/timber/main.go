@@ -6,7 +6,6 @@
 //	timber gen   -articles 10000 -db bib.timber      ... loaded straight into a database
 //	timber load  -db bib.timber doc1.xml [doc2.xml]  create a database from XML files
 //	timber stats -db bib.timber [-tags]              catalog, tags, storage footprint
-//	timber stats -calibrate events.jsonl             planner accuracy from a journal dump
 //	timber match -db bib.timber -p '<pattern>'       witnesses of a raw pattern tree
 //	timber query -db bib.timber [-f q.xq | 'query']  plan and run an XQuery-subset query
 //

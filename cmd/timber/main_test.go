@@ -109,7 +109,7 @@ func TestCLI(t *testing.T) {
 					t.Errorf("trace file has no operator spans: %s", raw)
 				}
 			}},
-		{"help", []string{"stats", "-h"}, 0, contains("stderr", "-calibrate")},
+		{"help", []string{"stats", "-h"}, 0, contains("stderr", "-tags")},
 		{"unknown subcommand", []string{"frobnicate"}, 2, contains("stderr", "gen, load, match, query, stats")},
 		{"no subcommand", nil, 2, contains("stderr", "usage: timber")},
 	}

@@ -22,10 +22,11 @@ import (
 // detected) the GROUPBY rewrite, executes the query, and prints the
 // result trees as XML.
 //
-// -plan auto (the default) runs the candidate the cost-based planner
-// costs cheapest; the other exec.StrategyNames() values override it,
-// and those that need the grouping rewrite fall back to the physical
-// plan, with a note, when the idiom is not detected. -trace fails the
+// -plan auto (the default) runs groupby when the grouping idiom is
+// detected and physical otherwise; the other exec.StrategyNames()
+// values override it, and those that need the grouping rewrite fall
+// back to the physical plan, with a note, when the idiom is not
+// detected. -trace fails the
 // command unless the span deltas sum to the database's global counters
 // (the exactness invariant). With -explain as well, the report's
 // actuals are joined from that same traced run.
@@ -33,14 +34,14 @@ func (c *cli) query(args []string) error {
 	fs := c.flags("query")
 	dbPath := fs.String("db", "timber.db", "database file")
 	queryFile := fs.String("f", "", "read the query from this file")
-	strategy := fs.String("plan", "auto", "execution strategy: "+strings.Join(exec.StrategyNames(), ", ")+" (auto = cost-based planner)")
-	matcher := fs.String("matcher", "auto", "pattern matcher for the physical plan: auto (planner decides; default), binary, twig")
+	strategy := fs.String("plan", "auto", "execution strategy: "+strings.Join(exec.StrategyNames(), ", ")+" (auto = groupby when the grouping rewrite applies, else physical)")
+	matcher := fs.String("matcher", "auto", "pattern matcher for the physical plan: auto (default: twig when every pattern node is tagged, else binary), binary, twig")
 	poolMB := fs.Int("poolmb", 32, "buffer pool size in MiB")
 	parallel := fs.Int("parallel", 0, "worker bound for the physical executors (0 = GOMAXPROCS, 1 = sequential)")
 	maxMem := fs.Int64("maxmem", 0, "cap, in bytes, on the output content the streaming executor materializes; the query fails cleanly (no partial output) past it (0 = unlimited)")
 	showPlans := fs.Bool("plans", true, "print the naive and rewritten plans")
 	quiet := fs.Bool("q", false, "suppress result trees (print timing only)")
-	explain := fs.Bool("explain", false, "print the planner's EXPLAIN report (plan choice, estimates vs actuals) to stderr")
+	explain := fs.Bool("explain", false, "print the EXPLAIN report (strategy, matcher, estimates vs actuals) to stderr")
 	explainFile := fs.String("explainfile", "", "write the EXPLAIN report as JSON to this file")
 	trace := fs.Bool("trace", false, "print a per-operator EXPLAIN ANALYZE tree to stderr")
 	traceFile := fs.String("tracefile", "", "write the per-operator trace as JSON to this file")

@@ -3,28 +3,18 @@ package main
 import (
 	"errors"
 	"fmt"
-	"os"
 
-	"timber/internal/opt/planner"
 	"timber/internal/storage"
 )
 
 // stats inspects a database file: the document catalog, the distinct
-// tags with their posting counts, and the storage footprint. With
-// -calibrate it instead reads an event-journal dump (a crash dump or
-// saved /debug/events output) and prints the planner's estimation
-// accuracy per estimated quantity, from the plan_estimate events that
-// auto-strategy queries emit, with a suggested scale for each.
+// tags with their posting counts, and the storage footprint.
 func (c *cli) stats(args []string) error {
 	fs := c.flags("stats")
 	dbPath := fs.String("db", "timber.db", "database file")
 	showTags := fs.Bool("tags", true, "list tags with posting counts")
-	calibrate := fs.String("calibrate", "", "summarize planner estimation accuracy from the plan_estimate events in this journal dump instead of inspecting -db")
 	if err := parse(fs, args); err != nil {
 		return err
-	}
-	if *calibrate != "" {
-		return c.calibrate(*calibrate)
 	}
 	return withDB(*dbPath, false, storage.Options{}, func(db *storage.DB) error {
 		info, err := db.SizeInfo()
@@ -67,21 +57,4 @@ func (c *cli) stats(args []string) error {
 		}
 		return nil
 	})
-}
-
-// calibrate prints the planner calibration table for a journal dump.
-func (c *cli) calibrate(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rep, err := planner.ReadCalibration(f)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(c.stdout, "planner calibration (journal dump %s):\n", path)
-	fmt.Fprintf(c.stdout, "  %d plan_estimate events over %d journal lines\n", rep.Events, rep.Lines)
-	fmt.Fprint(c.stdout, planner.CalibrationTable(rep))
-	return nil
 }

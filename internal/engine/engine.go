@@ -78,15 +78,10 @@ type Engine struct {
 	prepareSeconds *obs.HistogramVec
 	strategyTotal  *obs.CounterVec
 
-	// Planner family: plannerPicks counts cost-based decisions by
-	// chosen strategy (auto executions only — explicit strategies are
-	// overrides, not picks); plannerEstErr distributes the planner's
-	// relative cardinality-estimation error, measured against the
-	// actuals of the run it planned; matcherPicks counts the planner's
-	// pattern-matcher decisions on the physical path by chosen matcher.
-	plannerPicks  *obs.CounterVec
+	// plannerEstErr distributes the planner's relative
+	// cardinality-estimation error, measured against the actuals of the
+	// auto run it estimated.
 	plannerEstErr *obs.HistogramVec
-	matcherPicks  *obs.CounterVec
 
 	// Cardinality-statistics cache for the planner, revalidated by
 	// storage epoch (any commit moves the epoch, so a hit can never
@@ -130,13 +125,9 @@ func New(db *storage.DB, opts Options) *Engine {
 			obs.DefaultLatencyBuckets, "cache"),
 		strategyTotal: reg.CounterVec("engine_strategy_total",
 			"Executions by chosen strategy (after fallback).", "strategy"),
-		plannerPicks: reg.CounterVec("planner_picks_total",
-			"Cost-based planner decisions by chosen strategy (auto executions).", "strategy"),
 		plannerEstErr: reg.HistogramVec("planner_estimate_error",
 			"Relative error of planner cardinality estimates vs actuals.",
 			estErrBuckets, "quantity"),
-		matcherPicks: reg.CounterVec("planner_matcher_picks_total",
-			"Cost-based planner pattern-matcher decisions by chosen matcher (auto executions).", "matcher"),
 	}
 }
 
@@ -189,8 +180,8 @@ type PreparedQuery struct {
 	Spec exec.Spec
 	// Pattern is the first pattern tree the physical plan embeds into
 	// the database (the deepest Select over a DBScan leaf), the input
-	// to the planner's matcher choice. Nil when the plan has no indexed
-	// leaf selection.
+	// to match.Resolve. Nil when the plan has no indexed leaf
+	// selection.
 	Pattern *pattern.Tree
 }
 
@@ -295,14 +286,15 @@ func (e *Engine) compile(query string) (*PreparedQuery, error) {
 // ExecOptions are the per-execution knobs of a prepared query.
 type ExecOptions struct {
 	// Strategy selects the physical plan. The zero value,
-	// exec.StrategyAuto, hands the choice to the cost-based planner:
-	// the engine costs the candidate plans against the database's
-	// cardinality statistics (building them on first use) and runs the
-	// cheapest; Result.Strategy reports what ran. An explicit strategy
-	// is an override. Spec-level strategies (groupby, direct, ...)
-	// require the grouping rewrite; when it did not apply they fall
-	// back to the generic physical plan, so every value always works.
-	// StrategyLogical forces the in-memory reference evaluator.
+	// exec.StrategyAuto, runs the groupby plan when the grouping
+	// rewrite applied (the paper's Sec. 6 result) and records the
+	// planner's estimates against the run's actuals (building the
+	// cardinality statistics on first use); Result.Strategy reports
+	// what ran. An explicit strategy is an override. Spec-level
+	// strategies (groupby, direct, ...) require the grouping rewrite;
+	// when it did not apply they — and auto — fall back to the generic
+	// physical plan, so every value always works. StrategyLogical
+	// forces the in-memory reference evaluator.
 	Strategy exec.Strategy
 	// Parallelism overrides the engine default when non-zero.
 	Parallelism int
@@ -327,11 +319,11 @@ type ExecOptions struct {
 	Tracer *obs.Tracer
 	// Matcher selects the pattern-matching algorithm for the physical
 	// plan's indexed leaf selections. The zero value,
-	// match.MatcherAuto, hands the choice to the cost-based planner
-	// (holistic twig join vs cascaded binary joins, costed on the same
-	// cardinality statistics the strategy choice uses); an explicit
-	// matcher is an override. Results are byte-identical either way —
-	// only the index access pattern changes.
+	// match.MatcherAuto, resolves by match.Resolve's rule: the
+	// holistic twig join when every pattern node is tagged, cascaded
+	// binary joins otherwise; an explicit matcher is an override.
+	// Results are byte-identical either way — only the index access
+	// pattern changes.
 	Matcher match.MatcherKind
 }
 
@@ -401,30 +393,38 @@ func (pq *PreparedQuery) run(ctx context.Context, o ExecOptions) (*Result, *obs.
 	return res, tree, nil
 }
 
-// resolvePlan maps the requested strategy to the one to run: the
-// planner decides for StrategyAuto on grouping queries (returning its
-// Decision); queries outside the grouping family fall back to the
-// generic physical plan as before.
-func (pq *PreparedQuery) resolvePlan(requested exec.Strategy) (exec.Strategy, *planner.Decision) {
-	if !pq.Applied && requested != exec.StrategyLogical && requested != exec.StrategyPhysical {
-		return exec.StrategyPhysical, nil
+// resolvePlan maps the requested strategy to the one to run:
+// StrategyAuto runs the groupby plan on grouping queries; queries
+// outside the grouping family fall back to the generic physical plan
+// under auto and under every Spec-level strategy.
+func (pq *PreparedQuery) resolvePlan(requested exec.Strategy) exec.Strategy {
+	switch {
+	case !pq.Applied && requested != exec.StrategyLogical && requested != exec.StrategyPhysical:
+		return exec.StrategyPhysical
+	case requested == exec.StrategyAuto:
+		return exec.StrategyGroupBy
 	}
-	if requested == exec.StrategyAuto {
-		dec := planner.Choose(pq.eng.cardStats(), pq.Spec)
-		return dec.Strategy, dec
-	}
-	return requested, nil
+	return requested
 }
 
-// resolveMatcher maps the requested matcher to the one to run: the
-// planner decides for match.MatcherAuto when the plan embeds a pattern
-// (returning its MatcherDecision); an explicit matcher is an override.
-func (pq *PreparedQuery) resolveMatcher(requested match.MatcherKind) (match.MatcherKind, *planner.MatcherDecision) {
-	if requested != match.MatcherAuto || pq.Pattern == nil {
-		return requested, nil
+// matcherFor is the pattern matcher a run of strat uses: MatcherAuto
+// for strategies that never run package match, else match.Resolve's
+// pick for the plan's pattern (the request itself when the plan embeds
+// none).
+func (pq *PreparedQuery) matcherFor(strat exec.Strategy, requested match.MatcherKind) match.MatcherKind {
+	switch {
+	case strat != exec.StrategyPhysical:
+		return match.MatcherAuto
+	case pq.Pattern == nil:
+		return requested
 	}
-	dec := planner.ChooseMatcher(pq.eng.cardStats(), pq.Pattern)
-	return dec.Matcher, dec
+	return match.Resolve(pq.Pattern, requested)
+}
+
+// estimates is the planner's view of a strat run of the grouping Spec,
+// read off the engine's cached statistics.
+func (pq *PreparedQuery) estimates(strat exec.Strategy) *planner.Estimates {
+	return planner.Estimate(pq.eng.cardStats(), pq.Spec, strat)
 }
 
 // patternOf finds the pattern tree the physical evaluation will match
@@ -472,7 +472,7 @@ func patternOf(op plan.Op) *pattern.Tree {
 // planner, building them transactionally on first use (or after an
 // offline bulk load left them stale) and caching per storage epoch.
 // Returns nil when statistics cannot be obtained at all — the planner
-// then falls back to the default strategy.
+// then reports zero estimates.
 func (e *Engine) cardStats() *stats.Catalog {
 	epoch := e.db.Epoch()
 	e.statsMu.Lock()
@@ -494,62 +494,24 @@ func (e *Engine) cardStats() *stats.Catalog {
 	return cat
 }
 
-// observePlan records the planner observations for one auto execution:
-// the pick (counter + plan_decision event) and the relative estimation
-// error against the run's actuals (histogram + plan_estimate event, so
-// a mis-estimate is inspectable per query, not just in aggregate).
-func (e *Engine) observePlan(qid string, dec *planner.Decision, strat exec.Strategy, res *Result) {
-	if dec == nil {
+// observeEstimate records the planner's relative estimation error for
+// one auto execution against the run's actuals: the histogram plus a
+// plan_estimate event, so a mis-estimate is inspectable per query, not
+// just in aggregate.
+func (e *Engine) observeEstimate(qid string, est *planner.Estimates, res *Result) {
+	if !est.StatsUsed {
 		return
 	}
-	e.plannerPicks.With(strat.String()).Inc()
-	j := e.db.Journal()
-	var cost float64
-	if len(dec.Candidates) > 0 {
-		cost = dec.Candidates[0].Cost
-	}
-	j.Emit(obs.Event{
-		Type:  obs.EvPlanDecision,
-		QID:   qid,
-		Label: strat.String(),
-		Value: cost,
-		Count: int64(len(dec.Candidates)),
-	})
-	if dec.StatsUsed && res != nil {
-		actual := float64(res.Stats.Groups)
-		err := relErr(dec.Groups, actual)
-		e.plannerEstErr.With("groups").Observe(err)
-		j.Emit(obs.Event{
-			Type:  obs.EvPlanEstimate,
-			QID:   qid,
-			Label: "groups",
-			Count: int64(dec.Groups),
-			Aux:   int64(actual),
-			Value: err,
-		})
-	}
-}
-
-// observeMatcher records one planner matcher decision: the pick
-// counter plus a plan_decision journal event labeled
-// "matcher:<name>", distinguishing matcher picks from strategy picks
-// in the same event stream. Overrides (nil decision) record nothing —
-// they are the caller's choice, not the planner's.
-func (e *Engine) observeMatcher(qid string, dec *planner.MatcherDecision) {
-	if dec == nil {
-		return
-	}
-	e.matcherPicks.With(dec.Matcher.String()).Inc()
-	var cost float64
-	if len(dec.Candidates) > 0 {
-		cost = dec.Candidates[0].Cost
-	}
+	actual := float64(res.Stats.Groups)
+	err := relErr(est.Groups, actual)
+	e.plannerEstErr.With("groups").Observe(err)
 	e.db.Journal().Emit(obs.Event{
-		Type:  obs.EvPlanDecision,
+		Type:  obs.EvPlanEstimate,
 		QID:   qid,
-		Label: "matcher:" + dec.Matcher.String(),
-		Value: cost,
-		Count: int64(len(dec.Candidates)),
+		Label: "groups",
+		Count: int64(est.Groups),
+		Aux:   int64(actual),
+		Value: err,
 	})
 }
 
@@ -582,7 +544,7 @@ func (pq *PreparedQuery) execute(ctx context.Context, o ExecOptions) (*Result, e
 		Tracer:              o.Tracer,
 		Ctx:                 ctx,
 	}
-	strat, dec := pq.resolvePlan(o.Strategy)
+	strat := pq.resolvePlan(o.Strategy)
 	switch strat {
 	case exec.StrategyLogical:
 		out, err := exec.ExecLogical(pq.eng.db, pq.Naive)
@@ -591,15 +553,17 @@ func (pq *PreparedQuery) execute(ctx context.Context, o ExecOptions) (*Result, e
 		}
 		return &Result{Trees: out.Trees, Strategy: strat}, nil
 	case exec.StrategyPhysical:
-		mkind, mdec := pq.resolveMatcher(o.Matcher)
-		xo.Matcher = mkind
+		xo.Matcher = pq.matcherFor(strat, o.Matcher)
 		out, err := exec.ExecPhysical(pq.eng.db, pq.Rewritten, xo)
 		if err != nil {
 			return nil, err
 		}
-		pq.eng.observeMatcher(obs.QueryIDFrom(ctx), mdec)
-		return &Result{Trees: out.Trees, Strategy: strat, Matcher: mkind}, nil
+		return &Result{Trees: out.Trees, Strategy: strat, Matcher: xo.Matcher}, nil
 	default:
+		var est *planner.Estimates
+		if o.Strategy == exec.StrategyAuto {
+			est = pq.estimates(strat)
+		}
 		spec := pq.Spec
 		spec.Strategy = strat
 		res, err := exec.Run(pq.eng.db, spec, xo)
@@ -607,7 +571,9 @@ func (pq *PreparedQuery) execute(ctx context.Context, o ExecOptions) (*Result, e
 			return nil, err
 		}
 		out := &Result{Trees: res.Trees, Stats: res.Stats, Strategy: strat}
-		pq.eng.observePlan(obs.QueryIDFrom(ctx), dec, strat, out)
+		if est != nil {
+			pq.eng.observeEstimate(obs.QueryIDFrom(ctx), est, out)
+		}
 		return out, nil
 	}
 }

@@ -8,15 +8,15 @@ import (
 	"time"
 
 	"timber/internal/exec"
+	"timber/internal/match"
 	"timber/internal/obs"
-	"timber/internal/opt/planner"
 )
 
-// Explain is the first-class EXPLAIN report: the strategy the planner
-// chose (or the override that preempted it), the costed alternatives,
-// and per-operator cardinality estimates — joined against the actuals
-// from the execution trace when the query has run. It renders as text
-// (Text) and marshals directly to JSON.
+// Explain is the first-class EXPLAIN report: the strategy that runs
+// (auto's rule, or the override that preempted it), the matcher when
+// that strategy is physical, and per-operator cardinality estimates —
+// joined against the actuals from the execution trace when the query
+// has run. It renders as text (Text) and marshals directly to JSON.
 type Explain struct {
 	// Query is the source text.
 	Query string `json:"query"`
@@ -24,29 +24,20 @@ type Explain struct {
 	// physical grouping plan the strategies below execute.
 	Applied bool `json:"grouping_rewrite"`
 	// Requested is the strategy the caller asked for ("auto" when the
-	// planner decided).
+	// engine's rule decided).
 	Requested string `json:"requested_strategy"`
 	// Strategy is the plan that was (or would be) run.
 	Strategy string `json:"strategy"`
 	// StatsUsed and StatsFresh report whether cardinality statistics
-	// informed the choice and whether they described exactly the
+	// informed the estimates and whether they described exactly the
 	// current data.
 	StatsUsed  bool `json:"stats_used"`
 	StatsFresh bool `json:"stats_fresh"`
-	// Candidates are the costed alternatives, cheapest first (empty
-	// when the strategy was forced or the planner had no statistics).
-	Candidates []ExplainCandidate `json:"candidates,omitempty"`
-	// Matcher is the pattern-matching algorithm the physical path runs
-	// — the planner's pick under auto, the override otherwise. Empty
-	// when the plan embeds no pattern into the database.
+	// Matcher is the pattern-matching algorithm the run uses, as
+	// Result.Matcher reports it: set only when the strategy is
+	// physical (match.Resolve's pick for the plan's pattern), empty for
+	// strategies that never run package match.
 	Matcher string `json:"matcher,omitempty"`
-	// MatcherCandidates are the costed matcher alternatives, cheapest
-	// first (empty under an override).
-	MatcherCandidates []ExplainMatcherCandidate `json:"matcher_candidates,omitempty"`
-	// JoinOrder is the chosen matcher's expected edge-resolution order
-	// over the pattern labels: the greedy simulation for the binary
-	// cascade, pattern pre-order for the holistic matcher.
-	JoinOrder []string `json:"join_order,omitempty"`
 	// Operators estimates each physical operator's output rows, in
 	// pipeline order; after execution ActualRows carries the traced
 	// row counts.
@@ -64,20 +55,6 @@ type Explain struct {
 	Note string `json:"note,omitempty"`
 }
 
-// ExplainCandidate is one costed strategy alternative.
-type ExplainCandidate struct {
-	Strategy string  `json:"strategy"`
-	Cost     float64 `json:"cost"`
-	Detail   string  `json:"detail,omitempty"`
-}
-
-// ExplainMatcherCandidate is one costed pattern-matcher alternative.
-type ExplainMatcherCandidate struct {
-	Matcher string  `json:"matcher"`
-	Cost    float64 `json:"cost"`
-	Detail  string  `json:"detail,omitempty"`
-}
-
 // ExplainOp is one physical operator's estimated (and, after
 // execution, actual) output cardinality.
 type ExplainOp struct {
@@ -91,7 +68,7 @@ type ExplainOp struct {
 // Explain reports the plan the engine would run for these options,
 // with per-operator cardinality estimates, without executing anything.
 func (pq *PreparedQuery) Explain(o ExecOptions) *Explain {
-	strat, dec := pq.resolvePlan(o.Strategy)
+	strat := pq.resolvePlan(o.Strategy)
 	x := &Explain{
 		Query:        pq.Text,
 		Applied:      pq.Applied,
@@ -99,16 +76,8 @@ func (pq *PreparedQuery) Explain(o ExecOptions) *Explain {
 		Strategy:     strat.String(),
 		ActualGroups: -1,
 	}
-	if pq.Pattern != nil {
-		mkind, mdec := pq.resolveMatcher(o.Matcher)
-		x.Matcher = mkind.String()
-		if mdec != nil {
-			for _, c := range mdec.Candidates {
-				x.MatcherCandidates = append(x.MatcherCandidates,
-					ExplainMatcherCandidate{Matcher: c.Matcher.String(), Cost: c.Cost, Detail: c.Detail})
-			}
-			x.JoinOrder = mdec.JoinOrder
-		}
+	if m := pq.matcherFor(strat, o.Matcher); m != match.MatcherAuto {
+		x.Matcher = m.String()
 	}
 	if !pq.Applied {
 		if o.Strategy != exec.StrategyLogical && o.Strategy != exec.StrategyPhysical {
@@ -120,19 +89,14 @@ func (pq *PreparedQuery) Explain(o ExecOptions) *Explain {
 	case exec.StrategyLogical, exec.StrategyPhysical:
 		return x
 	}
-	if dec == nil {
-		// Forced strategy: estimate its operators anyway so EXPLAIN
-		// ANALYZE works under overrides too.
-		dec = pq.describeForced(strat)
-		x.Note = "strategy forced by caller; planner bypassed"
+	if o.Strategy != exec.StrategyAuto {
+		x.Note = "strategy forced by caller"
 	}
-	x.StatsUsed = dec.StatsUsed
-	x.StatsFresh = dec.StatsFresh
-	x.EstGroups = dec.Groups
-	for _, c := range dec.Candidates {
-		x.Candidates = append(x.Candidates, ExplainCandidate{Strategy: c.Strategy.String(), Cost: c.Cost, Detail: c.Detail})
-	}
-	for _, op := range dec.Operators {
+	est := pq.estimates(strat)
+	x.StatsUsed = est.StatsUsed
+	x.StatsFresh = est.StatsFresh
+	x.EstGroups = est.Groups
+	for _, op := range est.Operators {
 		x.Operators = append(x.Operators, ExplainOp{Op: op.Op, EstRows: op.Rows, ActualRows: -1})
 	}
 	return x
@@ -146,14 +110,11 @@ func (pq *PreparedQuery) Explain(o ExecOptions) *Explain {
 // the report was joined from), else the engine's wall-clock-only one.
 func (pq *PreparedQuery) ExplainExecute(ctx context.Context, o ExecOptions) (*Explain, *Result, error) {
 	x := pq.Explain(o)
-	strat, dec := pq.resolvePlan(o.Strategy)
-	o.Strategy = strat // pin the resolved plan: the run must match the report
 	start := time.Now()
 	res, data, err := pq.run(ctx, o)
 	if err != nil {
 		return nil, nil, err
 	}
-	pq.eng.observePlan(obs.QueryIDFrom(ctx), dec, strat, res)
 	x.Executed = true
 	x.ElapsedNS = time.Since(start).Nanoseconds()
 	x.Strategy = res.Strategy.String()
@@ -203,39 +164,13 @@ func spanRows(d *obs.SpanData) (int64, bool) {
 	return 0, false
 }
 
-// describeForced builds a Decision-shaped estimate report for an
-// explicitly requested strategy, so EXPLAIN under an override still
-// shows per-operator expectations.
-func (pq *PreparedQuery) describeForced(strat exec.Strategy) *planner.Decision {
-	cat := pq.eng.cardStats()
-	full := planner.Choose(cat, pq.Spec)
-	full.Strategy = strat
-	full.Candidates = nil
-	full.Operators = planner.Describe(cat, pq.Spec, strat)
-	return full
-}
-
 // Text renders the report as an indented tree, estimates beside
 // actuals.
 func (x *Explain) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "strategy: %s (requested %s)\n", x.Strategy, x.Requested)
 	if x.Matcher != "" {
-		fmt.Fprintf(&b, "matcher: %s", x.Matcher)
-		if len(x.JoinOrder) > 0 {
-			fmt.Fprintf(&b, " (join order %s)", strings.Join(x.JoinOrder, " -> "))
-		}
-		b.WriteByte('\n')
-	}
-	if len(x.MatcherCandidates) > 0 {
-		b.WriteString("matcher candidates:\n")
-		for _, c := range x.MatcherCandidates {
-			fmt.Fprintf(&b, "  %-12s cost %12.0f", c.Matcher, c.Cost)
-			if c.Detail != "" {
-				fmt.Fprintf(&b, "  (%s)", c.Detail)
-			}
-			b.WriteByte('\n')
-		}
+		fmt.Fprintf(&b, "matcher: %s\n", x.Matcher)
 	}
 	if !x.Applied {
 		b.WriteString("grouping rewrite: not applied\n")
@@ -251,16 +186,6 @@ func (x *Explain) Text() string {
 		fmt.Fprintf(&b, "statistics: %s\n", fresh)
 	} else if x.Applied {
 		b.WriteString("statistics: unavailable\n")
-	}
-	if len(x.Candidates) > 0 {
-		b.WriteString("candidates:\n")
-		for _, c := range x.Candidates {
-			fmt.Fprintf(&b, "  %-12s cost %12.0f", c.Strategy, c.Cost)
-			if c.Detail != "" {
-				fmt.Fprintf(&b, "  (%s)", c.Detail)
-			}
-			b.WriteByte('\n')
-		}
 	}
 	if len(x.Operators) > 0 {
 		b.WriteString("operators:\n")

@@ -1,24 +1,20 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
 	"timber/internal/dblpgen"
 	"timber/internal/exec"
 	"timber/internal/obs"
-	"timber/internal/opt/planner"
 	"timber/internal/paperdata"
 	"timber/internal/storage"
 )
 
-// TestSelfCalibration closes the planner-calibration loop in process:
-// auto-strategy executions of the Sec. 6 queries over a journaled
-// database emit plan_estimate events, and the journal's own dump reads
-// back through planner.ReadCalibration — the reader `timber stats
-// -calibrate` runs on operator dumps — as one quantity per estimate with
-// the repeated samples counted.
+// TestSelfCalibration: auto-strategy executions of the Sec. 6 queries
+// over a journaled database emit one plan_estimate "groups" event per
+// execution, each carrying the estimate, the run's actual and their
+// relative error.
 func TestSelfCalibration(t *testing.T) {
 	journal := obs.NewJournal(obs.DefaultJournalEvents)
 	db, err := storage.CreateTemp(storage.Options{PoolPages: 1024, Journal: journal})
@@ -42,26 +38,21 @@ func TestSelfCalibration(t *testing.T) {
 			}
 		}
 	}
-	var dump bytes.Buffer
-	if err := journal.WriteDump(&dump); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := planner.ReadCalibration(&dump)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%d events in %d lines\n%s", rep.Events, rep.Lines, planner.CalibrationTable(rep))
-	var groups *planner.CalibrationQuantity
-	for i, q := range rep.Quantities {
-		if q.Samples == 0 || q.Bias <= 0 || q.Suggestion == "" {
-			t.Errorf("degenerate quantity summary %+v", q)
+	var groups int
+	for _, ev := range journal.Events(obs.EventFilter{Types: []obs.EventType{obs.EvPlanEstimate}}) {
+		if ev.Label != "groups" {
+			continue
 		}
-		if q.Quantity == "groups" {
-			groups = &rep.Quantities[i]
+		groups++
+		if ev.Aux <= 0 {
+			t.Errorf("plan_estimate %+v: actual groups %d, want > 0", ev, ev.Aux)
+		}
+		if ev.Value < 0 {
+			t.Errorf("plan_estimate %+v: negative relative error", ev)
 		}
 	}
-	if groups == nil || groups.Samples != 2*runs {
-		t.Fatalf("groups quantity = %+v, want %d samples (one per auto execution)", groups, 2*runs)
+	if groups != 2*runs {
+		t.Fatalf("groups plan_estimate events = %d, want %d (one per auto execution)", groups, 2*runs)
 	}
 }
 
@@ -88,7 +79,7 @@ func TestJournalByteIdentity(t *testing.T) {
 
 	ctx := context.Background()
 	strategies := []exec.Strategy{
-		0, // auto: the planner decides
+		0, // auto: groupby when the rewrite applies
 		exec.StrategyGroupBy,
 		exec.StrategyDirect,
 		exec.StrategyDirectBatch,

@@ -53,10 +53,12 @@ func TestMatcherByteIdenticalAcrossMatchers(t *testing.T) {
 	}
 }
 
-// TestAutoMatcherObserved: an auto physical execution records the
-// planner's matcher pick — the planner_matcher_picks_total counter and
-// a plan_decision journal event labeled "matcher:<name>" — while an
-// explicit override records neither.
+// TestAutoMatcherObserved: an auto physical execution reports the
+// concrete matcher match.Resolve picks for the plan's pattern — twig,
+// since every node of query1's pattern is tagged — and EXPLAIN names
+// the same one; an explicit override is reported as requested. A
+// physical run emits no plan_estimate event: the planner's estimates
+// describe the grouping pipeline only.
 func TestAutoMatcherObserved(t *testing.T) {
 	journal := obs.NewJournal(256)
 	db, err := storage.CreateTemp(storage.Options{Journal: journal})
@@ -73,80 +75,71 @@ func TestAutoMatcherObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	res, err := pq.Execute(ctx, ExecOptions{Strategy: exec.StrategyPhysical})
+	o := ExecOptions{Strategy: exec.StrategyPhysical}
+	res, err := pq.Execute(ctx, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Matcher == match.MatcherAuto {
-		t.Error("auto execution did not resolve to a concrete matcher")
+	if want := match.Resolve(pq.Pattern, match.MatcherAuto); res.Matcher != want || want != match.MatcherTwig {
+		t.Errorf("auto physical run reports matcher %v, want %v (twig)", res.Matcher, want)
 	}
-	picks := e.Registry().CounterVec("planner_matcher_picks_total", "", "matcher")
-	if got := picks.With(res.Matcher.String()).Load(); got != 1 {
-		t.Errorf("planner_matcher_picks_total{%s} = %d, want 1", res.Matcher, got)
+	if x := pq.Explain(o); x.Matcher != res.Matcher.String() {
+		t.Errorf("Explain matcher = %q, run reports %q", x.Matcher, res.Matcher)
 	}
-	var matcherEvents int
-	for _, ev := range journal.Events(obs.EventFilter{Types: []obs.EventType{obs.EvPlanDecision}}) {
-		if strings.HasPrefix(ev.Label, "matcher:") {
-			matcherEvents++
-			if ev.Label != "matcher:"+res.Matcher.String() {
-				t.Errorf("plan_decision label = %q, want matcher:%s", ev.Label, res.Matcher)
-			}
-			if ev.Count != 2 {
-				t.Errorf("plan_decision candidates = %d, want 2", ev.Count)
-			}
-		}
-	}
-	if matcherEvents != 1 {
-		t.Errorf("matcher plan_decision events = %d, want 1", matcherEvents)
+	if n := len(journal.Events(obs.EventFilter{Types: []obs.EventType{obs.EvPlanEstimate}})); n != 0 {
+		t.Errorf("physical run emitted %d plan_estimate events, want 0", n)
 	}
 
-	// An override is the caller's choice, not a planner pick.
-	if _, err := pq.Execute(ctx, ExecOptions{Strategy: exec.StrategyPhysical, Matcher: match.MatcherBinary}); err != nil {
+	o.Matcher = match.MatcherBinary
+	forced, err := pq.Execute(ctx, o)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := picks.With(match.MatcherBinary.String()).Load() + picks.With(match.MatcherTwig.String()).Load(); got != 1 {
-		t.Errorf("override incremented planner_matcher_picks_total (total %d, want 1)", got)
+	if forced.Matcher != match.MatcherBinary {
+		t.Errorf("binary override reports matcher %v", forced.Matcher)
+	}
+	if x := pq.Explain(o); x.Matcher != "binary" {
+		t.Errorf("override explain matcher = %q, want binary", x.Matcher)
 	}
 }
 
-// TestExplainReportsMatcher: EXPLAIN surfaces the planner's matcher
-// choice — candidates cost-sorted, the chosen matcher cheapest, the
-// join order over the pattern labels — in both the struct and the
-// text rendering, and an override shows up as the matcher with no
-// candidates.
+// TestExplainReportsMatcher: EXPLAIN names a matcher exactly when the
+// strategy that runs is physical, and then the same one Result.Matcher
+// reports. On query1 auto runs groupby, which never calls package
+// match: no matcher, as the run's Result.Matcher (auto) says. On the
+// non-grouping query auto falls back to physical and both name twig.
 func TestExplainReportsMatcher(t *testing.T) {
 	e := sampleEngine(t, Options{})
-	pq, err := e.Prepare(query1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := pq.Explain(ExecOptions{})
-	if x.Matcher != "binary" && x.Matcher != "twig" {
-		t.Fatalf("Explain matcher = %q, want a concrete pick", x.Matcher)
-	}
-	if len(x.MatcherCandidates) != 2 {
-		t.Fatalf("matcher candidates = %+v, want 2", x.MatcherCandidates)
-	}
-	if x.MatcherCandidates[0].Cost > x.MatcherCandidates[1].Cost {
-		t.Errorf("matcher candidates not cost-sorted: %+v", x.MatcherCandidates)
-	}
-	if x.MatcherCandidates[0].Matcher != x.Matcher {
-		t.Errorf("chose %q but cheapest matcher candidate is %q", x.Matcher, x.MatcherCandidates[0].Matcher)
-	}
-	if len(x.JoinOrder) == 0 {
-		t.Error("Explain reports no join order")
-	}
-	txt := x.Text()
-	if !strings.Contains(txt, "matcher: "+x.Matcher) || !strings.Contains(txt, "matcher candidates:") {
-		t.Errorf("Text() missing matcher lines:\n%s", txt)
-	}
-
-	forced := pq.Explain(ExecOptions{Matcher: match.MatcherBinary})
-	if forced.Matcher != "binary" {
-		t.Errorf("override explain matcher = %q, want binary", forced.Matcher)
-	}
-	if len(forced.MatcherCandidates) != 0 {
-		t.Errorf("override explain lists planner candidates: %+v", forced.MatcherCandidates)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		query, strategy, matcher string
+	}{
+		{query1, "groupby", ""},
+		{nonGrouping, "physical", "twig"},
+	} {
+		pq, err := e.Prepare(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := pq.Explain(ExecOptions{})
+		if x.Strategy != tc.strategy || x.Matcher != tc.matcher {
+			t.Errorf("%s: Explain strategy=%q matcher=%q, want %q and %q", tc.query, x.Strategy, x.Matcher, tc.strategy, tc.matcher)
+		}
+		res, err := pq.Execute(ctx, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := res.Matcher.String()
+		if res.Matcher == match.MatcherAuto {
+			want = ""
+		}
+		if x.Matcher != want {
+			t.Errorf("%s: Explain matcher %q disagrees with the run's %v", tc.query, x.Matcher, res.Matcher)
+		}
+		txt := x.Text()
+		if got := strings.Contains(txt, "matcher: "); got != (tc.matcher != "") {
+			t.Errorf("%s: Text() matcher line present=%v:\n%s", tc.query, got, txt)
+		}
 	}
 }
 

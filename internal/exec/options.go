@@ -60,9 +60,8 @@ type Options struct {
 	// Matcher selects the pattern-matching algorithm the physical
 	// plan's indexed leaf selections run (match.MatcherBinary cascaded
 	// structural joins, match.MatcherTwig holistic twig join). The zero
-	// value, match.MatcherAuto, resolves structurally at this level —
-	// holistic when every pattern node is tagged — while the engine
-	// resolves it through the cost-based planner before calling down.
+	// value, match.MatcherAuto, resolves through match.Resolve —
+	// holistic when every pattern node is tagged, binary otherwise.
 	// Any setting produces byte-identical results; only the index access
 	// pattern changes. Spec-level strategies do their own scans and
 	// ignore it.

@@ -64,9 +64,8 @@ type Spec struct {
 	OrderPath Path
 	OrderDesc bool
 	// Strategy selects the physical plan Run dispatches to. The zero
-	// value is StrategyAuto — through the engine the cost-based
-	// planner picks the plan; straight through Run it falls back to
-	// the groupby plan. Run-time knobs (parallelism, tracing,
+	// value is StrategyAuto, which runs the groupby plan (the engine
+	// falls back to the physical plan when the rewrite did not apply). Run-time knobs (parallelism, tracing,
 	// cancellation) are NOT part of the Spec; they travel in Options
 	// so one cached Spec serves many differently-configured runs.
 	Strategy Strategy

@@ -15,16 +15,15 @@ import (
 type Strategy int
 
 const (
-	// StrategyAuto — the zero value — delegates the choice to the
-	// cost-based planner: engine.Execute costs the candidate plans
-	// against the database's cardinality statistics and runs the
-	// cheapest, reporting what actually ran in Result.Strategy. Code
-	// that calls exec.Run directly (below the engine, no planner) gets
-	// the groupby plan, the paper's default.
+	// StrategyAuto — the zero value — runs the groupby plan, which
+	// beats direct evaluation on both of the paper's experiments
+	// (Sec. 6). Through the engine, a query the grouping rewrite does
+	// not apply to falls back to StrategyPhysical; Result.Strategy
+	// reports what actually ran.
 	StrategyAuto Strategy = iota
 	// StrategyGroupBy is the TIMBER groupby plan with identifier-only
 	// processing and deferred value population (Sec. 5.3) — the plan
-	// the optimizer's rewrite targets and the planner's fallback.
+	// the optimizer's rewrite targets and auto runs.
 	StrategyGroupBy
 	// StrategyDirect is the fully materialized direct execution of the
 	// naive plan (Sec. 4.1 / Sec. 6 "direct").
@@ -98,8 +97,6 @@ func Run(db storage.Reader, spec Spec, o Options) (*Result, error) {
 	defer release()
 	switch spec.Strategy {
 	case StrategyAuto, StrategyGroupBy:
-		// Auto below the engine has no planner to consult; the groupby
-		// plan is the documented fallback.
 		return groupByExec(db, spec, o)
 	case StrategyDirect:
 		return directMaterialized(db, spec, o)

@@ -67,8 +67,8 @@ func TestRunDispatchesEveryStrategy(t *testing.T) {
 			t.Errorf("Run(%v) = %v, want %v", strat, got, want)
 		}
 	}
-	// The zero value is auto — "planner decides" through the engine,
-	// groupby when Run is called below it.
+	// The zero value is auto — groupby, through the engine or below
+	// it.
 	var zero Spec
 	if zero.Strategy != StrategyAuto {
 		t.Errorf("zero-value Strategy = %v, want StrategyAuto", zero.Strategy)

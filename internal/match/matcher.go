@@ -17,9 +17,8 @@ import (
 type MatcherKind int
 
 const (
-	// MatcherAuto lets the caller's planner decide; at this package's
-	// level (no statistics) it resolves structurally — holistic when the
-	// pattern qualifies, binary otherwise.
+	// MatcherAuto resolves by rule (see Resolve): holistic when every
+	// pattern node is tagged, binary otherwise.
 	MatcherAuto MatcherKind = iota
 	// MatcherBinary is the cascaded binary structural-join matcher of
 	// Sec. 5.2: materialize per-node candidate lists, then resolve one
@@ -90,13 +89,22 @@ type Matcher interface {
 	Close() error
 }
 
-// Open returns a streaming matcher of the requested kind over the
-// database. MatcherAuto (and a MatcherTwig request on a pattern the
-// holistic matcher cannot drive, i.e. one with an untagged node)
-// resolves to the binary cascade; Stats().Matcher records what actually
-// ran.
-func Open(db storage.Reader, pt *pattern.Tree, kind MatcherKind) (Matcher, error) {
+// Resolve is the one place the auto-matcher rule lives: the kind of
+// matcher that runs pt when kind is requested. Every request but
+// MatcherBinary gets the holistic twig matcher when it can drive the
+// pattern (TwigApplicable); everything else gets the binary cascade.
+// The result is never MatcherAuto.
+func Resolve(pt *pattern.Tree, kind MatcherKind) MatcherKind {
 	if kind != MatcherBinary && TwigApplicable(pt) {
+		return MatcherTwig
+	}
+	return MatcherBinary
+}
+
+// Open returns a streaming matcher over the database, of the kind
+// Resolve picks for the request; Stats().Matcher records what ran.
+func Open(db storage.Reader, pt *pattern.Tree, kind MatcherKind) (Matcher, error) {
+	if Resolve(pt, kind) == MatcherTwig {
 		return openTwig(db, pt)
 	}
 	return OpenCursor(db, pt)
@@ -115,18 +123,15 @@ func TwigApplicable(pt *pattern.Tree) bool {
 	return true
 }
 
-// MatchKindObs is MatchDBObs with an explicit matcher kind: it computes
-// the full witness slice with the chosen algorithm, under the same span
-// and cancellation contract. The binding output is byte-identical
+// MatchKindObs is MatchDBObs with a matcher request: it computes the
+// full witness slice with the algorithm Resolve picks, under the same
+// span and cancellation contract. The binding output is byte-identical
 // across kinds and parallelisms; only the access counters differ.
 // parallelism applies to the binary cascade's per-document join phase —
 // the holistic matcher is single-pass by construction.
 func MatchKindObs(ctx context.Context, db storage.Reader, pt *pattern.Tree, kind MatcherKind, parallelism int, sp *obs.Span) ([]DBBinding, *DBStats, error) {
-	if kind == MatcherBinary || !TwigApplicable(pt) {
+	if Resolve(pt, kind) == MatcherBinary {
 		return MatchDBObs(ctx, db, pt, parallelism, sp)
-	}
-	if kind == MatcherAuto {
-		kind = MatcherTwig
 	}
 	m, err := openTwig(db, pt)
 	if err != nil {

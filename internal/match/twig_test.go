@@ -224,6 +224,47 @@ func TestMatcherKindParse(t *testing.T) {
 	}
 }
 
+// TestResolve pins the auto-matcher rule and that Open runs what it
+// returns: twig for every request but binary when each pattern node is
+// tagged, binary whenever a node is untagged.
+func TestResolve(t *testing.T) {
+	pr := pattern.NewNode("$1", pattern.TagEq{Tag: "article"})
+	pr.AddChild(pattern.Child, pattern.NewNode("$2", pattern.TagEq{Tag: "author"}))
+	tagged := pattern.MustTree(pr)
+	ur := pattern.NewNode("$1", pattern.TagEq{Tag: "article"})
+	ur.AddChild(pattern.Descendant, pattern.NewNode("$2", pattern.ContentEq{Value: "Jack"}))
+	untagged := pattern.MustTree(ur)
+
+	db := newTestDB(t)
+	if _, err := db.LoadDocument("bib", paperdata.SampleDatabase()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		pt   *pattern.Tree
+		kind MatcherKind
+		want MatcherKind
+	}{
+		{tagged, MatcherAuto, MatcherTwig},
+		{tagged, MatcherTwig, MatcherTwig},
+		{tagged, MatcherBinary, MatcherBinary},
+		{untagged, MatcherAuto, MatcherBinary},
+		{untagged, MatcherTwig, MatcherBinary},
+		{untagged, MatcherBinary, MatcherBinary},
+	} {
+		if got := Resolve(tc.pt, tc.kind); got != tc.want {
+			t.Errorf("Resolve(%v) = %v, want %v", tc.kind, got, tc.want)
+		}
+		m, err := Open(db, tc.pt, tc.kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Stats().Matcher; got != tc.want.String() {
+			t.Errorf("Open(%v) ran %s, Resolve says %v", tc.kind, got, tc.want)
+		}
+		m.Close()
+	}
+}
+
 // TestOpenMemMatcher: the in-memory matcher behind the unified
 // interface yields the same intervals as the database matchers.
 func TestOpenMemMatcher(t *testing.T) {

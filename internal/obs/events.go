@@ -42,9 +42,6 @@ const (
 	// EvStatsRebuild marks an ANALYZE pass persisting a fresh
 	// cardinality-statistics catalog.
 	EvStatsRebuild
-	// EvPlanDecision marks the cost-based planner choosing a strategy
-	// for one auto execution.
-	EvPlanDecision
 	// EvPlanEstimate records one planner estimate joined against the
 	// actual of the run it planned (quantity, estimate, actual, ratio).
 	EvPlanEstimate
@@ -85,7 +82,6 @@ var eventInfos = [numEventTypes]EventTypeInfo{
 	EvPagesRetired:   {EvPagesRetired, "EvPagesRetired", "pages_retired", "Superseded pages queued for reclamation (count; epoch/wal_seq: freeing commit)."},
 	EvPagesReclaimed: {EvPagesReclaimed, "EvPagesReclaimed", "pages_reclaimed", "Retired pages returned to the allocator (count)."},
 	EvStatsRebuild:   {EvStatsRebuild, "EvStatsRebuild", "stats_rebuild", "ANALYZE persisted a fresh statistics catalog (count: tags, wal_seq, epoch, dur_ns)."},
-	EvPlanDecision:   {EvPlanDecision, "EvPlanDecision", "plan_decision", "Cost-based planner picked a strategy or pattern matcher (qid, label: strategy, or matcher:<name> for matcher picks; value: winning cost, count: candidates)."},
 	EvPlanEstimate:   {EvPlanEstimate, "EvPlanEstimate", "plan_estimate", "Planner estimate vs actual for one quantity (qid, label: quantity, count: estimate, aux: actual, value: relative error)."},
 	EvQueryDone:      {EvQueryDone, "EvQueryDone", "query_done", "Query completed (qid, label: strategy, dur_ns: wall, count: result trees, aux: value lookups, bytes: index postings read)."},
 	EvQueryError:     {EvQueryError, "EvQueryError", "query_error", "Query failed (qid, label: strategy, err; retained in the anomaly ring)."},

@@ -1,10 +1,10 @@
-// Package stats holds the cardinality statistics the cost-based
-// planner consumes: per-tag posting counts from the tag index, and
+// Package stats holds the cardinality statistics the planner's
+// estimates consume: per-tag posting counts from the tag index, and
 // per-(tag, value) cardinalities from the value index, aggregated into
 // one Catalog per database state. The storage layer collects and
 // persists catalogs (see storage.BuildCardStats / Reader.CardStats);
-// the planner (internal/opt) turns them into selectivity and cost
-// estimates. The package is a leaf — it knows nothing about pages,
+// the planner (internal/opt/planner) turns them into per-operator row
+// estimates for EXPLAIN. The package is a leaf — it knows nothing about pages,
 // B+trees or plans — so both layers can import it.
 package stats
 
@@ -86,14 +86,6 @@ func (c *Catalog) Postings(tag string) float64 {
 	return float64(c.Tag(tag).Postings)
 }
 
-// Selectivity estimates the fraction of all nodes carrying the tag.
-func (c *Catalog) Selectivity(tag string) float64 {
-	if c == nil || c.TotalNodes == 0 {
-		return 0
-	}
-	return float64(c.Tag(tag).Postings) / float64(c.TotalNodes)
-}
-
 // AvgFanout estimates the number of tag occurrences per document that
 // contains the tag at all.
 func (c *Catalog) AvgFanout(tag string) float64 {
@@ -114,16 +106,6 @@ func (c *Catalog) DistinctValues(tag string) float64 {
 		return float64(t.DistinctValues)
 	}
 	return float64(t.Postings) / 2
-}
-
-// AvgValueMatches estimates how many postings one (tag, content) probe
-// of the value index returns.
-func (c *Catalog) AvgValueMatches(tag string) float64 {
-	t := c.Tag(tag)
-	if t.DistinctValues == 0 {
-		return 1
-	}
-	return float64(t.ValuePostings) / float64(t.DistinctValues)
 }
 
 // DocOverlap estimates the fraction of b-containing documents that

@@ -62,9 +62,6 @@ func TestEstimators(t *testing.T) {
 	if got := c.Postings("absent"); !almost(got, 0) {
 		t.Errorf("Postings(absent) = %v, want 0", got)
 	}
-	if got := c.Selectivity("article"); !almost(got, 0.1) {
-		t.Errorf("Selectivity(article) = %v, want 0.1", got)
-	}
 	if got := c.AvgFanout("author"); !almost(got, 20) {
 		t.Errorf("AvgFanout(author) = %v, want 20", got)
 	}
@@ -74,12 +71,6 @@ func TestEstimators(t *testing.T) {
 	// Unknown distinct count falls back to postings/2.
 	if got := c.DistinctValues("article"); !almost(got, 50) {
 		t.Errorf("DistinctValues(article) = %v, want 50 (fallback)", got)
-	}
-	if got := c.AvgValueMatches("author"); !almost(got, 4) {
-		t.Errorf("AvgValueMatches(author) = %v, want 4", got)
-	}
-	if got := c.AvgValueMatches("article"); !almost(got, 1) {
-		t.Errorf("AvgValueMatches(article) = %v, want 1 (unknown)", got)
 	}
 	// rare appears in 2 of author's 10 docs.
 	if got := c.DocOverlap("rare", "author"); !almost(got, 0.2) {

@@ -50,8 +50,8 @@ func statsTagKey(tag string) []byte {
 func isStatsKey(k []byte) bool { return len(k) != 4 }
 
 // ErrNoStats is returned by CardStats when the database carries no
-// persisted statistics (run BuildCardStats, or let the engine's
-// planner build them on first use).
+// persisted statistics (run BuildCardStats, or let the engine build
+// them on first use).
 var ErrNoStats = errors.New("storage: no cardinality statistics")
 
 // statsVersion derives the freshness token from durable catalog state.
