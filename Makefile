@@ -35,8 +35,10 @@ bench:
 # parser panics on the corpus plus a short random exploration. The
 # storage and exec targets cover the compressed on-disk codecs
 # (posting blocks, compact records, LZ pages, spill rows); the btree
-# target checks batch inserts against a map model, and the group-sort
-# target checks the rank-then-count sort against a comparison sort.
+# target checks batch inserts against a map model, the value-range
+# target checks the grouping values' sorted scan against the tag
+# postings' heap contents, and the group-sort target checks the
+# counting sort over grouping-value ranks against a comparison sort.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/xq/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTree$$' -fuzztime 5s ./internal/pattern/
@@ -44,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzInsertSorted$$' -fuzztime 5s ./internal/btree/
 	$(GO) test -run '^$$' -fuzz '^FuzzPostingBlock$$' -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordCompact$$' -fuzztime 5s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzValueRange$$' -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpillRow$$' -fuzztime 5s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupSortOrder$$' -fuzztime 5s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzLZDecompress$$' -fuzztime 5s ./internal/pagestore/

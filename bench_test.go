@@ -12,8 +12,10 @@
 // structural-join algorithms — the last in internal/sjoin). Absolute
 // times are incomparable to the paper's Pentium III; the reproduced
 // quantity is the *shape*: the groupby plan wins both experiments, and
-// wins the count experiment by a much larger factor. Per-iteration buffer-pool fetch counts are reported as
-// "fetches/op" — they are deterministic and machine-independent.
+// wins the count experiment by a much larger factor. Per-iteration
+// buffer-pool fetches, physical page reads and value look-ups are
+// reported as "fetches/op", "reads/op" and "lookups/op" — they are
+// deterministic and machine-independent.
 // TestPaperShape (paper_shape_test.go) asserts that shape on exact
 // counts at a small scale, in every `go test`.
 //
@@ -150,13 +152,14 @@ func setupBench(b *testing.B) (*storage.DB, exec.Spec, exec.Spec) {
 }
 
 // runPlan benchmarks one physical strategy with a cold pool per
-// iteration, reporting deterministic fetch counts alongside time.
+// iteration, reporting deterministic counts alongside time: buffer-pool
+// fetches, physical page reads and the executor's value look-ups.
 func runPlan(b *testing.B, spec exec.Spec, strat exec.Strategy, o exec.Options) {
 	db, _, _ := setupBench(b)
 	spec.Strategy = strat
 	b.ReportAllocs()
 	b.ResetTimer()
-	var fetches uint64
+	var fetches, reads, lookups uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		if err := db.DropCache(); err != nil {
@@ -171,9 +174,14 @@ func runPlan(b *testing.B, spec exec.Spec, strat exec.Strategy, o exec.Options) 
 		if res.Stats.Groups == 0 {
 			b.Fatal("no groups")
 		}
-		fetches += db.Stats().Fetches
+		st := db.Stats()
+		fetches += st.Fetches
+		reads += st.PhysicalReads
+		lookups += uint64(res.Stats.ValueLookups)
 	}
 	b.ReportMetric(float64(fetches)/float64(b.N), "fetches/op")
+	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
+	b.ReportMetric(float64(lookups)/float64(b.N), "lookups/op")
 }
 
 // --- E1: the Sec. 6 titles query -----------------------------------

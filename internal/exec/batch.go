@@ -14,9 +14,10 @@ import (
 // This file defines the streaming executor's data plane: fixed-size
 // batches of identifier-only rows flowing through pull-based operator
 // iterators (Sec. 5.3's "identifier-only processing with late value
-// materialization", in Volcano form). A Row never carries node content
-// except the populated grouping value — output values are fetched by
-// the late-materialize sink, only for rows that survive to output.
+// materialization", in Volcano form). A Row never carries node content:
+// the grouping value travels as an integer rank, and output values are
+// fetched by the late-materialize sink, only for rows that survive to
+// output.
 
 // rowKind tags a row's role in the stream. Binding rows flow through
 // the match pipeline; group and count rows appear only downstream of
@@ -27,22 +28,25 @@ const (
 	// rowBinding is a (member, aux) identifier pair: aux is the current
 	// path position (a grouping-basis leaf, a value leaf, ...).
 	rowBinding rowKind = iota
-	// rowGroup opens a new output group; Key holds the grouping value.
+	// rowGroup opens a new output group; Key holds the grouping value's
+	// rank.
 	rowGroup
 	// rowCount carries a group's aggregate; Ord holds the count.
 	rowCount
 )
 
 // Row is one identifier-only tuple. Postings are node identifiers plus
-// record locations — no content. Key is the populated grouping value
-// (the one value Sec. 5.3 populates early); Ord is the row's global
-// arrival order, the sort's final tie-breaker.
+// record locations — no content. Key is the rank of the populated
+// grouping value (the one value Sec. 5.3 populates early): ranks ascend
+// with the values' byte order, so rows group and sort by an integer,
+// and the value's string materializes once per group at the sink. Ord
+// is the row's global arrival order, the sort's final tie-breaker.
 type Row struct {
 	Kind   rowKind
+	HasAux bool
 	Member storage.Posting
 	Aux    storage.Posting
-	HasAux bool
-	Key    string
+	Key    uint32
 	Ord    int64
 }
 
@@ -83,13 +87,10 @@ func getBatch(capacity int) *Batch {
 	return b
 }
 
-// putBatch zeroes the rows — dropping key-string and posting
-// references so pooled memory doesn't pin them — and returns the batch
-// for reuse.
+// putBatch returns the batch for reuse. Rows hold no pointers, so a
+// pooled batch pins no memory and needs no clearing.
 func putBatch(b *Batch) {
-	rows := b.Rows[:cap(b.Rows)]
-	clear(rows)
-	b.Rows = rows[:0]
+	b.Rows = b.Rows[:0]
 	batchPool.Put(b)
 }
 
@@ -225,7 +226,7 @@ func (r *rowReader) release() {
 // is all-varint (the v1 format was 54 fixed bytes plus the key): a
 // kind byte and a flags byte, the member and aux postings as
 // {doc, start, extent, level, page, slot}, Ord as a signed varint,
-// then the key as a uvarint length plus bytes. The posting extent
+// then the key's rank as a uvarint. The posting extent
 // (End-Start) is signed so that every Row value — including inverted
 // intervals a fuzzer constructs — round-trips exactly. A row's byte
 // length comes from the spool's slotted records, not a fixed width.
@@ -254,14 +255,13 @@ func encodeRow(dst []byte, r Row) []byte {
 	dst = appendRowPosting(dst, r.Member)
 	dst = appendRowPosting(dst, r.Aux)
 	dst = binary.AppendVarint(dst, r.Ord)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Key)))
-	dst = append(dst, r.Key...)
+	dst = binary.AppendUvarint(dst, uint64(r.Key))
 	return dst
 }
 
 // decodeRow parses a spilled row. It is a total function over byte
 // strings: corrupt input yields an error, never a panic, and the whole
-// input must be consumed. The key is copied, so the input may alias a
+// input must be consumed. Nothing aliases the input, so it may be a
 // pinned page.
 func decodeRow(b []byte) (Row, error) {
 	if len(b) < 2 {
@@ -320,14 +320,10 @@ func decodeRow(b []byte) (Row, error) {
 		return Row{}, errCorruptRow
 	}
 	r.Ord = sv()
-	klen := uv()
-	if bad || klen > uint64(len(b)-off) {
+	key := uv()
+	if bad || key > math.MaxUint32 || off != len(b) {
 		return Row{}, errCorruptRow
 	}
-	r.Key = string(b[off : off+int(klen)])
-	off += int(klen)
-	if off != len(b) {
-		return Row{}, errCorruptRow
-	}
+	r.Key = uint32(key)
 	return r, nil
 }

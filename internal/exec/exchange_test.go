@@ -98,6 +98,7 @@ type splitDocRun struct {
 	sortedRows []string
 	stats      ExecStats
 	fragments  int64
+	fallbacks  int64
 	rows       map[string][2]int64 // op -> rows_in, rows_out
 	batches    map[string]int64
 }
@@ -126,6 +127,7 @@ func tracedGroupBy(t *testing.T, db *storage.DB, spec Spec, o Options) splitDocR
 	walk = func(d *obs.SpanData) {
 		if d.Name == "exchange: match fragments" {
 			run.fragments = d.Ops["fragments"]
+			run.fallbacks = d.Ops["fallback_lookups"]
 		}
 		if name, ok := strings.CutPrefix(d.Name, "op: "); ok {
 			run.rows[name] = [2]int64{d.Ops["rows_in"], d.Ops["rows_out"]}
@@ -144,57 +146,106 @@ func tracedGroupBy(t *testing.T, db *storage.DB, spec Spec, o Options) splitDocR
 // several member-range fragments, and checks that result trees,
 // ExecStats and per-operator rows in/out are identical for every
 // parallelism, batch size and sort budget — and that batch counts do
-// not depend on the parallelism.
+// not depend on the parallelism. A second document gives some authors
+// grouping values the value index does not cover (empty, or longer than
+// its length bound); there the titles and count queries must produce
+// the same trees with the value index on and off.
 func TestExchangeSplitsOneDocument(t *testing.T) {
-	db, err := storage.CreateTemp(storage.Options{PageSize: 2048, PoolPages: 2048})
+	gen := func() *xmltree.Node {
+		root, _ := dblpgen.Generate(dblpgen.Config{Articles: 3000, Seed: 29})
+		return root
+	}
+	db := splitDocDB(t, gen(), false)
+	for _, q := range streamCorpus {
+		sweepSplitDoc(t, db, q.name, q.src)
+	}
+
+	odd := gen()
+	n := 0
+	odd.Walk(func(nd *xmltree.Node) bool {
+		if nd.Tag == "author" {
+			n++
+			switch {
+			case n%7 == 0:
+				nd.Content = ""
+			case n%11 == 0:
+				nd.Content = strings.Repeat(nd.Content[:1], 600)
+			}
+		}
+		return true
+	})
+	withIdx, noIdx := splitDocDB(t, odd.Clone(), false), splitDocDB(t, odd, true)
+	for _, q := range streamCorpus[:2] {
+		on := sweepSplitDoc(t, withIdx, q.name+" uncovered values", q.src)
+		off := sweepSplitDoc(t, noIdx, q.name+" no value index", q.src)
+		if on.trees != off.trees {
+			t.Errorf("%s: trees differ with the value index on and off", q.name)
+		}
+		if on.stats.ValueLookups >= off.stats.ValueLookups || on.fallbacks == 0 || on.fallbacks >= off.fallbacks {
+			t.Errorf("%s: %d value look-ups (%d grouping fallbacks) with the value index, %d (%d) without; want fewer but some",
+				q.name, on.stats.ValueLookups, on.fallbacks, off.stats.ValueLookups, off.fallbacks)
+		}
+	}
+}
+
+// splitDocDB loads one document into a fresh database.
+func splitDocDB(t *testing.T, root *xmltree.Node, noValueIndex bool) *storage.DB {
+	t.Helper()
+	db, err := storage.CreateTemp(storage.Options{PageSize: 2048, PoolPages: 2048, NoValueIndex: noValueIndex})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	root, _ := dblpgen.Generate(dblpgen.Config{Articles: 3000, Seed: 29})
+	t.Cleanup(func() { db.Close() })
 	if _, err := db.LoadDocument("dblp.xml", root); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range streamCorpus {
-		_, rewritten, spec := plansFor(t, q.src)
-		logical, err := ExecLogical(db, rewritten)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := tracedGroupBy(t, db, spec, Options{Parallelism: 1, BatchSize: 256})
-		if want.fragments < 3 {
-			t.Fatalf("%s: exchange ran %d fragments, want >= 3", q.name, want.fragments)
-		}
-		if !reflect.DeepEqual(want.sortedRows, sorted(rows(logical.Trees))) {
-			t.Fatalf("%s: groupby rows differ from the logical plan", q.name)
-		}
-		for _, bs := range []int{1, 7, 256} {
-			for _, mem := range []int{0, 64} {
-				var first *splitDocRun
-				for _, p := range []int{1, 2, 4, 8, 0} {
-					arm := fmt.Sprintf("%s p=%d bs=%d sortmem=%d", q.name, p, bs, mem)
-					run := tracedGroupBy(t, db, spec, Options{Parallelism: p, BatchSize: bs, SortMemRows: mem})
-					if run.trees != want.trees {
-						t.Errorf("%s: trees differ", arm)
-					}
-					if run.stats != want.stats {
-						t.Errorf("%s: stats = %+v, want %+v", arm, run.stats, want.stats)
-					}
-					if run.fragments != want.fragments {
-						t.Errorf("%s: %d fragments, want %d", arm, run.fragments, want.fragments)
-					}
-					if !reflect.DeepEqual(run.rows, want.rows) {
-						t.Errorf("%s: operator rows differ\ngot  %v\nwant %v", arm, run.rows, want.rows)
-					}
-					if first == nil {
-						first = &run
-					} else if !reflect.DeepEqual(run.batches, first.batches) {
-						t.Errorf("%s: operator batches differ from p=1\ngot  %v\nwant %v", arm, run.batches, first.batches)
-					}
+	return db
+}
+
+// sweepSplitDoc checks one query on one database at every parallelism,
+// batch size and sort budget against the p=1 run and the logical plan,
+// and returns the p=1 run.
+func sweepSplitDoc(t *testing.T, db *storage.DB, name, src string) splitDocRun {
+	t.Helper()
+	_, rewritten, spec := plansFor(t, src)
+	logical, err := ExecLogical(db, rewritten)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tracedGroupBy(t, db, spec, Options{Parallelism: 1, BatchSize: 256})
+	if want.fragments < 3 {
+		t.Fatalf("%s: exchange ran %d fragments, want >= 3", name, want.fragments)
+	}
+	if !reflect.DeepEqual(want.sortedRows, sorted(rows(logical.Trees))) {
+		t.Fatalf("%s: groupby rows differ from the logical plan", name)
+	}
+	for _, bs := range []int{1, 7, 256} {
+		for _, mem := range []int{0, 64} {
+			var first *splitDocRun
+			for _, p := range []int{1, 2, 4, 8, 0} {
+				arm := fmt.Sprintf("%s p=%d bs=%d sortmem=%d", name, p, bs, mem)
+				run := tracedGroupBy(t, db, spec, Options{Parallelism: p, BatchSize: bs, SortMemRows: mem})
+				if run.trees != want.trees {
+					t.Errorf("%s: trees differ", arm)
+				}
+				if run.stats != want.stats || run.fallbacks != want.fallbacks {
+					t.Errorf("%s: stats = %+v (%d fallbacks), want %+v (%d)", arm, run.stats, run.fallbacks, want.stats, want.fallbacks)
+				}
+				if run.fragments != want.fragments {
+					t.Errorf("%s: %d fragments, want %d", arm, run.fragments, want.fragments)
+				}
+				if !reflect.DeepEqual(run.rows, want.rows) {
+					t.Errorf("%s: operator rows differ\ngot  %v\nwant %v", arm, run.rows, want.rows)
+				}
+				if first == nil {
+					first = &run
+				} else if !reflect.DeepEqual(run.batches, first.batches) {
+					t.Errorf("%s: operator batches differ from p=1\ngot  %v\nwant %v", arm, run.batches, first.batches)
 				}
 			}
 		}
 	}
+	return want
 }
 
 // BenchmarkExchange times the parallel match phase of the count query

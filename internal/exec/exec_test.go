@@ -140,10 +140,11 @@ func TestGroupByExecSample(t *testing.T) {
 	if res.Stats.Groups != 3 {
 		t.Errorf("groups = %d", res.Stats.Groups)
 	}
-	// Titles mode fetches author values (5 witnesses) plus one title
-	// per group membership (Jack×2 + John×2 + Jill×1 = 5).
-	if res.Stats.ValueLookups != 5+5 {
-		t.Errorf("value lookups = %d, want 10", res.Stats.ValueLookups)
+	// Titles mode fetches one title per group membership (Jack×2 +
+	// John×2 + Jill×1 = 5); the author values come ranked from the
+	// value index, without a look-up.
+	if res.Stats.ValueLookups != 5 {
+		t.Errorf("value lookups = %d, want 5", res.Stats.ValueLookups)
 	}
 	if res.Stats.LocatorProbes != 0 {
 		t.Errorf("groupby plan must not navigate via the locator, probes = %d", res.Stats.LocatorProbes)
@@ -161,10 +162,10 @@ func TestGroupByExecCountIdentifierOnly(t *testing.T) {
 	if got := rows(res.Trees); !reflect.DeepEqual(got, want) {
 		t.Errorf("count result = %v, want %v", got, want)
 	}
-	// The count is computed without instantiating titles: only the 5
-	// author values are populated.
-	if res.Stats.ValueLookups != 5 {
-		t.Errorf("count mode value lookups = %d, want 5", res.Stats.ValueLookups)
+	// The count is computed without instantiating titles, and the
+	// author values come ranked from the value index: no look-up at all.
+	if res.Stats.ValueLookups != 0 {
+		t.Errorf("count mode value lookups = %d, want 0", res.Stats.ValueLookups)
 	}
 }
 

@@ -32,21 +32,30 @@ type ExecStats struct {
 // groupByExec runs the TIMBER groupby plan (Sec. 5.3) as a streaming
 // iterator pipeline over identifier-only batches:
 //
-//	exchange (member-range fragments over pre-scanned postings)
-//	  fragment: members → select* (join path) → populate ─┐
-//	            members → select* (value path) ───────────┤→ merge-LOJ
-//	→ groupsort (blocking: rank the distinct grouping values, one
-//	             stable counting pass; fragment rows taken by reference;
+//	exchange (member-range fragments over pre-scanned postings, beside
+//	          one value-range scan of the grouping-basis tag that
+//	          ranks the grouping values in byte order)
+//	  fragment: members → select* (join path) → rank ─┐
+//	            members → select* (value path) ──────┤→ merge-LOJ
+//	→ groupsort (blocking: one stable counting pass over the grouping
+//	             values' ranks; fragment rows taken by reference;
 //	             spillable)
 //	→ stitch (group boundaries)            [streaming]
 //	→ aggregate (Count mode only)          [streaming]
-//	→ late-materialize sink
+//	→ late-materialize sink (a rank becomes its string once per group)
 //
+// The grouping values — the early population Sec. 5.3 allows — come
+// ranked from the value index: the exchange's one value-range scan
+// yields them in sorted order, so a row carries its value's rank and
+// no heap page is read for it. Only a grouping value the scan did not
+// cover (empty, longer than the value index's length bound, or a
+// database without a value index) is read from the heap, inside the
+// fragments, and merged into the rank space after the exchange. The
+// ordering values are populated from the heap inside the fragments.
 // Only the sink reads output value content — and only in Titles mode;
-// a count query finishes without a single output-value fetch ("we can
-// perform the count without physically instantiating the elements").
-// The populated grouping and ordering values (the early population
-// Sec. 5.3 allows) are fetched inside the fragments, per batch.
+// a count query over indexed grouping values finishes without a single
+// value fetch ("we can perform the count without physically
+// instantiating the elements").
 //
 // Groups are emitted in ascending grouping-value order, and the result
 // trees, group order and ExecStats are byte-identical for every
@@ -75,6 +84,8 @@ func groupByExec(db storage.Reader, spec Spec, o Options) (*Result, error) {
 	exSp.Add("rows", int64(ex.rows))
 	exSp.Add("fragments", int64(len(ex.frags)))
 	exSp.Add("candidates", int64(ex.cands))
+	exSp.Add("value_postings", int64(ex.valuePostings))
+	exSp.Add("fallback_lookups", int64(ex.fallbacks))
 	exSp.Add("fragment_ops", int64(len(ops.order)))
 	exSp.End()
 
@@ -86,7 +97,7 @@ func groupByExec(db storage.Reader, spec Spec, o Options) (*Result, error) {
 	if spec.OrderPath != nil {
 		ov = ex.ord
 	}
-	gs := newGroupSort(ex.frags, db, ov, spec.OrderDesc, o.SortMemRows, ops.get("sort: witnesses"))
+	gs := newGroupSort(ex.frags, db, len(ex.names), ov, spec.OrderDesc, o.SortMemRows, ops.get("sort: witnesses"))
 	ex.frags = nil
 	var top Iterator = newStitch(gs, bs, ops.get("stitch: group boundaries"))
 	if spec.Mode == Count {
@@ -106,7 +117,7 @@ func groupByExec(db storage.Reader, spec Spec, o Options) (*Result, error) {
 	}
 
 	matSp := sp.Child("materialize: groups")
-	snk := newSink(db, spec, o.Ctx, o.MaxMaterializeBytes)
+	snk := newSink(db, spec, o.Ctx, o.MaxMaterializeBytes, ex.names)
 	err = snk.drain(top, bs)
 	if cerr := top.Close(); err == nil {
 		err = cerr

@@ -18,7 +18,9 @@ var ErrMaterializeLimit = errors.New("exec: materialization buffer limit exceede
 // sink is the late-materialize sink — the only place of the streaming
 // groupby pipeline that reads output value content. It consumes the
 // shaped stream (group boundaries, binding rows, count rows) and builds
-// the output trees; in Titles mode each batch's surviving value
+// the output trees. A group row's rank turns into its grouping value
+// here, once per group, from the exchange's rank dictionary; in Titles
+// mode each batch's surviving value
 // identifiers are fetched together through the batched
 // late-materialization API, in Count mode counts come from the
 // aggregate rows and no value content is ever touched.
@@ -27,6 +29,8 @@ type sink struct {
 	spec  Spec
 	ctx   context.Context
 	limit int64
+	// names[r] is the grouping value of rank r.
+	names []string
 
 	trees []*xmltree.Node
 	cur   *xmltree.Node
@@ -39,8 +43,8 @@ type sink struct {
 	vals    []string
 }
 
-func newSink(db storage.Reader, spec Spec, ctx context.Context, limit int64) *sink {
-	return &sink{db: db, spec: spec, ctx: ctx, limit: limit}
+func newSink(db storage.Reader, spec Spec, ctx context.Context, limit int64, names []string) *sink {
+	return &sink{db: db, spec: spec, ctx: ctx, limit: limit, names: names}
 }
 
 // drain pulls the stream to exhaustion, building the output trees.
@@ -67,9 +71,10 @@ func (s *sink) drain(top Iterator, batchSize int) error {
 		for _, r := range b.Rows {
 			switch r.Kind {
 			case rowGroup:
-				s.cur = xmltree.E(s.spec.OutTag, xmltree.Elem(basisTag, r.Key))
+				name := s.names[r.Key]
+				s.cur = xmltree.E(s.spec.OutTag, xmltree.Elem(basisTag, name))
 				s.trees = append(s.trees, s.cur)
-				if err := s.charge(int64(len(r.Key))); err != nil {
+				if err := s.charge(int64(len(name))); err != nil {
 					return err
 				}
 			case rowCount:

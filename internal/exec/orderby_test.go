@@ -224,3 +224,54 @@ func TestOrderByParseRestrictions(t *testing.T) {
 		}
 	}
 }
+
+// TestOrderByMixedValuesDeterministic orders members by years that mix
+// numbers and non-numbers ("1a", "NaN", "b"). Under a comparator that
+// is not a total order the result depended on the sort's comparison
+// sequence, so the groupby plan's spilled runs and the logical plan
+// disagreed; under tax.CompareValues' total order every plan and every
+// sort budget gives the one stable order.
+func TestOrderByMixedValuesDeterministic(t *testing.T) {
+	naive, rewritten, spec := plansFor(t, queryOrderedByYearSrc)
+	years := []string{"9", "10", "1a", "NaN", "2", "b", "100"}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db, err := storage.CreateTemp(storage.Options{PageSize: 512, PoolPages: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := xmltree.E("doc_root")
+		for i := 0; i < 12; i++ {
+			root.Append(xmltree.E("article",
+				xmltree.Elem("author", "A"),
+				xmltree.Elem("title", fmt.Sprintf("T%02d", i)),
+				xmltree.Elem("year", years[rng.Intn(len(years))])))
+		}
+		if _, err := db.LoadDocument("bib.xml", root); err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, p := range []plan.Op{naive, rewritten} {
+			res, err := ExecLogical(db, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := rows(res.Trees)
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d: logical plans disagree\nnaive     %v\nrewritten %v", seed, want, got)
+			}
+		}
+		for _, mem := range []int{0, 1, 2, 3, 5} {
+			res, err := groupByExec(db, spec, Options{SortMemRows: mem})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rows(res.Trees); !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d sortmem=%d: groupby %v, logical %v", seed, mem, got, want)
+			}
+		}
+		db.Close()
+	}
+}

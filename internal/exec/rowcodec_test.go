@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"timber/internal/pagestore"
@@ -22,10 +23,10 @@ func sampleRows() []Row {
 				RID:      pagestore.RID{Page: 4, Slot: 1},
 			},
 			HasAux: true,
-			Key:    "Jagadish",
+			Key:    7,
 			Ord:    42,
 		},
-		{Kind: rowGroup, Key: "a grouping value with spaces"},
+		{Kind: rowGroup, Key: 1<<32 - 1},
 		{Kind: rowCount, Ord: -1},
 		{
 			// An inverted interval: encodeRow must round-trip any Row
@@ -40,7 +41,7 @@ func sampleRows() []Row {
 				Interval: xmltree.Interval{Doc: 1<<32 - 1, Start: 1<<32 - 1, End: 1<<32 - 1, Level: 1<<16 - 1},
 				RID:      pagestore.RID{Page: 1<<32 - 1, Slot: 1<<16 - 1},
 			},
-			Key: "",
+			Key: 0,
 			Ord: -(1 << 62),
 		},
 	}
@@ -70,6 +71,16 @@ func TestSpillRowTruncated(t *testing.T) {
 	if _, err := decodeRow(append(append([]byte(nil), full...), 0)); err == nil {
 		t.Error("row with trailing byte decoded cleanly")
 	}
+	if _, err := decodeRow(overRankRow()); err == nil {
+		t.Error("row with a rank past uint32 decoded cleanly")
+	}
+}
+
+// overRankRow is a zero row's encoding with its rank (the last field, a
+// uvarint) replaced by 1<<32: corruption, not a wrapped key.
+func overRankRow() []byte {
+	enc := encodeRow(nil, Row{})
+	return binary.AppendUvarint(enc[:len(enc)-1], 1<<32)
 }
 
 // FuzzSpillRow asserts decodeRow is a total function: arbitrary bytes
@@ -81,6 +92,7 @@ func FuzzSpillRow(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(overRankRow())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := decodeRow(b)
 		if err != nil {

@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"slices"
 	"sort"
-	"strings"
 
 	"timber/internal/pagestore"
 	"timber/internal/storage"
@@ -18,11 +16,12 @@ import (
 // operators see runs of equal grouping values — the groups — in
 // ascending value order, exactly the sort of Sec. 5.3.
 //
-// The sort ranks rather than compares rows (sortRows): each distinct
-// grouping value gets an ID, only the distinct values are sorted, and
-// one stable counting pass places every row into a single output
-// array. With an ordering list, a stable sort by ordering value then
-// runs inside each group.
+// The sort counts rather than compares rows (sortRows): each row's Key
+// is its grouping value's rank, which the exchange took from the value
+// index's byte order, so one stable counting pass over the ranks places
+// every row into a single output array — no dictionary, no string
+// comparison. With an ordering list, a stable sort by ordering value
+// then runs inside each group.
 //
 // Memory: with SortMemRows unset the sort is in-memory (identifier
 // rows only; values were never materialized). With a budget, each
@@ -40,7 +39,9 @@ type groupSortIter struct {
 	ov      map[xmltree.NodeID]string
 	desc    bool
 	memRows int
-	counts  *opCounts
+	// ranks is the size of the rank space: every row's Key is below it.
+	ranks  int
+	counts *opCounts
 
 	opened bool
 	buf    []Row
@@ -54,16 +55,12 @@ type groupSortIter struct {
 	pos int
 	enc []byte
 	// sortRows scratch, reused across spilled runs
-	dict  map[string]int32
-	keys  []string
-	ids   []int32
-	order []int32
-	ends  []int
-	vals  []string
+	ends []int
+	vals []string
 }
 
-func newGroupSort(frags [][]Row, db storage.Reader, ov map[xmltree.NodeID]string, desc bool, memRows int, counts *opCounts) *groupSortIter {
-	return &groupSortIter{frags: frags, db: db, ov: ov, desc: desc, memRows: memRows, counts: counts}
+func newGroupSort(frags [][]Row, db storage.Reader, ranks int, ov map[xmltree.NodeID]string, desc bool, memRows int, counts *opCounts) *groupSortIter {
+	return &groupSortIter{frags: frags, db: db, ranks: ranks, ov: ov, desc: desc, memRows: memRows, counts: counts}
 }
 
 // less is the total sort order: grouping value, then the member's
@@ -137,60 +134,44 @@ func splitRows(segs [][]Row, n int) (head, tail [][]Row) {
 // row's Ord with its arrival position, and returns dst. dst must hold
 // exactly the rows of segs.
 func (g *groupSortIter) sortRows(dst []Row, segs [][]Row, base int64) []Row {
-	// Rank: one ID per distinct grouping value, in arrival order.
-	if g.dict == nil {
-		g.dict = map[string]int32{}
+	// Count the rows per rank, then turn the counts into each group's
+	// first slot.
+	if cap(g.ends) < g.ranks {
+		g.ends = make([]int, g.ranks)
 	}
-	clear(g.dict)
-	g.keys, g.ids = g.keys[:0], g.ids[:0]
+	g.ends = g.ends[:g.ranks]
+	clear(g.ends)
 	for _, seg := range segs {
 		for i := range seg {
-			id, ok := g.dict[seg[i].Key]
-			if !ok {
-				id = int32(len(g.keys))
-				g.dict[seg[i].Key] = id
-				g.keys = append(g.keys, seg[i].Key)
-			}
-			g.ids = append(g.ids, id)
+			g.ends[seg[i].Key]++
 		}
 	}
-	// Sort only the distinct values (they are unique, so any sort is
-	// stable), then turn per-ID counts into each group's first slot.
-	g.order = g.order[:0]
-	for id := range g.keys {
-		g.order = append(g.order, int32(id))
-	}
-	slices.SortFunc(g.order, func(a, b int32) int { return strings.Compare(g.keys[a], g.keys[b]) })
-	g.ends = append(g.ends[:0], make([]int, len(g.keys))...)
-	for _, id := range g.ids {
-		g.ends[id]++
-	}
 	slot := 0
-	for _, id := range g.order {
-		n := g.ends[id]
-		g.ends[id] = slot
+	for k, n := range g.ends {
+		g.ends[k] = slot
 		slot += n
 	}
-	// Count: one stable placement pass; afterwards ends[id] is one past
-	// the group's last slot.
+	// One stable placement pass.
 	i := 0
 	for _, seg := range segs {
 		for j := range seg {
-			p := g.ends[g.ids[i]]
-			g.ends[g.ids[i]]++
+			p := g.ends[seg[j].Key]
+			g.ends[seg[j].Key]++
 			dst[p] = seg[j]
 			dst[p].Ord = base + int64(i)
 			i++
 		}
 	}
 	if g.ov != nil {
-		start := 0
-		for _, id := range g.order {
-			end := g.ends[id]
-			if end-start > 1 {
-				g.sortGroup(dst[start:end])
+		for lo := 0; lo < len(dst); {
+			hi := lo + 1
+			for hi < len(dst) && dst[hi].Key == dst[lo].Key {
+				hi++
 			}
-			start = end
+			if hi-lo > 1 {
+				g.sortGroup(dst[lo:hi])
+			}
+			lo = hi
 		}
 	}
 	return dst

@@ -11,24 +11,17 @@ import (
 	"timber/internal/xmltree"
 )
 
-// Grouping values for FuzzGroupSortOrder: duplicates, the empty value
-// and numeric-looking strings (grouping values compare as bytes, so "10"
-// sorts before "9").
-var fuzzSortKeys = []string{"", "a", "b", "ab", "B", "1", "01", "1.0", "10", "9", "-1", "1e3", "x y"}
+// Ordering values for FuzzGroupSortOrder: numbers, non-numbers and
+// the empty value mixed in one domain, which tax.CompareValues orders
+// totally.
+var fuzzOrd = []string{"1", "2", "10", "01", "-3", "2.5", "1e1", "0", "", "a", "b", "B", "aa", "1a", "NaN", "z y"}
 
-// Ordering values come from one domain per input, numeric or not:
-// tax.CompareValues orders each domain totally, while a mix of the two
-// is not transitive and admits no unique sorted order.
-var (
-	fuzzNumericOrd = []string{"1", "2", "10", "01", "-3", "2.5", "1e1", "0"}
-	fuzzTextOrd    = []string{"a", "b", "B", "aa", "ab", "z y", "Z"}
-)
-
-// FuzzGroupSortOrder checks the rank-then-count group sort against a
-// stable comparison sort under the k-way merge's comparator (less): the
-// same rows in the same order, with the same arrival stamps, for any
-// grouping values, fragment boundaries, ordering values (optional,
-// either direction) and arrival base.
+// FuzzGroupSortOrder checks the counting group sort against a stable
+// comparison sort under the k-way merge's comparator (less): the same
+// rows in the same order, with the same arrival stamps, for any
+// grouping-value ranks (a rank space of 1 to 32, so ranks may go
+// unused), fragment boundaries, ordering values (optional, either
+// direction) and arrival base.
 func FuzzGroupSortOrder(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{1, 0, 0, 2, 1, 0x80, 1, 2, 0, 0, 3, 0}, uint8(0))
@@ -42,23 +35,19 @@ func FuzzGroupSortOrder(f *testing.F) {
 		if len(data) > 3*100 {
 			return
 		}
-		g := &groupSortIter{desc: mode&1 != 0}
-		vals := fuzzTextOrd
-		if mode&4 != 0 {
-			vals = fuzzNumericOrd
-		}
+		g := &groupSortIter{desc: mode&1 != 0, ranks: 1 + int(mode>>3)}
 		if mode&2 != 0 {
 			g.ov = map[xmltree.NodeID]string{}
 		}
-		base := int64(mode >> 3)
+		base := int64(mode & 4)
 		var segs [][]Row
 		var seg, all []Row
 		for i := 0; i+2 < len(data); i += 3 {
 			m := storage.Posting{Interval: xmltree.Interval{Doc: 1, Start: uint32(data[i+1] % 32), End: 100}}
 			if g.ov != nil && data[i+2]&1 != 0 {
-				g.ov[m.ID()] = vals[int(data[i+2]&0x7f>>1)%len(vals)]
+				g.ov[m.ID()] = fuzzOrd[int(data[i+2]&0x7f>>1)%len(fuzzOrd)]
 			}
-			r := Row{Member: m, HasAux: data[i+1]&0x20 != 0, Key: fuzzSortKeys[int(data[i])%len(fuzzSortKeys)]}
+			r := Row{Member: m, HasAux: data[i+1]&0x20 != 0, Key: uint32(int(data[i]) % g.ranks)}
 			seg = append(seg, r)
 			all = append(all, r)
 			if data[i+2]&0x80 != 0 {
@@ -84,20 +73,16 @@ func FuzzGroupSortOrder(f *testing.F) {
 }
 
 // groupSortInput builds rows fragment-by-fragment like the exchange
-// hands them over: n rows over distinct grouping values, in fragments
-// of 2 500 rows.
+// hands them over: n rows over distinct grouping-value ranks, in
+// fragments of 2 500 rows.
 func groupSortInput(n, distinct int) [][]Row {
 	rng := rand.New(rand.NewSource(int64(n + distinct)))
-	keys := make([]string, distinct)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("Author Name %d", rng.Intn(1<<30))
-	}
 	var frags [][]Row
 	for lo := 0; lo < n; lo += 2500 {
 		frag := make([]Row, 0, min(2500, n-lo))
 		for i := lo; i < lo+cap(frag); i++ {
 			m := storage.Posting{Interval: xmltree.Interval{Doc: 1, Start: uint32(10 * i), End: uint32(10*i + 9)}}
-			frag = append(frag, Row{Member: m, Aux: m, HasAux: true, Key: keys[rng.Intn(distinct)]})
+			frag = append(frag, Row{Member: m, Aux: m, HasAux: true, Key: uint32(rng.Intn(distinct))})
 		}
 		frags = append(frags, frag)
 	}
@@ -114,7 +99,7 @@ func BenchmarkGroupSort(b *testing.B) {
 			b.Run(fmt.Sprintf("rows=%d/keys=%d", rows, distinct), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					gs := newGroupSort(frags, nil, nil, false, 0, nil)
+					gs := newGroupSort(frags, nil, distinct, nil, false, 0, nil)
 					if err := gs.Open(); err != nil {
 						b.Fatal(err)
 					}

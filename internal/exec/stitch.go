@@ -1,9 +1,9 @@
 package exec
 
 // stitchIter is the stitching operator: it detects group boundaries in
-// the sorted row stream (a run of equal grouping values is a group)
-// and weaves in a rowGroup row carrying the grouping value ahead of
-// each run — the skeleton of the output trees, still identifier-only.
+// the sorted row stream (a run of equal grouping-value ranks is a
+// group) and weaves in a rowGroup row carrying the rank ahead of each
+// run — the skeleton of the output trees, still identifier-only.
 // Binding rows pass through beneath their group row; the sink (or the
 // aggregation operator, in count mode) consumes the shaped stream.
 //
@@ -17,7 +17,7 @@ type stitchIter struct {
 	opened  bool
 	rdr     *rowReader
 	haveKey bool
-	lastKey string
+	lastKey uint32
 	q       []Row
 	qPos    int
 	done    bool

@@ -167,6 +167,68 @@ func (db *DB) ValuePostings(tag, content string) ([]Posting, error) {
 	return sn.ValuePostings(tag, content)
 }
 
+// ScanValueRange walks the value index's prefix tag\0 — every indexed
+// content of tag's elements — and calls fn once per distinct content,
+// in byte order (strings.Compare), with that content's postings in
+// (doc, start) order. The postings slice is reused after fn returns.
+// An error from fn stops the scan and is returned.
+//
+// The scan covers only what the value index holds: elements with empty
+// content or content longer than maxIndexedContent are absent, and so
+// is content containing NUL (the key separator, which would put it out
+// of byte order). Without a value index the scan covers nothing and fn
+// is never called.
+func (sn *Snapshot) ScanValueRange(tag string, fn func(value string, ps []Posting) error) error {
+	if sn.valIdx == nil {
+		return nil
+	}
+	prefix := tagPrefix(tag)
+	var (
+		cur   []byte
+		ps    []Posting
+		inner error
+	)
+	flush := func() {
+		if len(ps) > 0 {
+			inner = fn(string(cur), ps)
+		}
+		ps = ps[:0]
+	}
+	err := sn.valIdx.ScanPrefix(prefix, func(k, v []byte) bool {
+		// tag, 0x00, content, 0x00, doc be32, start be32
+		if len(k) < len(prefix)+9 || k[len(k)-9] != 0 {
+			inner = fmt.Errorf("%w: value-index key of %d bytes", errCorruptBlock, len(k))
+			return false
+		}
+		content := k[len(prefix) : len(k)-9]
+		if bytes.IndexByte(content, 0) >= 0 {
+			return true
+		}
+		if !bytes.Equal(content, cur) {
+			if flush(); inner != nil {
+				return false
+			}
+			cur = append(cur[:0], content...)
+		}
+		ps, inner = appendBlockPostings(ps, k[len(k)-8:], v)
+		return inner == nil
+	})
+	if err != nil {
+		return err
+	}
+	if inner == nil {
+		flush()
+	}
+	return inner
+}
+
+// ScanValueRange is the pin-per-call form of Snapshot.ScanValueRange.
+func (db *DB) ScanValueRange(tag string, fn func(value string, ps []Posting) error) error {
+	sn := db.Snapshot()
+	defer sn.Close()
+	return sn.ScanValueRange(tag, fn)
+}
+
 // ScanRange calls fn for every node of doc whose start number lies in
 // [lo, hi), in document order. fn receives the decoded record. This is
 // the subtree-scan primitive: a node's subtree is exactly the start

@@ -30,6 +30,7 @@ type Reader interface {
 	// Index access.
 	TagPostings(tag string) ([]Posting, error)
 	ValuePostings(tag, content string) ([]Posting, error)
+	ScanValueRange(tag string, fn func(value string, ps []Posting) error) error
 	OpenTagCursor(tag string) *TagCursor
 	OpenTagDocCursor(tag string, doc xmltree.DocID) *TagCursor
 	Tags() ([]string, error)

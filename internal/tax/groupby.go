@@ -1,6 +1,8 @@
 package tax
 
 import (
+	"cmp"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -135,26 +137,34 @@ func orderValue(b match.Binding, oi OrderItem) string {
 	return n.Content
 }
 
-// CompareValues compares two values drawn from an ordered domain:
-// numerically when both parse as numbers, lexicographically otherwise.
-// It is the comparison the ordering list uses; the physical executors
-// share it so every plan orders identically.
+// CompareValues compares two ordering values under one total order:
+// the empty value (a missing ordering value) comes first; then the
+// values that parse as a number (not NaN), compared numerically; then
+// every other value, compared bytewise. It is the comparison the ordering list uses; the physical
+// executors share it so every plan orders identically. A total order
+// is what makes that hold for mixed values too: a stable sort has one
+// result, whatever the sort algorithm or run boundaries.
 func CompareValues(a, b string) int { return compareValues(a, b) }
 
-// compareValues compares two values drawn from an ordered domain:
-// numerically when both parse as numbers, lexicographically otherwise.
 func compareValues(a, b string) int {
-	if an, err1 := strconv.ParseFloat(a, 64); err1 == nil {
-		if bn, err2 := strconv.ParseFloat(b, 64); err2 == nil {
-			switch {
-			case an < bn:
-				return -1
-			case an > bn:
-				return 1
-			default:
-				return 0
-			}
-		}
+	if a == "" || b == "" {
+		return strings.Compare(a, b)
+	}
+	an, aNum := numericValue(a)
+	bn, bNum := numericValue(b)
+	switch {
+	case aNum && bNum:
+		return cmp.Compare(an, bn)
+	case aNum:
+		return -1
+	case bNum:
+		return 1
 	}
 	return strings.Compare(a, b)
+}
+
+// numericValue parses a value as a number; NaN is not one.
+func numericValue(s string) (float64, bool) {
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil && !math.IsNaN(f)
 }

@@ -10,7 +10,7 @@ import (
 	"timber/internal/pagestore"
 )
 
-func tempLog(t *testing.T) (*Log, string) {
+func tempLog(t testing.TB) (*Log, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "test.wal")
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)

@@ -5,7 +5,9 @@ import (
 
 	"timber/internal/dblpgen"
 	"timber/internal/exec"
+	"timber/internal/pagestore"
 	"timber/internal/paperdata"
+	"timber/internal/storage"
 )
 
 // TestPaperShape is the paper's Sec. 6 result as a deterministic gate:
@@ -33,7 +35,7 @@ func TestPaperShape(t *testing.T) {
 	}
 
 	type cost struct{ fetches, lookups uint64 }
-	run := func(text string, strat exec.Strategy) cost {
+	run := func(db *storage.DB, text string, strat exec.Strategy) cost {
 		t.Helper()
 		spec, err := buildQuery(text)
 		if err != nil {
@@ -62,7 +64,7 @@ func TestPaperShape(t *testing.T) {
 	for _, e := range exps {
 		got[e.name] = map[exec.Strategy]cost{}
 		for _, s := range plans {
-			c := run(e.text, s)
+			c := run(db, e.text, s)
 			got[e.name][s] = c
 			t.Logf("%s %-12v fetches %8d  look-ups %7d", e.name, s, c.fetches, c.lookups)
 		}
@@ -85,12 +87,28 @@ func TestPaperShape(t *testing.T) {
 			e2[exec.StrategyDirect].fetches, e2[exec.StrategyGroupBy].fetches,
 			e1[exec.StrategyDirect].fetches, e1[exec.StrategyGroupBy].fetches)
 	}
-	// groupby's count reads each author's value once, to group by it,
-	// and never a title.
-	if g := e2[exec.StrategyGroupBy].lookups; g != uint64(len(authors)) {
-		t.Errorf("E2 groupby value look-ups = %d, want %d (one per author element)", g, len(authors))
+	// groupby's count takes the author values ranked from the value
+	// index and never reads a title: no value look-up at all.
+	if g := e2[exec.StrategyGroupBy].lookups; g != 0 {
+		t.Errorf("E2 groupby value look-ups = %d, want 0", g)
 	}
 	if g1, g2 := e1[exec.StrategyGroupBy].fetches, e2[exec.StrategyGroupBy].fetches; g2 >= g1 {
 		t.Errorf("groupby fetches: E2 %d, E1 %d; want E2 below E1", g2, g1)
+	}
+
+	// Without a value index the paper's plan reads each author's value
+	// from the heap once, to group by it — and still never a title.
+	noVal, err := storage.CreateTemp(storage.Options{PageSize: pagestore.DefaultPageSize, PoolPages: benchPoolPages(articles), NoValueIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer noVal.Close()
+	if _, err := dblpgen.GenerateToDB(noVal, dblpgen.Config{Articles: articles, Seed: 2002}); err != nil {
+		t.Fatal(err)
+	}
+	if g := run(noVal, paperdata.QueryCountText, exec.StrategyGroupBy); g.lookups != uint64(len(authors)) {
+		t.Errorf("E2 groupby without a value index: %d value look-ups, want %d (one per author element)", g.lookups, len(authors))
+	} else {
+		t.Logf("E2 groupby, no value index: fetches %8d  look-ups %7d", g.fetches, g.lookups)
 	}
 }
