@@ -31,14 +31,16 @@ check: vet race fuzz-smoke
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# fuzz-smoke runs each native fuzz target briefly — enough to catch
+# fuzz-smoke runs every native fuzz target briefly — enough to catch
 # parser panics on the corpus plus a short random exploration. The
-# storage and exec targets cover the compressed on-disk codecs
-# (posting blocks, compact records, LZ pages, spill rows); the btree
-# target checks batch inserts against a map model, the value-range
-# target checks the grouping values' sorted scan against the tag
-# postings' heap contents, and the group-sort target checks the
-# counting sort over grouping-value ranks against a comparison sort.
+# storage, exec and pagestore targets cover the compressed on-disk
+# codecs (posting blocks, compact records, spill rows, and LZ pages:
+# decompression of arbitrary bytes and the compress/decompress round
+# trip); the btree target checks batch inserts against a map model,
+# the value-range target checks the grouping values' sorted scan
+# against the tag postings' heap contents, and the group-sort target
+# checks the counting sort over grouping-value ranks against a
+# comparison sort.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/xq/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTree$$' -fuzztime 5s ./internal/pattern/
@@ -50,4 +52,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpillRow$$' -fuzztime 5s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupSortOrder$$' -fuzztime 5s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzLZDecompress$$' -fuzztime 5s ./internal/pagestore/
+	$(GO) test -run '^$$' -fuzz '^FuzzLZRoundTrip$$' -fuzztime 5s ./internal/pagestore/
 	$(GO) test -run '^$$' -fuzz '^FuzzTwigMatch$$' -fuzztime 5s ./internal/match/

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -141,6 +142,47 @@ func TestCLI(t *testing.T) {
 	for name, n := range trees {
 		if n != trees["groupby"] {
 			t.Errorf("-plan %s: %s result trees, groupby %s", name, n, trees["groupby"])
+		}
+	}
+}
+
+// TestQueryLeavesDatabaseUnchanged: a query — auto, and with -explain —
+// is a read. The database file and its log are byte-identical after
+// the command closes the database.
+func TestQueryLeavesDatabaseUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	db := filepath.Join(dir, "bib.timber")
+	queryPath := filepath.Join(dir, "q1.xq")
+	if err := os.WriteFile(queryPath, []byte(paperdata.Query1Text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, stderr := timber("gen", "-articles", "300", "-db", db); code != 0 {
+		t.Fatalf("gen -db: exit %d: %s", code, stderr)
+	}
+	files := []string{db, db + ".wal"}
+	read := func() [][]byte {
+		var out [][]byte
+		for _, f := range files {
+			b, err := os.ReadFile(f)
+			if err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+			out = append(out, b)
+		}
+		return out
+	}
+	before := read()
+	for _, args := range [][]string{
+		{"query", "-db", db, "-f", queryPath, "-plans=false", "-q"},
+		{"query", "-db", db, "-f", queryPath, "-plans=false", "-q", "-explain"},
+	} {
+		if code, _, stderr := timber(args...); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr)
+		}
+		for i, b := range read() {
+			if !bytes.Equal(b, before[i]) {
+				t.Errorf("%v changed %s (%d -> %d bytes)", args, files[i], len(before[i]), len(b))
+			}
 		}
 	}
 }

@@ -80,16 +80,14 @@ type Engine struct {
 
 	// plannerEstErr distributes the planner's relative
 	// cardinality-estimation error, measured against the actuals of the
-	// auto run it estimated.
+	// ExplainExecute run it estimated.
 	plannerEstErr *obs.HistogramVec
 
-	// Cardinality-statistics cache for the planner, revalidated by
-	// storage epoch (any commit moves the epoch, so a hit can never
-	// serve statistics from before a data change).
+	// EXPLAIN's cardinality statistics, filed under the epoch of the
+	// snapshot they were scanned from (see cardStats).
 	statsMu    sync.Mutex
 	statsCat   *stats.Catalog
 	statsEpoch uint64
-	statsOK    bool
 }
 
 // estErrBuckets bound the planner's relative estimation error
@@ -287,10 +285,8 @@ func (e *Engine) compile(query string) (*PreparedQuery, error) {
 type ExecOptions struct {
 	// Strategy selects the physical plan. The zero value,
 	// exec.StrategyAuto, runs the groupby plan when the grouping
-	// rewrite applied (the paper's Sec. 6 result) and records the
-	// planner's estimates against the run's actuals (building the
-	// cardinality statistics on first use); Result.Strategy reports
-	// what ran. An explicit strategy is an override. Spec-level
+	// rewrite applied (the paper's Sec. 6 result); Result.Strategy
+	// reports what ran. An explicit strategy is an override. Spec-level
 	// strategies (groupby, direct, ...) require the grouping rewrite;
 	// when it did not apply they — and auto — fall back to the generic
 	// physical plan, so every value always works. StrategyLogical
@@ -422,7 +418,7 @@ func (pq *PreparedQuery) matcherFor(strat exec.Strategy, requested match.Matcher
 }
 
 // estimates is the planner's view of a strat run of the grouping Spec,
-// read off the engine's cached statistics.
+// read off the statistics of the current state.
 func (pq *PreparedQuery) estimates(strat exec.Strategy) *planner.Estimates {
 	return planner.Estimate(pq.eng.cardStats(), pq.Spec, strat)
 }
@@ -468,48 +464,43 @@ func patternOf(op plan.Op) *pattern.Tree {
 	return nil
 }
 
-// cardStats returns the database's cardinality statistics for the
-// planner, building them transactionally on first use (or after an
-// offline bulk load left them stale) and caching per storage epoch.
-// Returns nil when statistics cannot be obtained at all — the planner
-// then reports zero estimates.
+// cardStats returns the cardinality statistics EXPLAIN estimates
+// from: one ANALYZE scan of a pinned snapshot, cached under that
+// snapshot's epoch. Every commit moves the epoch, so a cached catalog
+// always describes exactly the state it is filed under. Returns nil
+// when the scan fails — the planner then reports zero estimates.
 func (e *Engine) cardStats() *stats.Catalog {
-	epoch := e.db.Epoch()
+	sn := e.db.Snapshot()
+	defer sn.Close()
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
-	if e.statsOK && e.statsEpoch == epoch {
+	if e.statsCat != nil && e.statsEpoch == sn.Epoch() {
 		return e.statsCat
 	}
-	cat, err := e.db.CardStats()
-	if err != nil || !cat.Fresh {
-		// Absent or stale: run the ANALYZE scan. Durability is not worth
-		// an fsync on the query path — statistics rebuild on demand.
-		if built, berr := e.db.BuildCardStats(storage.SyncNone); berr == nil {
-			cat = built
-		} else if err != nil {
-			cat = nil // none persisted and the build failed
-		}
+	cat, err := sn.CardStats()
+	if err != nil {
+		return nil
 	}
-	e.statsCat, e.statsEpoch, e.statsOK = cat, e.db.Epoch(), true
+	e.statsCat, e.statsEpoch = cat, sn.Epoch()
 	return cat
 }
 
 // observeEstimate records the planner's relative estimation error for
-// one auto execution against the run's actuals: the histogram plus a
+// one ExplainExecute run against its actuals: the histogram plus a
 // plan_estimate event, so a mis-estimate is inspectable per query, not
 // just in aggregate.
-func (e *Engine) observeEstimate(qid string, est *planner.Estimates, res *Result) {
-	if !est.StatsUsed {
+func (e *Engine) observeEstimate(qid string, x *Explain) {
+	if !x.StatsUsed {
 		return
 	}
-	actual := float64(res.Stats.Groups)
-	err := relErr(est.Groups, actual)
+	actual := float64(x.ActualGroups)
+	err := relErr(x.EstGroups, actual)
 	e.plannerEstErr.With("groups").Observe(err)
 	e.db.Journal().Emit(obs.Event{
 		Type:  obs.EvPlanEstimate,
 		QID:   qid,
 		Label: "groups",
-		Count: int64(est.Groups),
+		Count: int64(x.EstGroups),
 		Aux:   int64(actual),
 		Value: err,
 	})
@@ -560,21 +551,13 @@ func (pq *PreparedQuery) execute(ctx context.Context, o ExecOptions) (*Result, e
 		}
 		return &Result{Trees: out.Trees, Strategy: strat, Matcher: xo.Matcher}, nil
 	default:
-		var est *planner.Estimates
-		if o.Strategy == exec.StrategyAuto {
-			est = pq.estimates(strat)
-		}
 		spec := pq.Spec
 		spec.Strategy = strat
 		res, err := exec.Run(pq.eng.db, spec, xo)
 		if err != nil {
 			return nil, err
 		}
-		out := &Result{Trees: res.Trees, Stats: res.Stats, Strategy: strat}
-		if est != nil {
-			pq.eng.observeEstimate(obs.QueryIDFrom(ctx), est, out)
-		}
-		return out, nil
+		return &Result{Trees: res.Trees, Stats: res.Stats, Strategy: strat}, nil
 	}
 }
 

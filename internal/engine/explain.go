@@ -28,11 +28,10 @@ type Explain struct {
 	Requested string `json:"requested_strategy"`
 	// Strategy is the plan that was (or would be) run.
 	Strategy string `json:"strategy"`
-	// StatsUsed and StatsFresh report whether cardinality statistics
-	// informed the estimates and whether they described exactly the
-	// current data.
-	StatsUsed  bool `json:"stats_used"`
-	StatsFresh bool `json:"stats_fresh"`
+	// StatsUsed reports whether cardinality statistics informed the
+	// estimates. They are computed from the current state on demand,
+	// so they are always exact; only an empty database has none.
+	StatsUsed bool `json:"stats_used"`
 	// Matcher is the pattern-matching algorithm the run uses, as
 	// Result.Matcher reports it: set only when the strategy is
 	// physical (match.Resolve's pick for the plan's pattern), empty for
@@ -94,7 +93,6 @@ func (pq *PreparedQuery) Explain(o ExecOptions) *Explain {
 	}
 	est := pq.estimates(strat)
 	x.StatsUsed = est.StatsUsed
-	x.StatsFresh = est.StatsFresh
 	x.EstGroups = est.Groups
 	for _, op := range est.Operators {
 		x.Operators = append(x.Operators, ExplainOp{Op: op.Op, EstRows: op.Rows, ActualRows: -1})
@@ -108,6 +106,9 @@ func (pq *PreparedQuery) Explain(o ExecOptions) *Explain {
 // the one Execute owns: the caller's ExecOptions.Tracer when set (so
 // `timber query -explain -trace` and timber-serve read the same tree
 // the report was joined from), else the engine's wall-clock-only one.
+// The group estimate's error against the run is recorded in
+// planner_estimate_error and a plan_estimate event; plain Execute
+// builds no estimates and records neither.
 func (pq *PreparedQuery) ExplainExecute(ctx context.Context, o ExecOptions) (*Explain, *Result, error) {
 	x := pq.Explain(o)
 	start := time.Now()
@@ -131,6 +132,7 @@ func (pq *PreparedQuery) ExplainExecute(ctx context.Context, o ExecOptions) (*Ex
 			x.Operators[i].ActualRows = v
 		}
 	}
+	pq.eng.observeEstimate(obs.QueryIDFrom(ctx), x)
 	return x, res, nil
 }
 
@@ -178,13 +180,7 @@ func (x *Explain) Text() string {
 	if x.Note != "" {
 		fmt.Fprintf(&b, "note: %s\n", x.Note)
 	}
-	if x.StatsUsed {
-		fresh := "fresh"
-		if !x.StatsFresh {
-			fresh = "stale"
-		}
-		fmt.Fprintf(&b, "statistics: %s\n", fresh)
-	} else if x.Applied {
+	if !x.StatsUsed && x.Applied {
 		b.WriteString("statistics: unavailable\n")
 	}
 	if len(x.Operators) > 0 {

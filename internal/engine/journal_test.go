@@ -11,10 +11,10 @@ import (
 	"timber/internal/storage"
 )
 
-// TestSelfCalibration: auto-strategy executions of the Sec. 6 queries
-// over a journaled database emit one plan_estimate "groups" event per
-// execution, each carrying the estimate, the run's actual and their
-// relative error.
+// TestSelfCalibration: ExplainExecute runs of the Sec. 6 queries over
+// a journaled database emit one plan_estimate "groups" event per run,
+// each carrying the estimate, the run's actual and their relative
+// error; plain auto executions build no estimates and emit none.
 func TestSelfCalibration(t *testing.T) {
 	journal := obs.NewJournal(obs.DefaultJournalEvents)
 	db, err := storage.CreateTemp(storage.Options{PoolPages: 1024, Journal: journal})
@@ -38,6 +38,20 @@ func TestSelfCalibration(t *testing.T) {
 			}
 		}
 	}
+	if n := len(journal.Events(obs.EventFilter{Types: []obs.EventType{obs.EvPlanEstimate}})); n != 0 {
+		t.Fatalf("auto executions emitted %d plan_estimate events, want 0", n)
+	}
+	for _, text := range []string{paperdata.Query1Text, paperdata.QueryCountText} {
+		pq, err := e.Prepare(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < runs; i++ {
+			if _, _, err := pq.ExplainExecute(context.Background(), ExecOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	var groups int
 	for _, ev := range journal.Events(obs.EventFilter{Types: []obs.EventType{obs.EvPlanEstimate}}) {
 		if ev.Label != "groups" {
@@ -52,7 +66,7 @@ func TestSelfCalibration(t *testing.T) {
 		}
 	}
 	if groups != 2*runs {
-		t.Fatalf("groups plan_estimate events = %d, want %d (one per auto execution)", groups, 2*runs)
+		t.Fatalf("groups plan_estimate events = %d, want %d (one per ExplainExecute)", groups, 2*runs)
 	}
 }
 

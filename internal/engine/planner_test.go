@@ -3,13 +3,16 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"timber/internal/dblpgen"
 	"timber/internal/exec"
 	"timber/internal/obs"
+	"timber/internal/paperdata"
 	"timber/internal/storage"
 	"timber/internal/xmltree"
 )
@@ -22,10 +25,7 @@ var specStrategies = []exec.Strategy{
 
 // TestAutoRunsPlannerChoice: ExecOptions{} on a grouping query runs
 // the groupby plan — the result reports it, the answer matches the
-// logical reference, and engine_strategy_total counts the run. The
-// sample database arrives via the offline bulk loader, so this also
-// exercises the lazy ANALYZE the auto run's estimates trigger on first
-// use.
+// logical reference, and engine_strategy_total counts the run.
 func TestAutoRunsPlannerChoice(t *testing.T) {
 	e := sampleEngine(t, Options{})
 	pq, err := e.Prepare(query1)
@@ -49,14 +49,6 @@ func TestAutoRunsPlannerChoice(t *testing.T) {
 	}
 	if got := e.Registry().CounterVec("engine_strategy_total", "", "strategy").With(res.Strategy.String()).Load(); got < 1 {
 		t.Errorf("engine_strategy_total{%s} = %d, want >= 1", res.Strategy, got)
-	}
-	// The lazy build left fresh statistics behind.
-	cat, err := e.DB().CardStats()
-	if err != nil {
-		t.Fatalf("CardStats after auto execution: %v", err)
-	}
-	if !cat.Fresh {
-		t.Error("statistics still stale after the lazy ANALYZE")
 	}
 }
 
@@ -122,8 +114,8 @@ func TestExplainEstimatesOnly(t *testing.T) {
 	if x.Requested != "auto" {
 		t.Errorf("Requested = %q, want auto", x.Requested)
 	}
-	if !x.StatsUsed || !x.StatsFresh {
-		t.Errorf("StatsUsed=%v StatsFresh=%v, want both true (lazy ANALYZE)", x.StatsUsed, x.StatsFresh)
+	if !x.StatsUsed {
+		t.Error("StatsUsed = false, want true (on-demand ANALYZE)")
 	}
 	if x.Strategy != "groupby" {
 		t.Errorf("Strategy = %q, want groupby", x.Strategy)
@@ -179,8 +171,8 @@ func TestExplainExecuteJoinsActuals(t *testing.T) {
 		}
 		// Exact statistics on a tiny database: the group estimate should
 		// land on the true count.
-		if x.StatsFresh && x.EstGroups != float64(x.ActualGroups) {
-			t.Errorf("%v: EstGroups = %v with fresh stats, actual %d", strat, x.EstGroups, x.ActualGroups)
+		if x.EstGroups != float64(x.ActualGroups) {
+			t.Errorf("%v: EstGroups = %v with exact stats, actual %d", strat, x.EstGroups, x.ActualGroups)
 		}
 		// Renders both ways.
 		txt := x.Text()
@@ -226,9 +218,8 @@ func TestExplainNonGroupingQuery(t *testing.T) {
 }
 
 // TestStatsCacheRevalidatesAfterIngest: the engine's statistics cache
-// is epoch-keyed — an insert after the first auto execution must be
-// visible to the next planning decision (incremental maintenance keeps
-// the catalog fresh without a rescan).
+// is epoch-keyed — an insert after the first EXPLAIN must be visible
+// to the next one, whose exact estimate matches the run.
 func TestStatsCacheRevalidatesAfterIngest(t *testing.T) {
 	e := sampleEngine(t, Options{})
 	pq, err := e.Prepare(query1)
@@ -249,9 +240,6 @@ func TestStatsCacheRevalidatesAfterIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := pq.Explain(ExecOptions{})
-	if !after.StatsFresh {
-		t.Error("stats stale after incremental ingest (maintenance should keep them fresh)")
-	}
 	if after.EstGroups <= before.EstGroups {
 		t.Errorf("EstGroups %v -> %v after adding two new authors, want an increase",
 			before.EstGroups, after.EstGroups)
@@ -261,7 +249,7 @@ func TestStatsCacheRevalidatesAfterIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if int64(res.Stats.Groups) != int64(after.EstGroups) {
-		t.Errorf("post-ingest groups = %d, fresh-stats estimate %v", res.Stats.Groups, after.EstGroups)
+		t.Errorf("post-ingest groups = %d, estimate %v", res.Stats.Groups, after.EstGroups)
 	}
 }
 
@@ -293,7 +281,7 @@ func accessCount(t *testing.T, db *storage.DB, pq *PreparedQuery, o ExecOptions)
 }
 
 // pickFixture prepares Query 1 over a generated bench-style database
-// and runs it once so the statistics exist before any pick is judged.
+// and runs it once, so every judged run starts from a warm pool.
 func pickFixture(t *testing.T) (*storage.DB, *PreparedQuery) {
 	t.Helper()
 	db, err := storage.CreateTemp(storage.Options{PoolPages: 1024})
@@ -336,5 +324,185 @@ func TestPlannerPickNeverFarFromBest(t *testing.T) {
 	if float64(picked) > 1.5*float64(best) {
 		t.Errorf("planner picked %v at %d accesses; best strategy needs %d (> 1.5x; costs %v)",
 			auto.Strategy, picked, best, costs)
+	}
+}
+
+// TestReadQueryWritesNothing: an auto Execute, an Explain and an
+// ExplainExecute on a bulk-loaded database allocate no page and commit
+// nothing — computing EXPLAIN's statistics is a read.
+func TestReadQueryWritesNothing(t *testing.T) {
+	e := sampleEngine(t, Options{})
+	db := e.DB()
+	pages, commits := db.NumPages(), db.WALStats().Commits
+	pq, err := e.Prepare(query1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pq.Execute(context.Background(), ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if x := pq.Explain(ExecOptions{}); !x.StatsUsed {
+		t.Error("Explain used no statistics")
+	}
+	if _, _, err := pq.ExplainExecute(context.Background(), ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.NumPages(); got != pages {
+		t.Errorf("NumPages %d -> %d across read queries", pages, got)
+	}
+	if got := db.WALStats().Commits; got != commits {
+		t.Errorf("WAL commits %d -> %d across read queries", commits, got)
+	}
+}
+
+// queryOrdered is Query 1 with each author's titles in descending
+// order — the ORDER BY shape of the paper's Figure 3.
+const queryOrdered = `
+FOR $a IN distinct-values(document("bib.xml")//author)
+RETURN
+<authorpubs>
+  {$a}
+  {
+    FOR $b IN document("bib.xml")//article
+    WHERE $a = $b/author
+    ORDER BY $b/title DESCENDING
+    RETURN $b/title
+  }
+</authorpubs>`
+
+// TestExplainEstimatesGolden pins EXPLAIN's estimates on quiesced
+// databases: the group estimate and per-operator rows of the auto
+// (groupby) and direct plans for Query 1, the count query and the
+// ORDER BY query, on the Figure 6 sample and on a 300-article dblpgen
+// database. The values were recorded when ingest still persisted and
+// maintained the statistics; the on-demand scan reproduces them.
+func TestExplainEstimatesGolden(t *testing.T) {
+	type golden struct{ groups, auto, direct string }
+	// Operator rows as "name=rows", in pipeline order.
+	cases := map[string]map[string]golden{
+		"sample": {
+			"query1": {"3",
+				"scan: member postings=3 select: join author=5 populate: grouping values=5 select: value title=3 mergejoin: values=5 sort: witnesses=5 stitch: group boundaries=8 materialize: groups=3",
+				"materialize: outer selection=5 sjoin: join path=5 materialize: product trees=3 eval: RETURN arguments=3"},
+			"count": {"3",
+				"scan: member postings=3 select: join author=5 populate: grouping values=5 select: value title=3 mergejoin: values=5 sort: witnesses=5 stitch: group boundaries=8 aggregate: group counts=3 materialize: groups=3",
+				"materialize: outer selection=5 sjoin: join path=5 materialize: product trees=3 eval: RETURN arguments=3"},
+			"ordered": {"3",
+				"scan: member postings=3 select: join author=5 populate: grouping values=5 select: value title=3 mergejoin: values=5 select: order title=3 dupelim: order matches=3 populate: ordering values=3 sort: witnesses=5 stitch: group boundaries=8 materialize: groups=3",
+				"materialize: outer selection=5 sjoin: join path=5 materialize: product trees=3 eval: RETURN arguments=3"},
+		},
+		"dblp300": {
+			"query1": {"118",
+				"scan: member postings=300 select: join author=713 populate: grouping values=713 select: value title=300 mergejoin: values=713 sort: witnesses=713 stitch: group boundaries=831 materialize: groups=118",
+				"materialize: outer selection=713 sjoin: join path=713 materialize: product trees=118 eval: RETURN arguments=118"},
+			"count": {"118",
+				"scan: member postings=300 select: join author=713 populate: grouping values=713 select: value title=300 mergejoin: values=713 sort: witnesses=713 stitch: group boundaries=831 aggregate: group counts=118 materialize: groups=118",
+				"materialize: outer selection=713 sjoin: join path=713 materialize: product trees=118 eval: RETURN arguments=118"},
+			"ordered": {"118",
+				"scan: member postings=300 select: join author=713 populate: grouping values=713 select: value title=300 mergejoin: values=713 select: order title=300 dupelim: order matches=300 populate: ordering values=300 sort: witnesses=713 stitch: group boundaries=831 materialize: groups=118",
+				"materialize: outer selection=713 sjoin: join path=713 materialize: product trees=118 eval: RETURN arguments=118"},
+		},
+	}
+	queries := map[string]string{"query1": query1, "count": paperdata.QueryCountText, "ordered": queryOrdered}
+	render := func(x *Explain) string {
+		var parts []string
+		for _, op := range x.Operators {
+			parts = append(parts, fmt.Sprintf("%s=%g", op.Op, op.EstRows))
+		}
+		return strings.Join(parts, " ")
+	}
+	for dbName, byQuery := range cases {
+		db, err := storage.CreateTemp(storage.Options{PoolPages: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		if dbName == "sample" {
+			_, err = db.LoadDocument("bib.xml", paperdata.SampleDatabase())
+		} else {
+			_, err = dblpgen.GenerateToDB(db, dblpgen.Config{Articles: 300, Seed: 7})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(db, Options{})
+		for qName, want := range byQuery {
+			pq, err := e.Prepare(queries[qName])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for strat, wantOps := range map[exec.Strategy]string{exec.StrategyAuto: want.auto, exec.StrategyDirect: want.direct} {
+				x := pq.Explain(ExecOptions{Strategy: strat})
+				if got := fmt.Sprintf("%g", x.EstGroups); got != want.groups {
+					t.Errorf("%s %s %v: EstGroups = %s, want %s", dbName, qName, strat, got, want.groups)
+				}
+				if got := render(x); got != wantOps {
+					t.Errorf("%s %s %v: operator estimates\n got %s\nwant %s", dbName, qName, strat, got, wantOps)
+				}
+			}
+		}
+	}
+}
+
+// TestStatsCacheEpochUnderIngest: EXPLAIN interleaved with online
+// inserts files each catalog under the epoch of the snapshot it was
+// scanned from. Once the writer stops, EXPLAIN's exact group estimate
+// equals the group count of an auto run. Run it under -race.
+func TestStatsCacheEpochUnderIngest(t *testing.T) {
+	e := sampleEngine(t, Options{})
+	db := e.DB()
+	pq, err := e.Prepare(query1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const inserts = 40
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	errs := make(chan error, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < inserts; i++ {
+			// Each document adds one author no earlier document has.
+			doc := xmltree.E("doc_root", xmltree.E("article",
+				xmltree.Elem("author", fmt.Sprintf("Writer %03d", i)),
+				xmltree.Elem("title", fmt.Sprintf("Interleaved %d", i))))
+			if _, err := db.InsertDocument(fmt.Sprintf("w%03d.xml", i), doc, storage.SyncNone); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for readers := 0; readers < 2; readers++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					pq.Explain(ExecOptions{})
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	x := pq.Explain(ExecOptions{})
+	res, err := pq.Execute(context.Background(), ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.EstGroups != float64(res.Stats.Groups) {
+		t.Errorf("EstGroups = %v after the writer stopped, auto run has %d groups", x.EstGroups, res.Stats.Groups)
+	}
+	if want := 3 + inserts; res.Stats.Groups != want {
+		t.Errorf("auto run has %d groups, want %d", res.Stats.Groups, want)
 	}
 }

@@ -18,7 +18,7 @@ const (
 	// EvNone is the zero value; Emit rejects it.
 	EvNone EventType = iota
 	// EvTxnBegin marks a write transaction opening (ingest insert or
-	// delete, statistics rebuild) while the commit lock is held.
+	// delete) while the commit lock is held.
 	EvTxnBegin
 	// EvTxnCommit marks a transaction's WAL commit record being
 	// appended and the writer tip advancing.
@@ -39,11 +39,9 @@ const (
 	EvPagesRetired
 	// EvPagesReclaimed marks retired pages returning to the allocator.
 	EvPagesReclaimed
-	// EvStatsRebuild marks an ANALYZE pass persisting a fresh
-	// cardinality-statistics catalog.
-	EvStatsRebuild
 	// EvPlanEstimate records one planner estimate joined against the
-	// actual of the run it planned (quantity, estimate, actual, ratio).
+	// actual of the ExplainExecute run it estimated (quantity,
+	// estimate, actual, ratio).
 	EvPlanEstimate
 	// EvQueryDone marks a query execution completing.
 	EvQueryDone
@@ -81,8 +79,7 @@ var eventInfos = [numEventTypes]EventTypeInfo{
 	EvRecovery:       {EvRecovery, "EvRecovery", "recovery", "Crash recovery replayed the WAL (wal_seq: last committed, bytes: committed prefix length, count: records replayed, aux: pages restored, label: torn_tail/meta_fallback flags)."},
 	EvPagesRetired:   {EvPagesRetired, "EvPagesRetired", "pages_retired", "Superseded pages queued for reclamation (count; epoch/wal_seq: freeing commit)."},
 	EvPagesReclaimed: {EvPagesReclaimed, "EvPagesReclaimed", "pages_reclaimed", "Retired pages returned to the allocator (count)."},
-	EvStatsRebuild:   {EvStatsRebuild, "EvStatsRebuild", "stats_rebuild", "ANALYZE persisted a fresh statistics catalog (count: tags, wal_seq, epoch, dur_ns)."},
-	EvPlanEstimate:   {EvPlanEstimate, "EvPlanEstimate", "plan_estimate", "Planner estimate vs actual for one quantity (qid, label: quantity, count: estimate, aux: actual, value: relative error)."},
+	EvPlanEstimate:   {EvPlanEstimate, "EvPlanEstimate", "plan_estimate", "ExplainExecute's planner estimate vs actual for one quantity (qid, label: quantity, count: estimate, aux: actual, value: relative error)."},
 	EvQueryDone:      {EvQueryDone, "EvQueryDone", "query_done", "Query completed (qid, label: strategy, dur_ns: wall, count: result trees, aux: value lookups, bytes: index postings read)."},
 	EvQueryError:     {EvQueryError, "EvQueryError", "query_error", "Query failed (qid, label: strategy, err; retained in the anomaly ring)."},
 	EvSlowQuery:      {EvSlowQuery, "EvSlowQuery", "slow_query", "Execution at/above the slow-query threshold (qid, dur_ns, label: strategy, aux: first overlapping wal_seq, wal_seq: last, count: checkpoints overlapped)."},

@@ -2,12 +2,13 @@
 // plan itself is fixed by rule: opt.Rewrite decides the plan *shape* —
 // whether the GROUPBY operator applies — and the engine runs the
 // groupby plan whenever it does (the paper's Sec. 6 result). Estimate
-// turns the cardinality statistics the storage layer maintains
-// (internal/stats) into per-operator row estimates for EXPLAIN and for
-// the engine's plan_estimate events, which join them against the
-// actuals of the run. It is a sibling of internal/opt rather than part
-// of it because the exec package's own tests exercise the rewrite (opt
-// → exec here would cycle through them).
+// turns the cardinality statistics the storage layer computes on
+// demand from a snapshot's indexes (internal/stats) into per-operator
+// row estimates for EXPLAIN; ExplainExecute joins them against the
+// run's actuals and records the error in plan_estimate events. It is
+// a sibling of internal/opt rather than part of it because the exec
+// package's own tests exercise the rewrite (opt → exec here would
+// cycle through them).
 package planner
 
 import (
@@ -32,11 +33,9 @@ type Estimates struct {
 	// Groups estimates the result-group count.
 	Groups float64
 	// StatsUsed reports whether cardinality statistics informed the
-	// estimates; without them (absent catalog) every estimate is zero.
+	// estimates; without them (absent or empty catalog) every estimate
+	// is zero.
 	StatsUsed bool
-	// StatsFresh mirrors the catalog's freshness flag (false also when
-	// no statistics were available at all).
-	StatsFresh bool
 }
 
 // cardEst carries the intermediate cardinalities the operator lists
@@ -103,7 +102,7 @@ func Estimate(cat *stats.Catalog, spec exec.Spec, strat exec.Strategy) *Estimate
 	if cat != nil && len(cat.Tags) > 0 && cat.TotalNodes > 0 {
 		e = estimate(cat, spec)
 		x.Groups = e.groups
-		x.StatsUsed, x.StatsFresh = true, cat.Fresh
+		x.StatsUsed = true
 	}
 	switch strat {
 	case exec.StrategyAuto, exec.StrategyGroupBy:

@@ -25,11 +25,8 @@ func e1Spec() exec.Spec {
 // articles in one document, ~2.5 authors each, one title each.
 func dblpCatalog() *stats.Catalog {
 	return &stats.Catalog{
-		Epoch:      3,
-		Version:    42,
 		TotalNodes: 4700,
 		Documents:  1,
-		Fresh:      true,
 		Tags: map[string]stats.TagStat{
 			"article": {Postings: 1000, Docs: 1},
 			"author":  {Postings: 2500, Docs: 1, ValuePostings: 2500, DistinctValues: 400},
@@ -44,8 +41,8 @@ func dblpCatalog() *stats.Catalog {
 func TestChooseWithoutStats(t *testing.T) {
 	for _, cat := range []*stats.Catalog{nil, {}, {TotalNodes: 0, Tags: map[string]stats.TagStat{}}} {
 		d := Estimate(cat, e1Spec(), exec.StrategyAuto)
-		if d.StatsUsed || d.StatsFresh {
-			t.Errorf("Estimate(%v) reported StatsUsed=%v StatsFresh=%v", cat, d.StatsUsed, d.StatsFresh)
+		if d.StatsUsed {
+			t.Errorf("Estimate(%v) reported StatsUsed", cat)
 		}
 		if d.Groups != 0 {
 			t.Errorf("Estimate(%v) = %v groups, want a zero estimate", cat, d.Groups)
@@ -71,8 +68,8 @@ func TestChooseDeterministic(t *testing.T) {
 // group estimate is populated.
 func TestOperatorEstimates(t *testing.T) {
 	d := Estimate(dblpCatalog(), e1Spec(), exec.StrategyAuto)
-	if !d.StatsUsed || !d.StatsFresh {
-		t.Errorf("StatsUsed=%v StatsFresh=%v, want both true", d.StatsUsed, d.StatsFresh)
+	if !d.StatsUsed {
+		t.Error("StatsUsed = false, want true")
 	}
 	if d.Groups <= 0 {
 		t.Errorf("group estimate = %v, want > 0", d.Groups)

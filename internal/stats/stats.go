@@ -1,19 +1,13 @@
 // Package stats holds the cardinality statistics the planner's
 // estimates consume: per-tag posting counts from the tag index, and
 // per-(tag, value) cardinalities from the value index, aggregated into
-// one Catalog per database state. The storage layer collects and
-// persists catalogs (see storage.BuildCardStats / Reader.CardStats);
-// the planner (internal/opt/planner) turns them into per-operator row
-// estimates for EXPLAIN. The package is a leaf — it knows nothing about pages,
+// one Catalog per database state. The storage layer computes a catalog
+// on demand with one scan of a pinned snapshot's indexes
+// (storage.Snapshot.CardStats) and stores none; the planner
+// (internal/opt/planner) turns it into per-operator row estimates for
+// EXPLAIN. The package is a leaf — it knows nothing about pages,
 // B+trees or plans — so both layers can import it.
 package stats
-
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"sort"
-)
 
 // TagStat aggregates the index cardinalities of one element tag.
 type TagStat struct {
@@ -32,18 +26,6 @@ type TagStat struct {
 
 // Catalog is one database state's cardinality statistics.
 type Catalog struct {
-	// Epoch is the storage epoch the statistics were built or last
-	// refreshed at. Diagnostic: epochs restart at 1 on reopen, so
-	// freshness is decided by Version, not Epoch.
-	Epoch uint64 `json:"epoch"`
-	// Version is the opaque data-version token of the state the
-	// statistics describe. The storage layer derives it from durable
-	// catalog state (never-reused document IDs plus document count), so
-	// it survives reopen and changes on every document insert or
-	// delete. Statistics whose Version disagrees with the live state's
-	// are stale — typically after an offline bulk load, which bypasses
-	// incremental maintenance.
-	Version uint64 `json:"version"`
 	// TotalNodes is the total node count across all documents (every
 	// node carries exactly one tag posting).
 	TotalNodes uint64 `json:"total_nodes"`
@@ -51,9 +33,6 @@ type Catalog struct {
 	Documents uint64 `json:"documents"`
 	// Tags maps each element tag to its cardinalities.
 	Tags map[string]TagStat `json:"tags"`
-	// Fresh reports whether Version matched the live state when the
-	// catalog was read. Set by the storage layer; not persisted.
-	Fresh bool `json:"fresh"`
 }
 
 // New returns an empty catalog ready for aggregation.
@@ -69,19 +48,9 @@ func (c *Catalog) Tag(tag string) TagStat {
 	return c.Tags[tag]
 }
 
-// TagNames returns the known tags in lexicographic order.
-func (c *Catalog) TagNames() []string {
-	names := make([]string, 0, len(c.Tags))
-	for t := range c.Tags {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Postings estimates the number of nodes with the given tag. Unknown
-// tags estimate to zero — an unknown tag genuinely has no postings
-// when the statistics are fresh.
+// tags estimate to zero — the statistics are exact, so an unknown tag
+// genuinely has no postings.
 func (c *Catalog) Postings(tag string) float64 {
 	return float64(c.Tag(tag).Postings)
 }
@@ -140,86 +109,12 @@ func (c *Catalog) EdgeCardinality(parentTag string, parentRows float64, childTag
 	return est
 }
 
-// Record encoding. One header record plus one record per tag, so
-// incremental maintenance rewrites only the records a transaction
-// touches. All fields are uvarints behind a version byte.
-
-// encVersion is the statistics record format version.
-const encVersion = 1
-
-var errCorrupt = errors.New("stats: corrupt statistics record")
-
-// EncodeHeader serializes the catalog-level fields.
-func EncodeHeader(c *Catalog) []byte {
-	b := make([]byte, 0, 1+4*binary.MaxVarintLen64)
-	b = append(b, encVersion)
-	b = binary.AppendUvarint(b, c.Epoch)
-	b = binary.AppendUvarint(b, c.Version)
-	b = binary.AppendUvarint(b, c.TotalNodes)
-	b = binary.AppendUvarint(b, c.Documents)
-	return b
-}
-
-// DecodeHeader parses an EncodeHeader record into a fresh catalog
-// (Tags left empty).
-func DecodeHeader(b []byte) (*Catalog, error) {
-	if len(b) < 1 || b[0] != encVersion {
-		return nil, fmt.Errorf("%w: bad header version", errCorrupt)
-	}
-	vals, err := uvarints(b[1:], 4)
-	if err != nil {
-		return nil, fmt.Errorf("%w: header", errCorrupt)
-	}
-	c := New()
-	c.Epoch, c.Version, c.TotalNodes, c.Documents = vals[0], vals[1], vals[2], vals[3]
-	return c, nil
-}
-
-// EncodeTag serializes one tag's statistics.
-func EncodeTag(t TagStat) []byte {
-	b := make([]byte, 0, 4*binary.MaxVarintLen64)
-	b = binary.AppendUvarint(b, t.Postings)
-	b = binary.AppendUvarint(b, t.Docs)
-	b = binary.AppendUvarint(b, t.ValuePostings)
-	b = binary.AppendUvarint(b, t.DistinctValues)
-	return b
-}
-
-// DecodeTag parses an EncodeTag record.
-func DecodeTag(b []byte) (TagStat, error) {
-	vals, err := uvarints(b, 4)
-	if err != nil {
-		return TagStat{}, fmt.Errorf("%w: tag record", errCorrupt)
-	}
-	return TagStat{Postings: vals[0], Docs: vals[1], ValuePostings: vals[2], DistinctValues: vals[3]}, nil
-}
-
-// uvarints decodes exactly n uvarints consuming the whole buffer.
-func uvarints(b []byte, n int) ([]uint64, error) {
-	out := make([]uint64, n)
-	off := 0
-	for i := 0; i < n; i++ {
-		v, w := binary.Uvarint(b[off:])
-		if w <= 0 {
-			return nil, errCorrupt
-		}
-		out[i] = v
-		off += w
-	}
-	if off != len(b) {
-		return nil, errCorrupt
-	}
-	return out, nil
-}
-
-// Equal reports whether two catalogs carry identical statistics
-// (ignoring the read-time Fresh flag).
+// Equal reports whether two catalogs carry identical statistics.
 func (c *Catalog) Equal(o *Catalog) bool {
 	if c == nil || o == nil {
 		return c == o
 	}
-	if c.Epoch != o.Epoch || c.Version != o.Version ||
-		c.TotalNodes != o.TotalNodes || c.Documents != o.Documents ||
+	if c.TotalNodes != o.TotalNodes || c.Documents != o.Documents ||
 		len(c.Tags) != len(o.Tags) {
 		return false
 	}

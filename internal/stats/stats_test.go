@@ -5,47 +5,6 @@ import (
 	"testing"
 )
 
-func TestHeaderRoundTrip(t *testing.T) {
-	c := New()
-	c.Epoch, c.Version, c.TotalNodes, c.Documents = 7, 0xdeadbeef00000003, 12345, 3
-	got, err := DecodeHeader(EncodeHeader(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(&Catalog{Epoch: 7, Version: 0xdeadbeef00000003, TotalNodes: 12345, Documents: 3, Tags: map[string]TagStat{}}) {
-		t.Errorf("header round trip: got %+v", got)
-	}
-}
-
-func TestTagRoundTrip(t *testing.T) {
-	in := TagStat{Postings: 1 << 40, Docs: 9, ValuePostings: 17, DistinctValues: 5}
-	got, err := DecodeTag(EncodeTag(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != in {
-		t.Errorf("tag round trip: got %+v, want %+v", got, in)
-	}
-}
-
-func TestDecodeCorrupt(t *testing.T) {
-	if _, err := DecodeHeader(nil); err == nil {
-		t.Error("empty header should fail")
-	}
-	if _, err := DecodeHeader([]byte{99, 1, 2, 3, 4}); err == nil {
-		t.Error("bad version byte should fail")
-	}
-	good := EncodeHeader(New())
-	if _, err := DecodeHeader(append(good, 0)); err == nil {
-		t.Error("trailing bytes should fail")
-	}
-	for cut := 0; cut < 4; cut++ {
-		if _, err := DecodeTag(EncodeTag(TagStat{1, 2, 3, 4})[:cut]); err == nil {
-			t.Errorf("truncated tag record (%d bytes) should fail", cut)
-		}
-	}
-}
-
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestEstimators(t *testing.T) {
@@ -90,14 +49,13 @@ func TestEstimators(t *testing.T) {
 	}
 }
 
-func TestEqualIgnoresFresh(t *testing.T) {
+func TestEqual(t *testing.T) {
 	a := New()
 	a.Tags["x"] = TagStat{Postings: 1}
 	b := New()
 	b.Tags["x"] = TagStat{Postings: 1}
-	b.Fresh = true
 	if !a.Equal(b) {
-		t.Error("Equal must ignore Fresh")
+		t.Error("Equal must hold for identical catalogs")
 	}
 	b.Tags["x"] = TagStat{Postings: 2}
 	if a.Equal(b) {

@@ -222,47 +222,7 @@ func (db *DB) buildInsert(name string, root *xmltree.Node) (*txn, DocInfo, error
 	doc := xmltree.DocID(base.nextDocID)
 	xmltree.Number(root, doc)
 
-	// With fresh statistics on the base state, count this document's
-	// contribution during the same walk and fold it in below — the
-	// statistics stay exact across online ingest.
-	maintain, err := db.statsMaintained(base)
-	if err != nil {
-		return fail(err)
-	}
-	delta := newStatsDelta()
-	pairSeen := map[[2]string]bool{}
-	baseVal := (*btree.Tree)(nil)
-	if base.hasVal {
-		baseVal = db.tree(base.val)
-	}
-
-	var visit func(*NodeRecord) error
-	if maintain {
-		visit = func(rec *NodeRecord) error {
-			ts := delta.tags[rec.Tag]
-			ts.Postings++
-			if baseVal != nil && rec.Content != "" && len(rec.Content) <= maxIndexedContent {
-				ts.ValuePostings++
-				pair := [2]string{rec.Tag, rec.Content}
-				if !pairSeen[pair] {
-					pairSeen[pair] = true
-					// The pair adds a distinct value iff no prior document
-					// indexed it (the document itself is new, so the base
-					// tree decides).
-					exists, err := treeHasPrefix(baseVal, valuePrefix(pair[0], pair[1]))
-					if err != nil {
-						return err
-					}
-					if !exists {
-						ts.DistinctValues++
-					}
-				}
-			}
-			delta.tags[rec.Tag] = ts
-			return nil
-		}
-	}
-	e, err := storeDocument(h.heap, root, base.hasVal, visit)
+	e, err := storeDocument(h.heap, root, base.hasVal)
 	if err == nil {
 		err = e.pack(btree.MaxCellFor(db.st.PageSize()))
 	}
@@ -272,18 +232,9 @@ func (db *DB) buildInsert(name string, root *xmltree.Node) (*txn, DocInfo, error
 	if err != nil {
 		return fail(err)
 	}
-	count := uint64(len(e.loc))
-	delta.nodes = count
-
-	info := DocInfo{ID: doc, Name: name, RootStart: root.Interval.Start, NodeCount: count}
+	info := DocInfo{ID: doc, Name: name, RootStart: root.Interval.Start, NodeCount: uint64(len(e.loc))}
 	if err := h.catalog.Insert(catalogKey(doc), encodeDocInfo(info)); err != nil {
 		return fail(fmt.Errorf("catalog: %w", err))
-	}
-	if maintain {
-		version := statsVersionFor(base.nextDocID+1, len(base.docs)+1)
-		if err := db.applyStatsDelta(h, base, delta, +1, base.epoch+1, version, uint64(len(base.docs)+1)); err != nil {
-			return fail(fmt.Errorf("stats: %w", err))
-		}
 	}
 	t := db.finishTxn(h, func(s *snapState) {
 		s.nextDocID = base.nextDocID + 1
@@ -310,8 +261,8 @@ func (db *DB) buildDelete(name string) (*txn, error) {
 	locatorT := db.tree(base.locator)
 	heap := pagestore.OpenHeapAt(db.st, base.heapFirst, base.heapLast)
 	var locKeys [][]byte
-	tags := map[string]uint64{}
-	values := map[[2]string]uint64{}
+	tags := map[string]bool{}
+	values := map[[2]string]bool{}
 	var inner error
 	lo := locatorKey(xmltree.NodeID{Doc: info.ID, Start: 0})
 	hi := locatorKey(xmltree.NodeID{Doc: info.ID + 1, Start: 0})
@@ -327,9 +278,9 @@ func (db *DB) buildDelete(name string) (*txn, error) {
 			if err != nil {
 				return err
 			}
-			tags[rec.Tag]++
+			tags[rec.Tag] = true
 			if rec.Content != "" && len(rec.Content) <= maxIndexedContent {
-				values[[2]string{rec.Tag, rec.Content}]++
+				values[[2]string{rec.Tag, rec.Content}] = true
 			}
 			return nil
 		}); err != nil {
@@ -374,38 +325,6 @@ func (db *DB) buildDelete(name string) (*txn, error) {
 		}
 	}
 
-	// With fresh statistics on the base state, count the document's
-	// departure so the statistics stay exact. Distinct-value extinction
-	// probes look for the (tag, content) pair in documents other than
-	// this one.
-	maintain, err := db.statsMaintained(base)
-	if err != nil {
-		return nil, err
-	}
-	delta := newStatsDelta()
-	if maintain {
-		delta.nodes = uint64(len(locKeys))
-		for tag, n := range tags {
-			ts := delta.tags[tag]
-			ts.Postings += n
-			delta.tags[tag] = ts
-		}
-		for tv, n := range values {
-			ts := delta.tags[tv[0]]
-			ts.ValuePostings += n
-			if valT != nil {
-				elsewhere, perr := treeHasPrefixOutsideDoc(valT, valuePrefix(tv[0], tv[1]), be32(doc))
-				if perr != nil {
-					return nil, perr
-				}
-				if !elsewhere {
-					ts.DistinctValues++
-				}
-			}
-			delta.tags[tv[0]] = ts
-		}
-	}
-
 	h, err := db.beginTxn()
 	if err != nil {
 		return nil, err
@@ -430,12 +349,6 @@ func (db *DB) buildDelete(name string) (*txn, error) {
 	}
 	if err := h.catalog.Delete(catalogKey(info.ID)); err != nil {
 		return fail(fmt.Errorf("catalog: %w", err))
-	}
-	if maintain {
-		version := statsVersionFor(base.nextDocID, len(base.docs)-1)
-		if err := db.applyStatsDelta(h, base, delta, -1, base.epoch+1, version, uint64(len(base.docs)-1)); err != nil {
-			return fail(fmt.Errorf("stats: %w", err))
-		}
 	}
 	t := db.finishTxn(h, func(s *snapState) {
 		s.docs = make([]DocInfo, 0, len(base.docs)-1)

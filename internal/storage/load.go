@@ -52,7 +52,7 @@ func (db *DB) LoadDocument(name string, root *xmltree.Node) (xmltree.DocID, erro
 		valIdx = db.tree(base.val)
 	}
 
-	e, err := storeDocument(heap, root, base.hasVal, nil)
+	e, err := storeDocument(heap, root, base.hasVal)
 	if err == nil {
 		err = e.pack(btree.MaxCellFor(db.st.PageSize()))
 	}
@@ -115,9 +115,8 @@ type indexEntries struct {
 
 // storeDocument walks the tree once in document order: it appends each
 // node's record to the heap and queues its index entries (value
-// entries only when withVal). visit, when non-nil, sees every record
-// after it is stored.
-func storeDocument(heap *pagestore.Heap, root *xmltree.Node, withVal bool, visit func(*NodeRecord) error) (*indexEntries, error) {
+// entries only when withVal).
+func storeDocument(heap *pagestore.Heap, root *xmltree.Node, withVal bool) (*indexEntries, error) {
 	e := &indexEntries{}
 	var err error
 	root.Walk(func(n *xmltree.Node) bool {
@@ -141,10 +140,7 @@ func storeDocument(heap *pagestore.Heap, root *xmltree.Node, withVal bool, visit
 		if withVal && rec.Content != "" && len(rec.Content) <= maxIndexedContent {
 			e.val = append(e.val, btree.KV{Key: valueKey(rec.Tag, rec.Content, id), Value: posting})
 		}
-		if visit != nil {
-			err = visit(rec)
-		}
-		return err == nil
+		return true
 	})
 	return e, err
 }

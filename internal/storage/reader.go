@@ -4,7 +4,6 @@ import (
 	"timber/internal/btree"
 	"timber/internal/obs"
 	"timber/internal/pagestore"
-	"timber/internal/stats"
 	"timber/internal/xmltree"
 )
 
@@ -38,7 +37,6 @@ type Reader interface {
 	// Catalog and configuration.
 	Documents() []DocInfo
 	DocumentByName(name string) (DocInfo, bool)
-	CardStats() (*stats.Catalog, error)
 	HasValueIndex() bool
 	Epoch() uint64
 
