@@ -28,8 +28,11 @@ race:
 # race detector, and a short fuzz pass over every parser and codec.
 check: vet race fuzz-smoke
 
+# bench runs every benchmark of the module once — the root experiment
+# benchmarks and each layer's (btree, storage, exec, pagestore, wal,
+# match, ...) — so a benchmark that fails at run time fails the target.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 # fuzz-smoke runs every native fuzz target briefly — enough to catch
 # parser panics on the corpus plus a short random exploration. The

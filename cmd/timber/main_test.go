@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -143,6 +145,26 @@ func TestCLI(t *testing.T) {
 		if n != trees["groupby"] {
 			t.Errorf("-plan %s: %s result trees, groupby %s", name, n, trees["groupby"])
 		}
+	}
+}
+
+// genFileSHA256 is the SHA-256 of the file `timber gen -articles 300
+// -db` writes. The on-disk format — page layout, record codec, heap
+// chaining and index packing — must not change as a side effect: any
+// change to the bytes a load writes moves this digest.
+const genFileSHA256 = "b11137db2972e95ad9707267fa222f165f3c995237d5b7257bab4c54d04d7bcb"
+
+func TestGenFileFormatPinned(t *testing.T) {
+	db := filepath.Join(t.TempDir(), "bib.timber")
+	if code, _, stderr := timber("gen", "-articles", "300", "-db", db); code != 0 {
+		t.Fatalf("gen -db: exit %d: %s", code, stderr)
+	}
+	b, err := os.ReadFile(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != genFileSHA256 {
+		t.Errorf("gen -articles 300 -db wrote %d bytes with SHA-256 %s, want %s", len(b), got, genFileSHA256)
 	}
 }
 

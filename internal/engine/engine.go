@@ -467,21 +467,31 @@ func patternOf(op plan.Op) *pattern.Tree {
 // cardStats returns the cardinality statistics EXPLAIN estimates
 // from: one ANALYZE scan of a pinned snapshot, cached under that
 // snapshot's epoch. Every commit moves the epoch, so a cached catalog
-// always describes exactly the state it is filed under. Returns nil
-// when the scan fails — the planner then reports zero estimates.
+// always describes exactly the state it is filed under. The scan runs
+// outside statsMu, so concurrent callers never queue behind one scan,
+// and its catalog replaces the cached one only if its epoch is newer:
+// a slow scan of an older snapshot cannot displace a newer catalog.
+// Every caller gets the catalog of its own snapshot. Returns nil when
+// the scan fails — the planner then reports zero estimates.
 func (e *Engine) cardStats() *stats.Catalog {
 	sn := e.db.Snapshot()
 	defer sn.Close()
+	epoch := sn.Epoch()
 	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	if e.statsCat != nil && e.statsEpoch == sn.Epoch() {
-		return e.statsCat
+	cat, cached := e.statsCat, e.statsEpoch
+	e.statsMu.Unlock()
+	if cat != nil && cached == epoch {
+		return cat
 	}
 	cat, err := sn.CardStats()
 	if err != nil {
 		return nil
 	}
-	e.statsCat, e.statsEpoch = cat, sn.Epoch()
+	e.statsMu.Lock()
+	if e.statsCat == nil || epoch > e.statsEpoch {
+		e.statsCat, e.statsEpoch = cat, epoch
+	}
+	e.statsMu.Unlock()
 	return cat
 }
 

@@ -446,8 +446,10 @@ func TestExplainEstimatesGolden(t *testing.T) {
 
 // TestStatsCacheEpochUnderIngest: EXPLAIN interleaved with online
 // inserts files each catalog under the epoch of the snapshot it was
-// scanned from. Once the writer stops, EXPLAIN's exact group estimate
-// equals the group count of an auto run. Run it under -race.
+// scanned from, and the cached epoch never goes backwards although the
+// two EXPLAIN loops scan outside the cache lock and may finish out of
+// order. Once the writer stops, EXPLAIN's exact group estimate equals
+// the group count of an auto run. Run it under -race.
 func TestStatsCacheEpochUnderIngest(t *testing.T) {
 	e := sampleEngine(t, Options{})
 	db := e.DB()
@@ -474,16 +476,29 @@ func TestStatsCacheEpochUnderIngest(t *testing.T) {
 			}
 		}
 	}()
+	cachedEpoch := func() uint64 {
+		e.statsMu.Lock()
+		defer e.statsMu.Unlock()
+		return e.statsEpoch
+	}
+	backwards := make(chan string, 2)
 	for readers := 0; readers < 2; readers++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var last uint64
 			for {
 				select {
 				case <-done:
 					return
 				default:
 					pq.Explain(ExecOptions{})
+					ep := cachedEpoch()
+					if ep < last {
+						backwards <- fmt.Sprintf("cached epoch went from %d back to %d", last, ep)
+						return
+					}
+					last = ep
 				}
 			}
 		}()
@@ -492,6 +507,8 @@ func TestStatsCacheEpochUnderIngest(t *testing.T) {
 	select {
 	case err := <-errs:
 		t.Fatal(err)
+	case msg := <-backwards:
+		t.Fatal(msg)
 	default:
 	}
 	x := pq.Explain(ExecOptions{})

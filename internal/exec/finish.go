@@ -13,11 +13,11 @@ import (
 // titles output burdens both plans equally, while the count output is
 // negligible).
 //
-// Because results (and the naive plan's intermediates) spill to a
-// shared temporary page region that is truncated afterwards, executors
-// must not run concurrently against one database; the read-only storage
-// paths (postings, record fetches, subtree scans) remain safe for
-// concurrent use.
+// The cost is paid per page, as in the paper's buffer-pool model:
+// SpillTrees writes the answer to scratch pages allocated for this run
+// (one pin per page filled), reads each page back once, rebuilds the
+// trees from one node slab and frees the pages, so concurrent runs
+// never share a spill region.
 func finishResult(db storage.Reader, res *Result, sp *obs.Span) error {
 	finSp := sp.Child("spill: result trees")
 	defer finSp.End()

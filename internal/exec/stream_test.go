@@ -172,8 +172,10 @@ func TestStreamingSpillEquivalence(t *testing.T) {
 }
 
 // TestMaterializeLimit pins the -maxmem backend: a budget too small
-// for the output fails with ErrMaterializeLimit and no result; a
-// sufficient budget changes nothing; and a count query fits in a
+// for the output fails with ErrMaterializeLimit and no result — also
+// when only the titles' flush exceeds it, the group names having been
+// charged as their groups opened; a budget of exactly the output's
+// content bytes or more changes nothing; and a count query fits in a
 // budget far below its title volume because it never materializes
 // title values.
 func TestMaterializeLimit(t *testing.T) {
@@ -196,6 +198,24 @@ func TestMaterializeLimit(t *testing.T) {
 	}
 	if serializeTrees(capped.Trees) != serializeTrees(unlimited.Trees) {
 		t.Error("generous limit changed the result")
+	}
+	var names, total int64
+	for _, tr := range unlimited.Trees {
+		tr.Walk(func(n *xmltree.Node) bool {
+			total += int64(len(n.Content))
+			return true
+		})
+		names += int64(len(tr.Children[0].Content))
+	}
+	res, err = groupByExec(db, spec, Options{MaxMaterializeBytes: names + 1})
+	if !errors.Is(err, ErrMaterializeLimit) || res != nil {
+		t.Fatalf("budget of the group names + 1: result %v, err = %v; want ErrMaterializeLimit and no result", res, err)
+	}
+	if err := db.DropCache(); err != nil {
+		t.Errorf("failed flush left pages pinned: %v", err)
+	}
+	if _, err := groupByExec(db, spec, Options{MaxMaterializeBytes: total}); err != nil {
+		t.Errorf("budget of exactly the output's %d content bytes: %v", total, err)
 	}
 
 	// The count query's only materialized bytes are the three author

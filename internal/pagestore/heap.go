@@ -117,27 +117,53 @@ func (h *Heap) CutTail() (sealed, fresh PageID, err error) {
 	return sealed, h.last, nil
 }
 
-// Insert appends a record and returns its RID. Records larger than
-// MaxRecord(pageSize) are rejected.
+// Insert appends one record and returns its RID: the one-record form
+// of Appender. Records larger than MaxRecord(pageSize) are rejected.
 func (h *Heap) Insert(rec []byte) (RID, error) {
+	a := h.Appender()
+	defer a.Close()
+	return a.Append(rec)
+}
+
+// Appender appends records to a heap's tail. It keeps the tail page
+// pinned across appends and chains a fresh page when the tail is full,
+// so filling a page costs one buffer-pool fetch instead of one per
+// record. The records, RIDs and page chain are exactly those of the
+// same sequence of Insert calls. Close releases the pinned tail; until
+// then the heap must not be appended to any other way.
+type Appender struct {
+	h     *Heap
+	page  *Page // pinned tail, nil before the first Append
+	sp    SlottedPage
+	dirty bool
+}
+
+// Appender starts appending at the heap's current tail. It pins
+// nothing until the first Append.
+func (h *Heap) Appender() *Appender { return &Appender{h: h} }
+
+// Append writes rec to the tail and returns its RID. Records larger
+// than MaxRecord(pageSize) are rejected without touching the heap.
+func (a *Appender) Append(rec []byte) (RID, error) {
+	h := a.h
 	if len(rec) > MaxRecord(h.st.PageSize()) {
 		return RID{}, fmt.Errorf("pagestore: record of %d bytes exceeds page capacity %d",
 			len(rec), MaxRecord(h.st.PageSize()))
 	}
-	p, err := h.st.Fetch(h.last)
-	if err != nil {
-		return RID{}, err
+	if a.page == nil {
+		p, err := h.st.Fetch(h.last)
+		if err != nil {
+			return RID{}, err
+		}
+		a.page, a.sp, a.dirty = p, ViewSlotted(p), false
 	}
-	sp := ViewSlotted(p)
-	if slot, ok := sp.Insert(rec); ok {
-		rid := RID{Page: p.ID(), Slot: slot}
-		h.st.Unpin(p, true)
-		return rid, nil
+	if slot, ok := a.sp.Insert(rec); ok {
+		a.dirty = true
+		return RID{Page: a.page.ID(), Slot: slot}, nil
 	}
-	// Current tail is full: chain a new page.
+	// The tail is full: chain a new page.
 	np, err := h.st.Allocate()
 	if err != nil {
-		h.st.Unpin(p, false)
 		return RID{}, err
 	}
 	if h.raw {
@@ -147,17 +173,23 @@ func (h *Heap) Insert(rec []byte) (RID, error) {
 		h.tracked = append(h.tracked, np.ID())
 	}
 	nsp := InitSlotted(np)
-	sp.SetNext(np.ID())
-	h.st.Unpin(p, true)
+	a.sp.SetNext(np.ID())
+	h.st.Unpin(a.page, true)
+	a.page, a.sp, a.dirty = np, nsp, true
+	h.last = np.ID()
 	slot, ok := nsp.Insert(rec)
 	if !ok {
-		h.st.Unpin(np, true)
 		return RID{}, fmt.Errorf("pagestore: record of %d bytes does not fit an empty page", len(rec))
 	}
-	rid := RID{Page: np.ID(), Slot: slot}
-	h.last = np.ID()
-	h.st.Unpin(np, true)
-	return rid, nil
+	return RID{Page: np.ID(), Slot: slot}, nil
+}
+
+// Close releases the pinned tail page. Idempotent.
+func (a *Appender) Close() {
+	if a.page != nil {
+		a.h.st.Unpin(a.page, a.dirty)
+		a.page = nil
+	}
 }
 
 // Get copies out the record stored at rid.

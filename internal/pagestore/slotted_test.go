@@ -3,6 +3,7 @@ package pagestore
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -311,5 +312,110 @@ func TestHeapReopen(t *testing.T) {
 	got0, err := h2.Get(rids[0])
 	if err != nil || got0[0] != 0 {
 		t.Errorf("old record after reopen: %v %v", got0, err)
+	}
+}
+
+// TestHeapAppenderMatchesInsert writes one record sequence through an
+// Appender and through repeated Insert calls on two identical stores:
+// both must hand out the same RIDs and build the same page chain with
+// the same page bytes. The sequence holds records that exactly fill
+// the tail's free space, maximal records that fill an empty page,
+// empty records and a record too large for any page (rejected by both
+// without touching the heap). After Close the appender holds no pin,
+// so DropCache succeeds.
+func TestHeapAppenderMatchesInsert(t *testing.T) {
+	opts := Options{PageSize: 256, PoolPages: 64}
+	stA, stI := tempStore(t, opts), tempStore(t, opts)
+	hA, err := NewHeap(stA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hI, err := NewHeap(stI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hA.Track()
+	hI.Track()
+	maxRec := MaxRecord(stI.PageSize())
+	tailFree := func() int {
+		p, err := stI.Fetch(hI.LastPage())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stI.Unpin(p, false)
+		return ViewSlotted(p).FreeSpace()
+	}
+	rng := rand.New(rand.NewSource(7))
+	app := hA.Appender()
+	defer app.Close()
+	for i := 0; i < 400; i++ {
+		var n int
+		switch k := rng.Intn(10); {
+		case i%100 == 50:
+			n = maxRec + 1 // too large for any page
+		case k == 0:
+			n = tailFree() // exactly fills the tail
+		case k == 1:
+			n = maxRec // fills an empty page
+		case k == 2:
+			n = 0
+		default:
+			n = 1 + rng.Intn(60)
+		}
+		rec := bytes.Repeat([]byte{byte(i)}, n)
+		ridA, errA := app.Append(rec)
+		ridI, errI := hI.Insert(rec)
+		if (errA == nil) != (errI == nil) {
+			t.Fatalf("record %d (%d bytes): appender error %v, insert error %v", i, n, errA, errI)
+		}
+		if n > maxRec {
+			if errA == nil {
+				t.Fatalf("record %d of %d bytes accepted", i, n)
+			}
+			continue
+		}
+		if errA != nil {
+			t.Fatal(errA)
+		}
+		if ridA != ridI {
+			t.Fatalf("record %d (%d bytes): appender RID %v, insert RID %v", i, n, ridA, ridI)
+		}
+	}
+	app.Close()
+	if hA.LastPage() != hI.LastPage() {
+		t.Errorf("last page: appender %d, insert %d", hA.LastPage(), hI.LastPage())
+	}
+	trackedA, trackedI := hA.TakeTracked(), hI.TakeTracked()
+	if len(trackedI) < 10 || !slices.Equal(trackedA, trackedI) {
+		t.Errorf("chained pages: appender %v, insert %v", trackedA, trackedI)
+	}
+	pages := 0
+	for idA, idI := hA.FirstPage(), hI.FirstPage(); idA != InvalidPage || idI != InvalidPage; pages++ {
+		if idA != idI {
+			t.Fatalf("chain position %d: appender page %d, insert page %d", pages, idA, idI)
+		}
+		pA, err := stA.Fetch(idA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pI, err := stI.Fetch(idI)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pA.Data(), pI.Data()) {
+			t.Errorf("page %d bytes differ", idA)
+		}
+		idA, idI = ViewSlotted(pA).Next(), ViewSlotted(pI).Next()
+		stA.Unpin(pA, false)
+		stI.Unpin(pI, false)
+	}
+	if pages != len(trackedI)+1 {
+		t.Errorf("chain of %d pages, %d chained after the first", pages, len(trackedI))
+	}
+	if err := stA.DropCache(); err != nil {
+		t.Errorf("appender left a pin after Close: %v", err)
+	}
+	if err := stI.DropCache(); err != nil {
+		t.Errorf("insert left a pin: %v", err)
 	}
 }

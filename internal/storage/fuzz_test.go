@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"reflect"
 	"testing"
 
 	"timber/internal/pagestore"
@@ -36,10 +37,12 @@ func FuzzPostingBlock(f *testing.F) {
 }
 
 // FuzzRecordCompact asserts the varint record decoder (and its content
-// fast path) never panics, and that the fast path agrees with the full
-// decode whenever both succeed.
+// fast path) never panics, that the fast path agrees with the full
+// decode whenever both succeed, and that the node decoder — with tag
+// interning, as the spill read-back runs it — and decodeRecordCompact
+// either both reject a record or give the same fields.
 func FuzzRecordCompact(f *testing.F) {
-	f.Add(encodeRecordCompact(&NodeRecord{
+	f.Add(encodeRecord(&NodeRecord{
 		Interval:    xmltree.Interval{Doc: 1, Start: 2, End: 8, Level: 1},
 		ParentStart: 1,
 		Tag:         "article",
@@ -51,13 +54,27 @@ func FuzzRecordCompact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec, err := decodeRecordCompact(b)
 		content, cerr := recordContentCompact(b)
+		tags := map[string]string{}
+		for pass := 0; pass < 2; pass++ { // the second pass hits the interned tag
+			var n xmltree.Node
+			parent, nerr := decodeRecordNode(b, &n, tags)
+			if (nerr == nil) != (err == nil) {
+				t.Fatalf("node decoder error %v, record decoder error %v", nerr, err)
+			}
+			if err == nil {
+				got := &NodeRecord{Interval: n.Interval, ParentStart: parent, Tag: n.Tag, Content: n.Content, Attrs: n.Attrs}
+				if !reflect.DeepEqual(got, rec) {
+					t.Fatalf("node decoder gives %+v, record decoder %+v", got, rec)
+				}
+			}
+		}
 		if err == nil && cerr == nil && content != rec.Content {
 			t.Fatalf("content fast path %q disagrees with decode %q", content, rec.Content)
 		}
 		if err == nil {
 			// Re-encode must round-trip: the decoder accepts only
 			// canonical field values.
-			got, err2 := decodeRecordCompact(encodeRecordCompact(rec))
+			got, err2 := decodeRecordCompact(encodeRecord(rec))
 			if err2 != nil {
 				t.Fatalf("re-decode failed: %v", err2)
 			}

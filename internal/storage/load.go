@@ -114,31 +114,26 @@ type indexEntries struct {
 }
 
 // storeDocument walks the tree once in document order: it appends each
-// node's record to the heap and queues its index entries (value
-// entries only when withVal).
+// node's record to the heap, encoded into one reused buffer, and
+// queues its index entries (value entries only when withVal).
 func storeDocument(heap *pagestore.Heap, root *xmltree.Node, withVal bool) (*indexEntries, error) {
 	e := &indexEntries{}
+	app := heap.Appender()
+	defer app.Close()
+	var buf []byte
 	var err error
 	root.Walk(func(n *xmltree.Node) bool {
-		rec := &NodeRecord{
-			Interval: n.Interval,
-			Tag:      n.Tag,
-			Content:  n.Content,
-			Attrs:    n.Attrs,
-		}
-		if n.Parent != nil {
-			rec.ParentStart = n.Parent.Interval.Start
-		}
+		buf = appendNodeRecord(buf[:0], n)
 		var rid pagestore.RID
-		if rid, err = heap.Insert(encodeRecordCompact(rec)); err != nil {
+		if rid, err = app.Append(buf); err != nil {
 			return false
 		}
-		id := rec.ID()
-		posting := postingValue(rec.Interval, rid)
+		id := n.Interval.ID()
+		posting := postingValue(n.Interval, rid)
 		e.loc = append(e.loc, btree.KV{Key: locatorKey(id), Value: ridValue(rid)})
-		e.tag = append(e.tag, btree.KV{Key: tagKey(rec.Tag, id), Value: posting})
-		if withVal && rec.Content != "" && len(rec.Content) <= maxIndexedContent {
-			e.val = append(e.val, btree.KV{Key: valueKey(rec.Tag, rec.Content, id), Value: posting})
+		e.tag = append(e.tag, btree.KV{Key: tagKey(n.Tag, id), Value: posting})
+		if withVal && n.Content != "" && len(n.Content) <= maxIndexedContent {
+			e.val = append(e.val, btree.KV{Key: valueKey(n.Tag, n.Content, id), Value: posting})
 		}
 		return true
 	})

@@ -164,7 +164,7 @@ func TestRecordCompactRoundTrip(t *testing.T) {
 		},
 	}
 	for i, r := range recs {
-		got, err := decodeRecordCompact(encodeRecordCompact(r))
+		got, err := decodeRecordCompact(encodeRecord(r))
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -172,13 +172,13 @@ func TestRecordCompactRoundTrip(t *testing.T) {
 			got.Tag != r.Tag || got.Content != r.Content || len(got.Attrs) != len(r.Attrs) {
 			t.Errorf("record %d: got %+v want %+v", i, got, r)
 		}
-		content, err := recordContentCompact(encodeRecordCompact(r))
+		content, err := recordContentCompact(encodeRecord(r))
 		if err != nil || content != r.Content {
 			t.Errorf("record %d content fast path: %q, %v", i, content, err)
 		}
 	}
 	// Truncations must error.
-	full := encodeRecordCompact(recs[2])
+	full := encodeRecord(recs[2])
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := decodeRecordCompact(full[:cut]); err == nil {
 			t.Errorf("truncated record (%d/%d) decoded cleanly", cut, len(full))

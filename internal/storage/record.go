@@ -43,31 +43,27 @@ func (r *NodeRecord) ID() xmltree.NodeID { return r.Interval.ID() }
 
 var errCorruptRecord = errors.New("storage: corrupt node record")
 
-// encodeRecordCompact serializes a node record. Every integer is a
-// varint and the end number is stored as an extent (end − start), so
-// small nodes — the vast majority at DBLP scale, where most elements
-// hold a short string — carry a 5-8 byte header.
+// appendRecordCompact appends the stored form of one node to buf and
+// returns the extended slice; writers reuse one buffer for every node.
+// Every integer is a varint and the end number is stored as an extent
+// (end − start), so small nodes — the vast majority at DBLP scale,
+// where most elements hold a short string — carry a 5-8 byte header.
 //
 //	doc, start, extent, level, parentStart,
 //	tagLen, tag, contentLen, content,
 //	nattrs, { nameLen, name, valLen, value }*   (all lengths uvarint)
-func encodeRecordCompact(r *NodeRecord) []byte {
-	size := 16 + len(r.Tag) + len(r.Content)
-	for _, a := range r.Attrs {
-		size += 6 + len(a.Name) + len(a.Value)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.AppendUvarint(buf, uint64(r.Interval.Doc))
-	buf = binary.AppendUvarint(buf, uint64(r.Interval.Start))
-	buf = binary.AppendUvarint(buf, uint64(r.Interval.End-r.Interval.Start))
-	buf = binary.AppendUvarint(buf, uint64(r.Interval.Level))
-	buf = binary.AppendUvarint(buf, uint64(r.ParentStart))
-	buf = binary.AppendUvarint(buf, uint64(len(r.Tag)))
-	buf = append(buf, r.Tag...)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Content)))
-	buf = append(buf, r.Content...)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Attrs)))
-	for _, a := range r.Attrs {
+func appendRecordCompact(buf []byte, iv xmltree.Interval, parentStart uint32, tag, content string, attrs []xmltree.Attr) []byte {
+	buf = binary.AppendUvarint(buf, uint64(iv.Doc))
+	buf = binary.AppendUvarint(buf, uint64(iv.Start))
+	buf = binary.AppendUvarint(buf, uint64(iv.End-iv.Start))
+	buf = binary.AppendUvarint(buf, uint64(iv.Level))
+	buf = binary.AppendUvarint(buf, uint64(parentStart))
+	buf = binary.AppendUvarint(buf, uint64(len(tag)))
+	buf = append(buf, tag...)
+	buf = binary.AppendUvarint(buf, uint64(len(content)))
+	buf = append(buf, content...)
+	buf = binary.AppendUvarint(buf, uint64(len(attrs)))
+	for _, a := range attrs {
 		buf = binary.AppendUvarint(buf, uint64(len(a.Name)))
 		buf = append(buf, a.Name...)
 		buf = binary.AppendUvarint(buf, uint64(len(a.Value)))
@@ -76,28 +72,40 @@ func encodeRecordCompact(r *NodeRecord) []byte {
 	return buf
 }
 
-// decodeRecordCompact parses a format-v2 record. Total on arbitrary
-// input: every varint and length is bounds-checked against the
-// remaining bytes before use.
-func decodeRecordCompact(b []byte) (*NodeRecord, error) {
-	r := &NodeRecord{}
+// appendNodeRecord appends the stored form of a numbered tree node:
+// its parent link is the parent's start number, 0 for a root.
+func appendNodeRecord(buf []byte, n *xmltree.Node) []byte {
+	var parent uint32
+	if n.Parent != nil {
+		parent = n.Parent.Interval.Start
+	}
+	return appendRecordCompact(buf, n.Interval, parent, n.Tag, n.Content, n.Attrs)
+}
+
+// decodeRecordNode parses a stored record into n's tag, content,
+// attributes and interval, and returns the parent's start number; n's
+// Children and Parent are left alone. Total on arbitrary input: every
+// varint and length is bounds-checked against the remaining bytes
+// before use. tags, when non-nil, interns tag names, so a reader that
+// decodes many records allocates each distinct tag once.
+func decodeRecordNode(b []byte, n *xmltree.Node, tags map[string]string) (uint32, error) {
 	off := 0
 	u := func() (uint64, bool) {
-		v, n := binary.Uvarint(b[off:])
-		if n <= 0 {
+		v, k := binary.Uvarint(b[off:])
+		if k <= 0 {
 			return 0, false
 		}
-		off += n
+		off += k
 		return v, true
 	}
-	str := func() (string, bool) {
+	field := func() ([]byte, bool) {
 		l, ok := u()
 		if !ok || l > uint64(len(b)-off) {
-			return "", false
+			return nil, false
 		}
-		s := string(b[off : off+int(l)])
+		f := b[off : off+int(l)]
 		off += int(l)
-		return s, true
+		return f, true
 	}
 	doc, ok1 := u()
 	start, ok2 := u()
@@ -107,35 +115,66 @@ func decodeRecordCompact(b []byte) (*NodeRecord, error) {
 	if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 ||
 		doc > 0xffffffff || start > 0xffffffff || start+extent > 0xffffffff ||
 		level > 0xffff || parent > 0xffffffff {
-		return nil, errCorruptRecord
+		return 0, errCorruptRecord
 	}
-	r.Interval.Doc = xmltree.DocID(doc)
-	r.Interval.Start = uint32(start)
-	r.Interval.End = uint32(start + extent)
-	r.Interval.Level = uint16(level)
-	r.ParentStart = uint32(parent)
-	if r.Tag, ok1 = str(); !ok1 {
-		return nil, errCorruptRecord
+	tag, ok := field()
+	if !ok {
+		return 0, errCorruptRecord
 	}
-	if r.Content, ok1 = str(); !ok1 {
-		return nil, errCorruptRecord
+	content, ok := field()
+	if !ok {
+		return 0, errCorruptRecord
 	}
-	nattrs, ok1 := u()
-	if !ok1 || nattrs > uint64(len(b)-off) { // each attr costs ≥ 2 bytes
-		return nil, errCorruptRecord
+	nattrs, ok := u()
+	if !ok || nattrs > uint64(len(b)-off) { // each attr costs ≥ 2 bytes
+		return 0, errCorruptRecord
 	}
+	var attrs []xmltree.Attr
 	for i := uint64(0); i < nattrs; i++ {
-		name, ok := str()
+		name, ok := field()
 		if !ok {
-			return nil, errCorruptRecord
+			return 0, errCorruptRecord
 		}
-		val, ok := str()
+		val, ok := field()
 		if !ok {
-			return nil, errCorruptRecord
+			return 0, errCorruptRecord
 		}
-		r.Attrs = append(r.Attrs, xmltree.Attr{Name: name, Value: val})
+		attrs = append(attrs, xmltree.Attr{Name: string(name), Value: string(val)})
 	}
-	return r, nil
+	n.Interval = xmltree.Interval{
+		Doc:   xmltree.DocID(doc),
+		Start: uint32(start),
+		End:   uint32(start + extent),
+		Level: uint16(level),
+	}
+	if t, ok := tags[string(tag)]; ok {
+		n.Tag = t
+	} else {
+		n.Tag = string(tag)
+		if tags != nil {
+			tags[n.Tag] = n.Tag
+		}
+	}
+	n.Content = string(content)
+	n.Attrs = attrs
+	return uint32(parent), nil
+}
+
+// decodeRecordCompact parses a stored record into a NodeRecord — the
+// node decoder's result in record form.
+func decodeRecordCompact(b []byte) (*NodeRecord, error) {
+	var n xmltree.Node
+	parent, err := decodeRecordNode(b, &n, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &NodeRecord{
+		Interval:    n.Interval,
+		ParentStart: parent,
+		Tag:         n.Tag,
+		Content:     n.Content,
+		Attrs:       n.Attrs,
+	}, nil
 }
 
 // recordContentCompact extracts just the content string from a

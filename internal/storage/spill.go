@@ -10,9 +10,9 @@ import (
 
 // SpillTrees materializes a collection of trees through the storage
 // engine and reads it back: every node of every tree is written as a
-// record to temporary pages (through the buffer pool), then the
-// records are scanned to rebuild the trees, and the temporary pages
-// are released. This models what TIMBER's naive evaluation plans do
+// record to temporary pages (through the buffer pool, one pin per page
+// filled), then the pages are scanned once each to rebuild the trees,
+// and the temporary pages are released. This models what TIMBER's naive evaluation plans do
 // between operators — intermediate collections such as the witness
 // trees of Figure 7 or the TAX_prod_root trees of Figure 8 exist as
 // stored trees, and both the writing and the re-reading flow through
@@ -37,81 +37,99 @@ func (db *DB) SpillTrees(trees []*xmltree.Node) ([]*xmltree.Node, error) {
 	// would cost a decompress on the read-back for no disk saving.
 	heap.SetRaw()
 	heap.Track()
-	release := func() {
+	defer func() {
 		pages := append([]pagestore.PageID{heap.FirstPage()}, heap.TakeTracked()...)
 		if db.st.FreePages(pages) == nil {
 			db.ing.spoolPagesFreed.Add(uint64(len(pages)))
 		}
-	}
+	}()
 
-	// Write.
+	// Write: every record is encoded into one reused buffer, and the
+	// appender pins each page once while it fills.
+	app := heap.Appender()
+	defer app.Close() // before the pages are freed
+	var buf []byte
+	records := 0
 	for i, tr := range trees {
 		xmltree.Number(tr, xmltree.DocID(i+1))
 		var werr error
 		tr.Walk(func(n *xmltree.Node) bool {
-			rec := &NodeRecord{
-				Interval: n.Interval,
-				Tag:      n.Tag,
-				Content:  n.Content,
-				Attrs:    n.Attrs,
-			}
-			if n.Parent != nil {
-				rec.ParentStart = n.Parent.Interval.Start
-			}
-			if _, err := heap.Insert(encodeRecordCompact(rec)); err != nil {
-				werr = err
+			buf = appendNodeRecord(buf[:0], n)
+			if _, werr = app.Append(buf); werr != nil {
 				return false
 			}
+			records++
 			return true
 		})
 		if werr != nil {
-			release()
 			return nil, fmt.Errorf("storage: spill: %w", werr)
 		}
 	}
+	app.Close()
 
 	// Read back: records arrive in write order — tree by tree, each in
-	// document order — so a level stack per tree rebuilds them.
+	// document order — and decode straight into one node slab, tags
+	// interned once per spill. A level stack per tree finds each node's
+	// parent.
+	nodes := make([]xmltree.Node, records)
+	parents := make([]int32, records) // slab index of the parent, -1 for a root
+	kids := make([]int32, records)    // child count
+	tags := make(map[string]string)
 	out := make([]*xmltree.Node, 0, len(trees))
-	var stack []*xmltree.Node
+	var stack []int32
+	read := 0
 	err = heap.Scan(func(_ pagestore.RID, b []byte) error {
-		rec, err := decodeRecordCompact(b)
+		if read == records {
+			return errors.New("storage: spill read back more records than it wrote")
+		}
+		n := &nodes[read]
+		parentStart, err := decodeRecordNode(b, n, tags)
 		if err != nil {
 			return err
 		}
-		n := &xmltree.Node{
-			Tag:      rec.Tag,
-			Content:  rec.Content,
-			Attrs:    rec.Attrs,
-			Interval: rec.Interval,
-		}
-		if rec.ParentStart == 0 {
+		if parentStart == 0 {
+			parents[read] = -1
 			out = append(out, n)
-			stack = stack[:0]
-			stack = append(stack, n)
-			return nil
+			stack = append(stack[:0], int32(read))
+		} else {
+			for len(stack) > 0 && nodes[stack[len(stack)-1]].Interval.End < n.Interval.Start {
+				stack = stack[:len(stack)-1]
+			}
+			if len(stack) == 0 {
+				return errors.New("storage: spill scan lost its ancestor stack")
+			}
+			parents[read] = stack[len(stack)-1]
+			kids[parents[read]]++
+			stack = append(stack, int32(read))
 		}
-		for len(stack) > 0 && stack[len(stack)-1].Interval.End < n.Interval.Start {
-			stack = stack[:len(stack)-1]
-		}
-		if len(stack) == 0 {
-			return errors.New("storage: spill scan lost its ancestor stack")
-		}
-		stack[len(stack)-1].Append(n)
-		stack = append(stack, n)
+		read++
 		return nil
 	})
 	if err != nil {
-		release()
 		return nil, fmt.Errorf("storage: spill read-back: %w", err)
 	}
-	if len(out) != len(trees) {
-		release()
-		return nil, fmt.Errorf("storage: spill rebuilt %d trees, wrote %d", len(out), len(trees))
+	if len(out) != len(trees) || read != records {
+		return nil, fmt.Errorf("storage: spill rebuilt %d trees from %d records, wrote %d from %d",
+			len(out), read, len(trees), records)
 	}
 
-	// Release the temporary pages.
-	release()
+	// Link: every child list is a run of one pointer slab, sized by the
+	// child counts and filled in document order.
+	slab := make([]*xmltree.Node, records-len(out))
+	off := 0
+	for i, k := range kids {
+		if k > 0 {
+			nodes[i].Children = slab[off : off : off+int(k)]
+			off += int(k)
+		}
+	}
+	for i, p := range parents {
+		if p >= 0 {
+			n, par := &nodes[i], &nodes[p]
+			n.Parent = par
+			par.Children = append(par.Children, n)
+		}
+	}
 	return out, nil
 }
 

@@ -35,6 +35,11 @@ func testDB(t *testing.T, opts Options) *DB {
 	return db
 }
 
+// encodeRecord is the stored form of r.
+func encodeRecord(r *NodeRecord) []byte {
+	return appendRecordCompact(nil, r.Interval, r.ParentStart, r.Tag, r.Content, r.Attrs)
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	recs := []*NodeRecord{
 		{
@@ -48,7 +53,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		{Interval: xmltree.Interval{Doc: 1, Start: 1, End: 100}, Tag: "x", Content: strings.Repeat("y", 300)},
 	}
 	for i, r := range recs {
-		got, err := decodeRecordCompact(encodeRecordCompact(r))
+		got, err := decodeRecordCompact(encodeRecord(r))
 		if err != nil {
 			t.Fatalf("rec %d: %v", i, err)
 		}
@@ -59,7 +64,7 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestRecordDecodeCorrupt(t *testing.T) {
-	good := encodeRecordCompact(&NodeRecord{Tag: "a", Content: "b", Attrs: []xmltree.Attr{{Name: "n", Value: "v"}}})
+	good := encodeRecord(&NodeRecord{Tag: "a", Content: "b", Attrs: []xmltree.Attr{{Name: "n", Value: "v"}}})
 	for cut := 0; cut < len(good); cut++ {
 		if _, err := decodeRecordCompact(good[:cut]); err == nil {
 			t.Errorf("decode of %d-byte prefix should fail", cut)
@@ -82,7 +87,7 @@ func TestRecordRoundTripProperty(t *testing.T) {
 		if len(tag) > 1000 || len(content) > 5000 {
 			return true // outside record bounds by construction elsewhere
 		}
-		got, err := decodeRecordCompact(encodeRecordCompact(r))
+		got, err := decodeRecordCompact(encodeRecord(r))
 		return err == nil && reflect.DeepEqual(got, r)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
