@@ -468,9 +468,9 @@ func patternOf(op plan.Op) *pattern.Tree {
 // from: one ANALYZE scan of a pinned snapshot, cached under that
 // snapshot's epoch. Every commit moves the epoch, so a cached catalog
 // always describes exactly the state it is filed under. The scan runs
-// outside statsMu, so concurrent callers never queue behind one scan,
-// and its catalog replaces the cached one only if its epoch is newer:
-// a slow scan of an older snapshot cannot displace a newer catalog.
+// under statsMu, so callers that arrive together share one scan; its
+// catalog replaces the cached one only if its epoch is newer, so a
+// caller holding an older snapshot cannot displace a newer catalog.
 // Every caller gets the catalog of its own snapshot. Returns nil when
 // the scan fails — the planner then reports zero estimates.
 func (e *Engine) cardStats() *stats.Catalog {
@@ -478,20 +478,17 @@ func (e *Engine) cardStats() *stats.Catalog {
 	defer sn.Close()
 	epoch := sn.Epoch()
 	e.statsMu.Lock()
-	cat, cached := e.statsCat, e.statsEpoch
-	e.statsMu.Unlock()
-	if cat != nil && cached == epoch {
-		return cat
+	defer e.statsMu.Unlock()
+	if e.statsCat != nil && e.statsEpoch == epoch {
+		return e.statsCat
 	}
 	cat, err := sn.CardStats()
 	if err != nil {
 		return nil
 	}
-	e.statsMu.Lock()
 	if e.statsCat == nil || epoch > e.statsEpoch {
 		e.statsCat, e.statsEpoch = cat, epoch
 	}
-	e.statsMu.Unlock()
 	return cat
 }
 

@@ -446,10 +446,10 @@ func TestExplainEstimatesGolden(t *testing.T) {
 
 // TestStatsCacheEpochUnderIngest: EXPLAIN interleaved with online
 // inserts files each catalog under the epoch of the snapshot it was
-// scanned from, and the cached epoch never goes backwards although the
-// two EXPLAIN loops scan outside the cache lock and may finish out of
-// order. Once the writer stops, EXPLAIN's exact group estimate equals
-// the group count of an auto run. Run it under -race.
+// scanned from, and the cached epoch never goes backwards although an
+// EXPLAIN loop may reach the cache holding an older snapshot than the
+// one last cached. Once the writer stops, EXPLAIN's exact group
+// estimate equals the group count of an auto run. Run it under -race.
 func TestStatsCacheEpochUnderIngest(t *testing.T) {
 	e := sampleEngine(t, Options{})
 	db := e.DB()

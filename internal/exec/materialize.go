@@ -114,8 +114,10 @@ func (s *sink) drain(top Iterator, batchSize int) error {
 // order (stream order within a page), ContentsBatch reads them with one
 // pin per page, and the contents land in their placeholders in stream
 // order. The counting array spans the staged page IDs, so it is at most
-// one int32 per page of the database file. The flush's content is
-// charged against the budget as one amount.
+// one int32 per page of the database file. Each title is charged
+// against the budget as it lands, and the first one over it fails the
+// flush; the flush's reads hold at most stageLimit titles, so the run
+// stops at most one stage's content past the budget.
 func (s *sink) flush() error {
 	n := len(s.ps)
 	if n == 0 {
@@ -150,14 +152,15 @@ func (s *sink) flush() error {
 	if err := s.db.ContentsBatch(s.sorted, s.vals); err != nil {
 		return err
 	}
-	var bytes int64
 	for i, t := range s.targets {
 		t.Content = s.vals[s.pos[i]]
-		bytes += int64(len(t.Content))
+		if err := s.charge(int64(len(t.Content))); err != nil {
+			return err
+		}
 	}
 	s.looks += n
 	s.targets, s.ps = s.targets[:0], s.ps[:0]
-	return s.charge(bytes)
+	return nil
 }
 
 // resize returns a slice of length n, reusing buf's array when it is

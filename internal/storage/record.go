@@ -43,43 +43,40 @@ func (r *NodeRecord) ID() xmltree.NodeID { return r.Interval.ID() }
 
 var errCorruptRecord = errors.New("storage: corrupt node record")
 
-// appendRecordCompact appends the stored form of one node to buf and
-// returns the extended slice; writers reuse one buffer for every node.
-// Every integer is a varint and the end number is stored as an extent
-// (end − start), so small nodes — the vast majority at DBLP scale,
-// where most elements hold a short string — carry a 5-8 byte header.
+// appendNodeRecord appends the stored form of one numbered tree node
+// to buf and returns the extended slice; writers reuse one buffer for
+// every node. The parent link is the parent's start number, 0 for a
+// root. Every integer is a varint and the end number is stored as an
+// extent (end − start), so small nodes — the vast majority at DBLP
+// scale, where most elements hold a short string — carry a 5-8 byte
+// header.
 //
 //	doc, start, extent, level, parentStart,
 //	tagLen, tag, contentLen, content,
 //	nattrs, { nameLen, name, valLen, value }*   (all lengths uvarint)
-func appendRecordCompact(buf []byte, iv xmltree.Interval, parentStart uint32, tag, content string, attrs []xmltree.Attr) []byte {
+func appendNodeRecord(buf []byte, n *xmltree.Node) []byte {
+	var parentStart uint32
+	if n.Parent != nil {
+		parentStart = n.Parent.Interval.Start
+	}
+	iv := n.Interval
 	buf = binary.AppendUvarint(buf, uint64(iv.Doc))
 	buf = binary.AppendUvarint(buf, uint64(iv.Start))
 	buf = binary.AppendUvarint(buf, uint64(iv.End-iv.Start))
 	buf = binary.AppendUvarint(buf, uint64(iv.Level))
 	buf = binary.AppendUvarint(buf, uint64(parentStart))
-	buf = binary.AppendUvarint(buf, uint64(len(tag)))
-	buf = append(buf, tag...)
-	buf = binary.AppendUvarint(buf, uint64(len(content)))
-	buf = append(buf, content...)
-	buf = binary.AppendUvarint(buf, uint64(len(attrs)))
-	for _, a := range attrs {
+	buf = binary.AppendUvarint(buf, uint64(len(n.Tag)))
+	buf = append(buf, n.Tag...)
+	buf = binary.AppendUvarint(buf, uint64(len(n.Content)))
+	buf = append(buf, n.Content...)
+	buf = binary.AppendUvarint(buf, uint64(len(n.Attrs)))
+	for _, a := range n.Attrs {
 		buf = binary.AppendUvarint(buf, uint64(len(a.Name)))
 		buf = append(buf, a.Name...)
 		buf = binary.AppendUvarint(buf, uint64(len(a.Value)))
 		buf = append(buf, a.Value...)
 	}
 	return buf
-}
-
-// appendNodeRecord appends the stored form of a numbered tree node:
-// its parent link is the parent's start number, 0 for a root.
-func appendNodeRecord(buf []byte, n *xmltree.Node) []byte {
-	var parent uint32
-	if n.Parent != nil {
-		parent = n.Parent.Interval.Start
-	}
-	return appendRecordCompact(buf, n.Interval, parent, n.Tag, n.Content, n.Attrs)
 }
 
 // decodeRecordNode parses a stored record into n's tag, content,

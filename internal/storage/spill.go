@@ -69,40 +69,36 @@ func (db *DB) SpillTrees(trees []*xmltree.Node) ([]*xmltree.Node, error) {
 
 	// Read back: records arrive in write order — tree by tree, each in
 	// document order — and decode straight into one node slab, tags
-	// interned once per spill. A level stack per tree finds each node's
-	// parent.
+	// interned once per spill. A stack of open ancestors per tree finds
+	// each node's parent.
 	nodes := make([]xmltree.Node, records)
-	parents := make([]int32, records) // slab index of the parent, -1 for a root
-	kids := make([]int32, records)    // child count
 	tags := make(map[string]string)
 	out := make([]*xmltree.Node, 0, len(trees))
-	var stack []int32
+	var stack []*xmltree.Node
 	read := 0
 	err = heap.Scan(func(_ pagestore.RID, b []byte) error {
 		if read == records {
 			return errors.New("storage: spill read back more records than it wrote")
 		}
 		n := &nodes[read]
+		read++
 		parentStart, err := decodeRecordNode(b, n, tags)
 		if err != nil {
 			return err
 		}
 		if parentStart == 0 {
-			parents[read] = -1
 			out = append(out, n)
-			stack = append(stack[:0], int32(read))
-		} else {
-			for len(stack) > 0 && nodes[stack[len(stack)-1]].Interval.End < n.Interval.Start {
-				stack = stack[:len(stack)-1]
-			}
-			if len(stack) == 0 {
-				return errors.New("storage: spill scan lost its ancestor stack")
-			}
-			parents[read] = stack[len(stack)-1]
-			kids[parents[read]]++
-			stack = append(stack, int32(read))
+			stack = append(stack[:0], n)
+			return nil
 		}
-		read++
+		for len(stack) > 0 && stack[len(stack)-1].Interval.End < n.Interval.Start {
+			stack = stack[:len(stack)-1]
+		}
+		if len(stack) == 0 {
+			return errors.New("storage: spill scan lost its ancestor stack")
+		}
+		stack[len(stack)-1].Append(n)
+		stack = append(stack, n)
 		return nil
 	})
 	if err != nil {
@@ -111,24 +107,6 @@ func (db *DB) SpillTrees(trees []*xmltree.Node) ([]*xmltree.Node, error) {
 	if len(out) != len(trees) || read != records {
 		return nil, fmt.Errorf("storage: spill rebuilt %d trees from %d records, wrote %d from %d",
 			len(out), read, len(trees), records)
-	}
-
-	// Link: every child list is a run of one pointer slab, sized by the
-	// child counts and filled in document order.
-	slab := make([]*xmltree.Node, records-len(out))
-	off := 0
-	for i, k := range kids {
-		if k > 0 {
-			nodes[i].Children = slab[off : off : off+int(k)]
-			off += int(k)
-		}
-	}
-	for i, p := range parents {
-		if p >= 0 {
-			n, par := &nodes[i], &nodes[p]
-			n.Parent = par
-			par.Children = append(par.Children, n)
-		}
 	}
 	return out, nil
 }

@@ -35,9 +35,14 @@ func testDB(t *testing.T, opts Options) *DB {
 	return db
 }
 
-// encodeRecord is the stored form of r.
+// encodeRecord is the stored form of r: the tree node r describes,
+// under a stub parent carrying r.ParentStart.
 func encodeRecord(r *NodeRecord) []byte {
-	return appendRecordCompact(nil, r.Interval, r.ParentStart, r.Tag, r.Content, r.Attrs)
+	n := &xmltree.Node{Interval: r.Interval, Tag: r.Tag, Content: r.Content, Attrs: r.Attrs}
+	if r.ParentStart != 0 {
+		n.Parent = &xmltree.Node{Interval: xmltree.Interval{Start: r.ParentStart}}
+	}
+	return appendNodeRecord(nil, n)
 }
 
 func TestRecordRoundTrip(t *testing.T) {
