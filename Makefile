@@ -15,12 +15,12 @@ vet:
 
 # race runs the whole suite under the race detector. It covers every
 # package, so there is no per-subsystem gate: the streaming, durability,
-# planner, twig, event-journal and service suites, the event-schema
+# twig, event-journal and service suites, the event-schema
 # check (obs.TestEventSchema), the exposition lint
 # (obs.TestEngineExpositionLints) and the traced-query exactness check
 # (cmd/timber.TestCLI) all run here. The few checks that skip under
-# -race (the twig allocation ceiling, the pool's drop-and-refetch
-# allocation ceiling) run in plain `make test`.
+# -race (the twig and serializer allocation ceilings, the pool's
+# drop-and-refetch allocation ceiling) run in plain `make test`.
 race:
 	$(GO) test -race ./...
 

@@ -58,8 +58,8 @@
 // at least D additionally logs a "slow query" line whose trace field
 // holds that full per-operator span tree, plus the WAL commit window
 // and checkpoint count the run overlapped. -events N sizes the
-// in-memory event journal the storage engine, WAL, planner and query
-// engine write into (0 disables it and every /debug journal endpoint
+// in-memory event journal the storage engine, WAL and query engine
+// write into (0 disables it and every /debug journal endpoint
 // answers 503). On panic or SIGQUIT the journal is dumped to a
 // timestamped JSON-lines file in -crashdump's directory.
 package main

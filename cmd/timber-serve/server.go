@@ -230,9 +230,8 @@ type queryRequest struct {
 	// Parallelism overrides the per-query worker bound.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Explain requests the EXPLAIN report alongside the result: the
-	// strategy (and, for physical runs, the matcher) that ran, and the
-	// planner's per-operator estimates joined against the run's actual
-	// row counts (GET: ?explain=1).
+	// strategy (and, for physical runs, the matcher) that ran, and each
+	// operator's actual row count from the run's trace (GET: ?explain=1).
 	Explain bool `json:"explain,omitempty"`
 }
 

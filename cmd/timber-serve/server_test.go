@@ -676,9 +676,8 @@ func TestRequestLogAndGauges(t *testing.T) {
 }
 
 // TestQueryExplain: ?explain=1 (GET) and {"explain": true} (POST)
-// attach the EXPLAIN report — the plan that ran and the operator
-// estimates joined against the run's actuals — without changing the
-// result bytes.
+// attach the EXPLAIN report — the plan that ran and the operators'
+// actual row counts — without changing the result bytes.
 func TestQueryExplain(t *testing.T) {
 	s := testServer(t, config{})
 	ts := httptest.NewServer(s.handler())
@@ -700,7 +699,7 @@ func TestQueryExplain(t *testing.T) {
 		t.Errorf("explain strategy %q != response strategy %q", qr.Explain.Strategy, qr.Strategy)
 	}
 	if len(qr.Explain.Operators) == 0 {
-		t.Error("explain report has no operator estimates")
+		t.Error("explain report lists no operators")
 	}
 	for _, op := range qr.Explain.Operators {
 		if op.ActualRows < 0 {

@@ -29,7 +29,7 @@ import (
 // detected. -trace fails the
 // command unless the span deltas sum to the database's global counters
 // (the exactness invariant). With -explain as well, the report's
-// actuals are joined from that same traced run.
+// actuals are read from that same traced run.
 func (c *cli) query(args []string) error {
 	fs := c.flags("query")
 	dbPath := fs.String("db", "timber.db", "database file")
@@ -41,7 +41,7 @@ func (c *cli) query(args []string) error {
 	maxMem := fs.Int64("maxmem", 0, "cap, in bytes, on the output content the streaming executor materializes; the query fails cleanly (no partial output) past it (0 = unlimited)")
 	showPlans := fs.Bool("plans", true, "print the naive and rewritten plans")
 	quiet := fs.Bool("q", false, "suppress result trees (print timing only)")
-	explain := fs.Bool("explain", false, "print the EXPLAIN report (strategy, matcher, estimates vs actuals) to stderr")
+	explain := fs.Bool("explain", false, "print the EXPLAIN report (strategy, matcher, per-operator actual rows) to stderr")
 	explainFile := fs.String("explainfile", "", "write the EXPLAIN report as JSON to this file")
 	trace := fs.Bool("trace", false, "print a per-operator EXPLAIN ANALYZE tree to stderr")
 	traceFile := fs.String("tracefile", "", "write the per-operator trace as JSON to this file")

@@ -25,10 +25,8 @@ import (
 	"timber/internal/match"
 	"timber/internal/obs"
 	"timber/internal/opt"
-	"timber/internal/opt/planner"
 	"timber/internal/pattern"
 	"timber/internal/plan"
-	"timber/internal/stats"
 	"timber/internal/storage"
 	"timber/internal/xmltree"
 	"timber/internal/xq"
@@ -77,22 +75,7 @@ type Engine struct {
 	querySeconds   *obs.HistogramVec
 	prepareSeconds *obs.HistogramVec
 	strategyTotal  *obs.CounterVec
-
-	// plannerEstErr distributes the planner's relative
-	// cardinality-estimation error, measured against the actuals of the
-	// ExplainExecute run it estimated.
-	plannerEstErr *obs.HistogramVec
-
-	// EXPLAIN's cardinality statistics, filed under the epoch of the
-	// snapshot they were scanned from (see cardStats).
-	statsMu    sync.Mutex
-	statsCat   *stats.Catalog
-	statsEpoch uint64
 }
-
-// estErrBuckets bound the planner's relative estimation error
-// histogram: |estimate - actual| / max(actual, 1).
-var estErrBuckets = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10}
 
 // New creates an engine over db.
 func New(db *storage.DB, opts Options) *Engine {
@@ -123,9 +106,6 @@ func New(db *storage.DB, opts Options) *Engine {
 			obs.DefaultLatencyBuckets, "cache"),
 		strategyTotal: reg.CounterVec("engine_strategy_total",
 			"Executions by chosen strategy (after fallback).", "strategy"),
-		plannerEstErr: reg.HistogramVec("planner_estimate_error",
-			"Relative error of planner cardinality estimates vs actuals.",
-			estErrBuckets, "quantity"),
 	}
 }
 
@@ -417,12 +397,6 @@ func (pq *PreparedQuery) matcherFor(strat exec.Strategy, requested match.Matcher
 	return match.Resolve(pq.Pattern, requested)
 }
 
-// estimates is the planner's view of a strat run of the grouping Spec,
-// read off the statistics of the current state.
-func (pq *PreparedQuery) estimates(strat exec.Strategy) *planner.Estimates {
-	return planner.Estimate(pq.eng.cardStats(), pq.Spec, strat)
-}
-
 // patternOf finds the pattern tree the physical evaluation will match
 // against the database: the deepest Select whose input is the DBScan
 // leaf. Plans without one (pure literals, naive joins) return nil.
@@ -462,67 +436,6 @@ func patternOf(op plan.Op) *pattern.Tree {
 		}
 	}
 	return nil
-}
-
-// cardStats returns the cardinality statistics EXPLAIN estimates
-// from: one ANALYZE scan of a pinned snapshot, cached under that
-// snapshot's epoch. Every commit moves the epoch, so a cached catalog
-// always describes exactly the state it is filed under. The scan runs
-// under statsMu, so callers that arrive together share one scan; its
-// catalog replaces the cached one only if its epoch is newer, so a
-// caller holding an older snapshot cannot displace a newer catalog.
-// Every caller gets the catalog of its own snapshot. Returns nil when
-// the scan fails — the planner then reports zero estimates.
-func (e *Engine) cardStats() *stats.Catalog {
-	sn := e.db.Snapshot()
-	defer sn.Close()
-	epoch := sn.Epoch()
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	if e.statsCat != nil && e.statsEpoch == epoch {
-		return e.statsCat
-	}
-	cat, err := sn.CardStats()
-	if err != nil {
-		return nil
-	}
-	if e.statsCat == nil || epoch > e.statsEpoch {
-		e.statsCat, e.statsEpoch = cat, epoch
-	}
-	return cat
-}
-
-// observeEstimate records the planner's relative estimation error for
-// one ExplainExecute run against its actuals: the histogram plus a
-// plan_estimate event, so a mis-estimate is inspectable per query, not
-// just in aggregate.
-func (e *Engine) observeEstimate(qid string, x *Explain) {
-	if !x.StatsUsed {
-		return
-	}
-	actual := float64(x.ActualGroups)
-	err := relErr(x.EstGroups, actual)
-	e.plannerEstErr.With("groups").Observe(err)
-	e.db.Journal().Emit(obs.Event{
-		Type:  obs.EvPlanEstimate,
-		QID:   qid,
-		Label: "groups",
-		Count: int64(x.EstGroups),
-		Aux:   int64(actual),
-		Value: err,
-	})
-}
-
-// relErr is the relative estimation error |est-actual| / max(actual, 1).
-func relErr(est, actual float64) float64 {
-	diff := est - actual
-	if diff < 0 {
-		diff = -diff
-	}
-	if actual < 1 {
-		actual = 1
-	}
-	return diff / actual
 }
 
 func (pq *PreparedQuery) execute(ctx context.Context, o ExecOptions) (*Result, error) {

@@ -4,71 +4,11 @@ import (
 	"context"
 	"testing"
 
-	"timber/internal/dblpgen"
 	"timber/internal/exec"
 	"timber/internal/obs"
 	"timber/internal/paperdata"
 	"timber/internal/storage"
 )
-
-// TestSelfCalibration: ExplainExecute runs of the Sec. 6 queries over
-// a journaled database emit one plan_estimate "groups" event per run,
-// each carrying the estimate, the run's actual and their relative
-// error; plain auto executions build no estimates and emit none.
-func TestSelfCalibration(t *testing.T) {
-	journal := obs.NewJournal(obs.DefaultJournalEvents)
-	db, err := storage.CreateTemp(storage.Options{PoolPages: 1024, Journal: journal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if _, err := dblpgen.GenerateToDB(db, dblpgen.Config{Articles: 300, Seed: 7}); err != nil {
-		t.Fatal(err)
-	}
-	e := New(db, Options{})
-	const runs = 3
-	for _, text := range []string{paperdata.Query1Text, paperdata.QueryCountText} {
-		pq, err := e.Prepare(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < runs; i++ {
-			if _, err := pq.Execute(context.Background(), ExecOptions{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if n := len(journal.Events(obs.EventFilter{Types: []obs.EventType{obs.EvPlanEstimate}})); n != 0 {
-		t.Fatalf("auto executions emitted %d plan_estimate events, want 0", n)
-	}
-	for _, text := range []string{paperdata.Query1Text, paperdata.QueryCountText} {
-		pq, err := e.Prepare(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < runs; i++ {
-			if _, _, err := pq.ExplainExecute(context.Background(), ExecOptions{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	var groups int
-	for _, ev := range journal.Events(obs.EventFilter{Types: []obs.EventType{obs.EvPlanEstimate}}) {
-		if ev.Label != "groups" {
-			continue
-		}
-		groups++
-		if ev.Aux <= 0 {
-			t.Errorf("plan_estimate %+v: actual groups %d, want > 0", ev, ev.Aux)
-		}
-		if ev.Value < 0 {
-			t.Errorf("plan_estimate %+v: negative relative error", ev)
-		}
-	}
-	if groups != 2*runs {
-		t.Fatalf("groups plan_estimate events = %d, want %d (one per ExplainExecute)", groups, 2*runs)
-	}
-}
 
 // TestJournalByteIdentity: enabling the event journal must not change
 // a single result byte — the journal only observes. Two engines over

@@ -7,9 +7,6 @@ import (
 
 	"timber/internal/exec"
 	"timber/internal/match"
-	"timber/internal/obs"
-	"timber/internal/paperdata"
-	"timber/internal/storage"
 )
 
 // TestMatcherByteIdenticalAcrossMatchers is the tentpole acceptance
@@ -56,20 +53,9 @@ func TestMatcherByteIdenticalAcrossMatchers(t *testing.T) {
 // TestAutoMatcherObserved: an auto physical execution reports the
 // concrete matcher match.Resolve picks for the plan's pattern — twig,
 // since every node of query1's pattern is tagged — and EXPLAIN names
-// the same one; an explicit override is reported as requested. A
-// physical run emits no plan_estimate event: the planner's estimates
-// describe the grouping pipeline only.
+// the same one; an explicit override is reported as requested.
 func TestAutoMatcherObserved(t *testing.T) {
-	journal := obs.NewJournal(256)
-	db, err := storage.CreateTemp(storage.Options{Journal: journal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	if _, err := db.LoadDocument("bib.xml", paperdata.SampleDatabase()); err != nil {
-		t.Fatal(err)
-	}
-	e := New(db, Options{})
+	e := sampleEngine(t, Options{})
 	pq, err := e.Prepare(query1)
 	if err != nil {
 		t.Fatal(err)
@@ -85,9 +71,6 @@ func TestAutoMatcherObserved(t *testing.T) {
 	}
 	if x := pq.Explain(o); x.Matcher != res.Matcher.String() {
 		t.Errorf("Explain matcher = %q, run reports %q", x.Matcher, res.Matcher)
-	}
-	if n := len(journal.Events(obs.EventFilter{Types: []obs.EventType{obs.EvPlanEstimate}})); n != 0 {
-		t.Errorf("physical run emitted %d plan_estimate events, want 0", n)
 	}
 
 	o.Matcher = match.MatcherBinary

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"timber/internal/dblpgen"
@@ -99,9 +98,9 @@ func TestAutoByteIdenticalAtBothParallelisms(t *testing.T) {
 	}
 }
 
-// TestExplainEstimatesOnly: Explain without execution reports the
-// plan auto runs and per-operator estimates with actuals unset.
-func TestExplainEstimatesOnly(t *testing.T) {
+// TestExplainWithoutExecution: Explain without execution reports the
+// plan auto runs and lists no operators.
+func TestExplainWithoutExecution(t *testing.T) {
 	e := sampleEngine(t, Options{})
 	pq, err := e.Prepare(query1)
 	if err != nil {
@@ -114,28 +113,21 @@ func TestExplainEstimatesOnly(t *testing.T) {
 	if x.Requested != "auto" {
 		t.Errorf("Requested = %q, want auto", x.Requested)
 	}
-	if !x.StatsUsed {
-		t.Error("StatsUsed = false, want true (on-demand ANALYZE)")
-	}
 	if x.Strategy != "groupby" {
 		t.Errorf("Strategy = %q, want groupby", x.Strategy)
 	}
-	if len(x.Operators) == 0 {
-		t.Fatal("no operator estimates")
+	if len(x.Operators) != 0 {
+		t.Errorf("operators before execution: %+v", x.Operators)
 	}
-	for _, op := range x.Operators {
-		if op.ActualRows != -1 {
-			t.Errorf("operator %q has actuals before execution", op.Op)
-		}
-	}
-	if !strings.Contains(x.Text(), "strategy: ") {
-		t.Errorf("Text() missing strategy line:\n%s", x.Text())
+	if txt := x.Text(); !strings.Contains(txt, "strategy: ") || strings.Contains(txt, "operators:") {
+		t.Errorf("Text() wants a strategy line and no operators:\n%s", txt)
 	}
 }
 
 // TestExplainExecuteJoinsActuals is the acceptance check on the E1
 // workload (query1 is the paper's Query 1): after ExplainExecute,
-// every estimated operator carries an actual row count from the trace.
+// every strategy lists its traced operators, each once, with an
+// actual row count.
 func TestExplainExecuteJoinsActuals(t *testing.T) {
 	e := sampleEngine(t, Options{})
 	pq, err := e.Prepare(query1)
@@ -144,6 +136,7 @@ func TestExplainExecuteJoinsActuals(t *testing.T) {
 	}
 	for _, strat := range []exec.Strategy{
 		exec.StrategyAuto, exec.StrategyGroupBy, exec.StrategyDirect,
+		exec.StrategyDirectBatch, exec.StrategyPhysical,
 	} {
 		x, res, err := pq.ExplainExecute(context.Background(), ExecOptions{Strategy: strat})
 		if err != nil {
@@ -156,23 +149,24 @@ func TestExplainExecuteJoinsActuals(t *testing.T) {
 			t.Errorf("%v: report strategy %q != result strategy %q", strat, x.Strategy, res.Strategy)
 		}
 		if len(x.Operators) == 0 {
-			t.Fatalf("%v: no operator estimates", strat)
+			t.Fatalf("%v: no operators", strat)
 		}
+		seen := map[string]bool{}
 		for _, op := range x.Operators {
-			if op.ActualRows < 0 {
-				t.Errorf("%v: operator %q has no actual row count", strat, op.Op)
+			if op.ActualRows <= 0 {
+				t.Errorf("%v: operator %q has actual row count %d", strat, op.Op, op.ActualRows)
 			}
+			if seen[op.Op] {
+				t.Errorf("%v: operator %q listed twice", strat, op.Op)
+			}
+			seen[op.Op] = true
 		}
-		if x.ActualGroups != int64(res.Stats.Groups) {
-			t.Errorf("%v: ActualGroups = %d, want %d", strat, x.ActualGroups, res.Stats.Groups)
+		wantGroups := int64(res.Stats.Groups)
+		if strat == exec.StrategyPhysical {
+			wantGroups = int64(len(res.Trees))
 		}
-		if x.EstGroups <= 0 {
-			t.Errorf("%v: EstGroups = %v, want > 0", strat, x.EstGroups)
-		}
-		// Exact statistics on a tiny database: the group estimate should
-		// land on the true count.
-		if x.EstGroups != float64(x.ActualGroups) {
-			t.Errorf("%v: EstGroups = %v with exact stats, actual %d", strat, x.EstGroups, x.ActualGroups)
+		if x.ActualGroups != wantGroups {
+			t.Errorf("%v: ActualGroups = %d, want %d", strat, x.ActualGroups, wantGroups)
 		}
 		// Renders both ways.
 		txt := x.Text()
@@ -214,42 +208,6 @@ func TestExplainNonGroupingQuery(t *testing.T) {
 	}
 	if x.ActualGroups != int64(len(res.Trees)) {
 		t.Errorf("ActualGroups = %d, want %d trees", x.ActualGroups, len(res.Trees))
-	}
-}
-
-// TestStatsCacheRevalidatesAfterIngest: the engine's statistics cache
-// is epoch-keyed — an insert after the first EXPLAIN must be visible
-// to the next one, whose exact estimate matches the run.
-func TestStatsCacheRevalidatesAfterIngest(t *testing.T) {
-	e := sampleEngine(t, Options{})
-	pq, err := e.Prepare(query1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := pq.Execute(ctx, ExecOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	before := pq.Explain(ExecOptions{})
-
-	doc, err := xmltree.ParseString("<article><title>Planner</title><author>Ada</author><author>Bob</author></article>")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.DB().InsertDocument("extra.xml", doc, storage.SyncAlways); err != nil {
-		t.Fatal(err)
-	}
-	after := pq.Explain(ExecOptions{})
-	if after.EstGroups <= before.EstGroups {
-		t.Errorf("EstGroups %v -> %v after adding two new authors, want an increase",
-			before.EstGroups, after.EstGroups)
-	}
-	res, err := pq.Execute(ctx, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(res.Stats.Groups) != int64(after.EstGroups) {
-		t.Errorf("post-ingest groups = %d, estimate %v", res.Stats.Groups, after.EstGroups)
 	}
 }
 
@@ -329,7 +287,7 @@ func TestPlannerPickNeverFarFromBest(t *testing.T) {
 
 // TestReadQueryWritesNothing: an auto Execute, an Explain and an
 // ExplainExecute on a bulk-loaded database allocate no page and commit
-// nothing — computing EXPLAIN's statistics is a read.
+// nothing.
 func TestReadQueryWritesNothing(t *testing.T) {
 	e := sampleEngine(t, Options{})
 	db := e.DB()
@@ -341,9 +299,7 @@ func TestReadQueryWritesNothing(t *testing.T) {
 	if _, err := pq.Execute(context.Background(), ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if x := pq.Explain(ExecOptions{}); !x.StatsUsed {
-		t.Error("Explain used no statistics")
-	}
+	pq.Explain(ExecOptions{})
 	if _, _, err := pq.ExplainExecute(context.Background(), ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -370,44 +326,98 @@ RETURN
   }
 </authorpubs>`
 
-// TestExplainEstimatesGolden pins EXPLAIN's estimates on quiesced
-// databases: the group estimate and per-operator rows of the auto
-// (groupby) and direct plans for Query 1, the count query and the
-// ORDER BY query, on the Figure 6 sample and on a 300-article dblpgen
-// database. The values were recorded when ingest still persisted and
-// maintained the statistics; the on-demand scan reproduces them.
-func TestExplainEstimatesGolden(t *testing.T) {
-	type golden struct{ groups, auto, direct string }
-	// Operator rows as "name=rows", in pipeline order.
+// TestExplainReadsNoPages: EXPLAIN reads nothing of its own from the
+// database, also on the first call after a commit. On a 3 000-article
+// dblpgen database, right after an InsertDocument, Explain fetches no
+// page and ExplainExecute fetches exactly as many as a plain Execute
+// of the same query.
+func TestExplainReadsNoPages(t *testing.T) {
+	db, err := storage.CreateTemp(storage.Options{PoolPages: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	if _, err := dblpgen.GenerateToDB(db, dblpgen.Config{Articles: 3000, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	e := New(db, Options{})
+	ctx := context.Background()
+	inserts := 0
+	insert := func() {
+		t.Helper()
+		inserts++
+		doc := xmltree.E("doc_root", xmltree.E("article",
+			xmltree.Elem("author", fmt.Sprintf("Writer %d", inserts)),
+			xmltree.Elem("title", fmt.Sprintf("Inserted %d", inserts))))
+		if _, err := db.InsertDocument(fmt.Sprintf("w%d.xml", inserts), doc, storage.SyncAlways); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fetches := func(run func() error) uint64 {
+		t.Helper()
+		before := db.Stats().Fetches
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		return db.Stats().Fetches - before
+	}
+	for _, text := range []string{query1, paperdata.QueryCountText} {
+		pq, err := e.Prepare(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := ExecOptions{Parallelism: 1}
+		insert()
+		if n := fetches(func() error { pq.Explain(o); return nil }); n != 0 {
+			t.Errorf("Explain after a commit fetched %d pages, want 0", n)
+		}
+		insert()
+		plain := fetches(func() error { _, err := pq.Execute(ctx, o); return err })
+		explained := fetches(func() error { _, _, err := pq.ExplainExecute(ctx, o); return err })
+		if explained != plain {
+			t.Errorf("ExplainExecute after a commit fetched %d pages, plain Execute %d", explained, plain)
+		}
+	}
+}
+
+// TestExplainActualsGolden pins ExplainExecute's operator list — name
+// and actual rows, in trace pre-order — of the auto (groupby) and
+// direct plans for Query 1, the count query and the ORDER BY query, on
+// the Figure 6 sample and on a 300-article dblpgen database. Every row
+// count equals the one the trace reported when EXPLAIN still printed
+// estimates beside it.
+func TestExplainActualsGolden(t *testing.T) {
+	type golden struct{ auto, direct string }
+	// Operator rows as "name=rows", in trace pre-order.
 	cases := map[string]map[string]golden{
 		"sample": {
-			"query1": {"3",
-				"scan: member postings=3 select: join author=5 populate: grouping values=5 select: value title=3 mergejoin: values=5 sort: witnesses=5 stitch: group boundaries=8 materialize: groups=3",
-				"materialize: outer selection=5 sjoin: join path=5 materialize: product trees=3 eval: RETURN arguments=3"},
-			"count": {"3",
-				"scan: member postings=3 select: join author=5 populate: grouping values=5 select: value title=3 mergejoin: values=5 sort: witnesses=5 stitch: group boundaries=8 aggregate: group counts=3 materialize: groups=3",
-				"materialize: outer selection=5 sjoin: join path=5 materialize: product trees=3 eval: RETURN arguments=3"},
-			"ordered": {"3",
-				"scan: member postings=3 select: join author=5 populate: grouping values=5 select: value title=3 mergejoin: values=5 select: order title=3 dupelim: order matches=3 populate: ordering values=3 sort: witnesses=5 stitch: group boundaries=8 materialize: groups=3",
-				"materialize: outer selection=5 sjoin: join path=5 materialize: product trees=3 eval: RETURN arguments=3"},
+			"query1": {
+				"exchange: match fragments=5 sort: witnesses=5 materialize: groups=3 scan: member postings=3 select: join author=5 populate: grouping values=5 select: value title=3 mergejoin: values=5 stitch: group boundaries=8",
+				"materialize: outer selection=5 sjoin: join path=3 sjoin: step author=5 materialize: product trees=3 eval: RETURN arguments=3"},
+			"count": {
+				"exchange: match fragments=5 sort: witnesses=5 materialize: groups=3 scan: member postings=3 select: join author=5 populate: grouping values=5 select: value title=3 mergejoin: values=5 stitch: group boundaries=8 aggregate: group counts=6",
+				"materialize: outer selection=5 sjoin: join path=3 sjoin: step author=5 materialize: product trees=3 eval: RETURN arguments=3"},
+			"ordered": {
+				"exchange: match fragments=5 sort: witnesses=5 materialize: groups=3 scan: member postings=3 select: join author=5 populate: grouping values=5 select: value title=3 mergejoin: values=5 select: order title=3 dupelim: order matches=3 populate: ordering values=3 stitch: group boundaries=8",
+				"materialize: outer selection=5 sjoin: join path=3 sjoin: step author=5 materialize: product trees=3 eval: RETURN arguments=3"},
 		},
 		"dblp300": {
-			"query1": {"118",
-				"scan: member postings=300 select: join author=713 populate: grouping values=713 select: value title=300 mergejoin: values=713 sort: witnesses=713 stitch: group boundaries=831 materialize: groups=118",
-				"materialize: outer selection=713 sjoin: join path=713 materialize: product trees=118 eval: RETURN arguments=118"},
-			"count": {"118",
-				"scan: member postings=300 select: join author=713 populate: grouping values=713 select: value title=300 mergejoin: values=713 sort: witnesses=713 stitch: group boundaries=831 aggregate: group counts=118 materialize: groups=118",
-				"materialize: outer selection=713 sjoin: join path=713 materialize: product trees=118 eval: RETURN arguments=118"},
-			"ordered": {"118",
-				"scan: member postings=300 select: join author=713 populate: grouping values=713 select: value title=300 mergejoin: values=713 select: order title=300 dupelim: order matches=300 populate: ordering values=300 sort: witnesses=713 stitch: group boundaries=831 materialize: groups=118",
-				"materialize: outer selection=713 sjoin: join path=713 materialize: product trees=118 eval: RETURN arguments=118"},
+			"query1": {
+				"exchange: match fragments=713 sort: witnesses=713 materialize: groups=118 scan: member postings=300 select: join author=713 populate: grouping values=713 select: value title=300 mergejoin: values=713 stitch: group boundaries=831",
+				"materialize: outer selection=713 sjoin: join path=300 sjoin: step author=713 materialize: product trees=118 eval: RETURN arguments=118"},
+			"count": {
+				"exchange: match fragments=713 sort: witnesses=713 materialize: groups=118 scan: member postings=300 select: join author=713 populate: grouping values=713 select: value title=300 mergejoin: values=713 stitch: group boundaries=831 aggregate: group counts=236",
+				"materialize: outer selection=713 sjoin: join path=300 sjoin: step author=713 materialize: product trees=118 eval: RETURN arguments=118"},
+			"ordered": {
+				"exchange: match fragments=713 sort: witnesses=713 materialize: groups=118 scan: member postings=300 select: join author=713 populate: grouping values=713 select: value title=300 mergejoin: values=713 select: order title=300 dupelim: order matches=300 populate: ordering values=300 stitch: group boundaries=831",
+				"materialize: outer selection=713 sjoin: join path=300 sjoin: step author=713 materialize: product trees=118 eval: RETURN arguments=118"},
 		},
 	}
 	queries := map[string]string{"query1": query1, "count": paperdata.QueryCountText, "ordered": queryOrdered}
 	render := func(x *Explain) string {
 		var parts []string
 		for _, op := range x.Operators {
-			parts = append(parts, fmt.Sprintf("%s=%g", op.Op, op.EstRows))
+			parts = append(parts, fmt.Sprintf("%s=%d", op.Op, op.ActualRows))
 		}
 		return strings.Join(parts, " ")
 	}
@@ -426,100 +436,21 @@ func TestExplainEstimatesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := New(db, Options{})
-		for qName, want := range byQuery {
-			pq, err := e.Prepare(queries[qName])
+		for qName, text := range queries {
+			want := byQuery[qName]
+			pq, err := e.Prepare(text)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for strat, wantOps := range map[exec.Strategy]string{exec.StrategyAuto: want.auto, exec.StrategyDirect: want.direct} {
-				x := pq.Explain(ExecOptions{Strategy: strat})
-				if got := fmt.Sprintf("%g", x.EstGroups); got != want.groups {
-					t.Errorf("%s %s %v: EstGroups = %s, want %s", dbName, qName, strat, got, want.groups)
+				x, _, err := pq.ExplainExecute(context.Background(), ExecOptions{Strategy: strat, Parallelism: 1})
+				if err != nil {
+					t.Fatal(err)
 				}
 				if got := render(x); got != wantOps {
-					t.Errorf("%s %s %v: operator estimates\n got %s\nwant %s", dbName, qName, strat, got, wantOps)
+					t.Errorf("%s %s %v: operators\n got %s\nwant %s", dbName, qName, strat, got, wantOps)
 				}
 			}
 		}
-	}
-}
-
-// TestStatsCacheEpochUnderIngest: EXPLAIN interleaved with online
-// inserts files each catalog under the epoch of the snapshot it was
-// scanned from, and the cached epoch never goes backwards although an
-// EXPLAIN loop may reach the cache holding an older snapshot than the
-// one last cached. Once the writer stops, EXPLAIN's exact group
-// estimate equals the group count of an auto run. Run it under -race.
-func TestStatsCacheEpochUnderIngest(t *testing.T) {
-	e := sampleEngine(t, Options{})
-	db := e.DB()
-	pq, err := e.Prepare(query1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const inserts = 40
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	errs := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(done)
-		for i := 0; i < inserts; i++ {
-			// Each document adds one author no earlier document has.
-			doc := xmltree.E("doc_root", xmltree.E("article",
-				xmltree.Elem("author", fmt.Sprintf("Writer %03d", i)),
-				xmltree.Elem("title", fmt.Sprintf("Interleaved %d", i))))
-			if _, err := db.InsertDocument(fmt.Sprintf("w%03d.xml", i), doc, storage.SyncNone); err != nil {
-				errs <- err
-				return
-			}
-		}
-	}()
-	cachedEpoch := func() uint64 {
-		e.statsMu.Lock()
-		defer e.statsMu.Unlock()
-		return e.statsEpoch
-	}
-	backwards := make(chan string, 2)
-	for readers := 0; readers < 2; readers++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var last uint64
-			for {
-				select {
-				case <-done:
-					return
-				default:
-					pq.Explain(ExecOptions{})
-					ep := cachedEpoch()
-					if ep < last {
-						backwards <- fmt.Sprintf("cached epoch went from %d back to %d", last, ep)
-						return
-					}
-					last = ep
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	case msg := <-backwards:
-		t.Fatal(msg)
-	default:
-	}
-	x := pq.Explain(ExecOptions{})
-	res, err := pq.Execute(context.Background(), ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x.EstGroups != float64(res.Stats.Groups) {
-		t.Errorf("EstGroups = %v after the writer stopped, auto run has %d groups", x.EstGroups, res.Stats.Groups)
-	}
-	if want := 3 + inserts; res.Stats.Groups != want {
-		t.Errorf("auto run has %d groups, want %d", res.Stats.Groups, want)
 	}
 }

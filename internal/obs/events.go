@@ -39,10 +39,6 @@ const (
 	EvPagesRetired
 	// EvPagesReclaimed marks retired pages returning to the allocator.
 	EvPagesReclaimed
-	// EvPlanEstimate records one planner estimate joined against the
-	// actual of the ExplainExecute run it estimated (quantity,
-	// estimate, actual, ratio).
-	EvPlanEstimate
 	// EvQueryDone marks a query execution completing.
 	EvQueryDone
 	// EvQueryError marks a query execution failing (also retained in
@@ -79,7 +75,6 @@ var eventInfos = [numEventTypes]EventTypeInfo{
 	EvRecovery:       {EvRecovery, "EvRecovery", "recovery", "Crash recovery replayed the WAL (wal_seq: last committed, bytes: committed prefix length, count: records replayed, aux: pages restored, label: torn_tail/meta_fallback flags)."},
 	EvPagesRetired:   {EvPagesRetired, "EvPagesRetired", "pages_retired", "Superseded pages queued for reclamation (count; epoch/wal_seq: freeing commit)."},
 	EvPagesReclaimed: {EvPagesReclaimed, "EvPagesReclaimed", "pages_reclaimed", "Retired pages returned to the allocator (count)."},
-	EvPlanEstimate:   {EvPlanEstimate, "EvPlanEstimate", "plan_estimate", "ExplainExecute's planner estimate vs actual for one quantity (qid, label: quantity, count: estimate, aux: actual, value: relative error)."},
 	EvQueryDone:      {EvQueryDone, "EvQueryDone", "query_done", "Query completed (qid, label: strategy, dur_ns: wall, count: result trees, aux: value lookups, bytes: index postings read)."},
 	EvQueryError:     {EvQueryError, "EvQueryError", "query_error", "Query failed (qid, label: strategy, err; retained in the anomaly ring)."},
 	EvSlowQuery:      {EvSlowQuery, "EvSlowQuery", "slow_query", "Execution at/above the slow-query threshold (qid, dur_ns, label: strategy, aux: first overlapping wal_seq, wal_seq: last, count: checkpoints overlapped)."},

@@ -93,8 +93,32 @@ func Serialize(w io.Writer, n *Node) error {
 // SerializeString renders the subtree rooted at n as indented XML.
 func SerializeString(n *Node) string {
 	var b strings.Builder
+	b.Grow(serializedSize(n, 0))
 	_ = Serialize(&b, n)
 	return b.String()
+}
+
+// serializedSize is the length of n's serialization at depth when no
+// character needs escaping, so SerializeString grows its builder once.
+func serializedSize(n *Node, depth int) int {
+	size := 2*depth + 1 + len(n.Tag) // indent, "<", tag
+	for _, a := range n.Attrs {
+		size += len(a.Name) + len(a.Value) + 4 // ` name="value"`
+	}
+	switch {
+	case n.Content == "" && len(n.Children) == 0:
+		return size + 3 // "/>\n"
+	case len(n.Children) == 0:
+		return size + len(n.Content) + len(n.Tag) + 5 // ">" content "</" tag ">\n"
+	}
+	size += 2 // ">\n"
+	if n.Content != "" {
+		size += 2*(depth+1) + len(n.Content) + 1
+	}
+	for _, c := range n.Children {
+		size += serializedSize(c, depth+1)
+	}
+	return size + 2*depth + len(n.Tag) + 4 // indent, "</", tag, ">\n"
 }
 
 type stickyWriter struct {
@@ -109,9 +133,19 @@ func (s *stickyWriter) WriteString(str string) {
 	_, s.err = io.WriteString(s.w, str)
 }
 
+// spaces holds the indentation of the first 32 levels; deeper levels
+// are written from it in pieces.
+const spaces = "                                                                "
+
+// indent writes the two spaces per level that precede a line at depth.
+func (s *stickyWriter) indent(depth int) {
+	for n := 2 * depth; n > 0; n -= len(spaces) {
+		s.WriteString(spaces[:min(n, len(spaces))])
+	}
+}
+
 func writeIndented(w *stickyWriter, n *Node, depth int) {
-	indent := strings.Repeat("  ", depth)
-	w.WriteString(indent)
+	w.indent(depth)
 	w.WriteString("<")
 	w.WriteString(n.Tag)
 	for _, a := range n.Attrs {
@@ -135,14 +169,14 @@ func writeIndented(w *stickyWriter, n *Node, depth int) {
 	}
 	w.WriteString("\n")
 	if n.Content != "" {
-		w.WriteString(strings.Repeat("  ", depth+1))
+		w.indent(depth + 1)
 		w.WriteString(escapeText(n.Content))
 		w.WriteString("\n")
 	}
 	for _, c := range n.Children {
 		writeIndented(w, c, depth+1)
 	}
-	w.WriteString(indent)
+	w.indent(depth)
 	w.WriteString("</")
 	w.WriteString(n.Tag)
 	w.WriteString(">\n")

@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -57,5 +58,70 @@ func TestSerializeEscaping(t *testing.T) {
 	}
 	if !Equal(n, back) {
 		t.Errorf("escape round trip mismatch:\n%s\n%s", n, back)
+	}
+}
+
+// TestSerializeDeepIndent: a 1 000-deep chain — FuzzParse's deepest
+// seed, closed — serializes to two spaces of indentation per level,
+// past the length of the constant the indentation is cut from, and
+// its serialized size is computed exactly.
+func TestSerializeDeepIndent(t *testing.T) {
+	const depth = 1000
+	n, err := ParseString(strings.Repeat("<a>", depth) + "x" + strings.Repeat("</a>", depth))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for i := 0; i < depth-1; i++ {
+		want.WriteString(strings.Repeat("  ", i) + "<a>\n")
+	}
+	want.WriteString(strings.Repeat("  ", depth-1) + "<a>x</a>\n")
+	for i := depth - 2; i >= 0; i-- {
+		want.WriteString(strings.Repeat("  ", i) + "</a>\n")
+	}
+	got := SerializeString(n)
+	if got != want.String() {
+		t.Fatalf("deep serialization differs (len %d, want %d)", len(got), want.Len())
+	}
+	if size := serializedSize(n, 0); size != len(got) {
+		t.Errorf("serializedSize = %d, serialization is %d bytes", size, len(got))
+	}
+}
+
+// TestSerializedSizeExact: without characters to escape, the size
+// SerializeString grows its builder to is the serialization's length,
+// for every shape writeIndented distinguishes — empty, leaf with
+// content, attributes, and mixed content before children.
+func TestSerializedSizeExact(t *testing.T) {
+	mixed := E("article", Elem("title", "T"), E("empty")).WithAttr("key", "k1").WithAttr("mdate", "2002")
+	mixed.Content = "text"
+	for _, n := range []*Node{
+		E("empty"),
+		Elem("title", "XML"),
+		E("empty").WithAttr("a", "1"),
+		E("doc_root", mixed, Elem("author", "Jack")),
+	} {
+		if got, size := SerializeString(n), serializedSize(n, 0); size != len(got) {
+			t.Errorf("serializedSize = %d, serialization is %d bytes:\n%s", size, len(got), got)
+		}
+	}
+}
+
+// TestSerializeAllocCeiling: serializing an E1 result tree — one
+// authorpubs element holding an author and twelve titles, the average
+// group of Query 1 over generated DBLP data — allocates the output
+// once, plus the writer: no builder regrowth and nothing per node.
+func TestSerializeAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	group := E("authorpubs", Elem("author", "Ada Al-Khalifa 0"))
+	for i := 0; i < 12; i++ {
+		group.Append(Elem("title", fmt.Sprintf("Concurrency Trees Indexing Recovery %d", i)))
+	}
+	allocs := testing.AllocsPerRun(100, func() { _ = SerializeString(group) })
+	t.Logf("%.0f allocations per SerializeString", allocs)
+	if allocs > 2 {
+		t.Errorf("SerializeString allocates %.0f times per E1 tree, want at most 2", allocs)
 	}
 }
