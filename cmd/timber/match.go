@@ -59,7 +59,11 @@ func (c *cli) match(args []string) error {
 	return withDB(*dbPath, false, storage.Options{}, func(db *storage.DB) error {
 		ctx, stop := interruptible()
 		defer stop()
-		witnesses, stats, err := match.MatchKindObs(ctx, db, pt, kind, 0, nil)
+		// One snapshot for the match and for reading back the records its
+		// witnesses name.
+		sn := db.Snapshot()
+		defer sn.Close()
+		witnesses, stats, err := match.MatchKindObs(ctx, sn, pt, kind, 0, nil)
 		if err != nil {
 			return err
 		}
@@ -73,7 +77,7 @@ func (c *cli) match(args []string) error {
 			fmt.Fprintf(c.stdout, "witness %d:\n", i+1)
 			for _, lbl := range pt.Labels() {
 				post := w[lbl]
-				rec, err := db.GetNodeAt(post.RID)
+				rec, err := sn.GetNodeAt(post.RID)
 				if err != nil {
 					return err
 				}

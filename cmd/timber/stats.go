@@ -17,15 +17,18 @@ func (c *cli) stats(args []string) error {
 		return err
 	}
 	return withDB(*dbPath, false, storage.Options{}, func(db *storage.DB) error {
-		info, err := db.SizeInfo()
+		// Every figure below comes from one committed state.
+		sn := db.Snapshot()
+		defer sn.Close()
+		info, err := sn.SizeInfo()
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(c.stdout, "database: %s\n", *dbPath)
 		fmt.Fprintf(c.stdout, "pages:    %d (%.1f MiB on disk)\n", info.TotalPages, float64(info.TotalBytes)/(1<<20))
-		fmt.Fprintf(c.stdout, "value index: %v\n\n", db.HasValueIndex())
+		fmt.Fprintf(c.stdout, "value index: %v\n\n", sn.HasValueIndex())
 
-		docs := db.Documents()
+		docs := sn.Documents()
 		fmt.Fprintf(c.stdout, "documents (%d):\n", len(docs))
 		var totalNodes uint64
 		for _, d := range docs {
@@ -37,7 +40,7 @@ func (c *cli) stats(args []string) error {
 		if !*showTags {
 			return nil
 		}
-		tags, err := db.Tags()
+		tags, err := sn.Tags()
 		if err != nil {
 			return err
 		}
@@ -45,7 +48,7 @@ func (c *cli) stats(args []string) error {
 		for _, tag := range tags {
 			// Count by streaming the posting blocks rather than
 			// materializing the tag's whole list.
-			cur := db.OpenTagCursor(tag)
+			cur := sn.OpenTagCursor(tag)
 			n := 0
 			for _, ok := cur.Next(); ok; _, ok = cur.Next() {
 				n++

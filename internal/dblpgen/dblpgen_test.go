@@ -121,14 +121,16 @@ func TestGenerateToDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	posts, err := db.TagPostings("article")
+	sn := db.Snapshot()
+	defer sn.Close()
+	posts, err := sn.TagPostings("article")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(posts) != stats.Articles {
 		t.Errorf("stored articles = %d, want %d", len(posts), stats.Articles)
 	}
-	aus, err := db.TagPostings("author")
+	aus, err := sn.TagPostings("author")
 	if err != nil {
 		t.Fatal(err)
 	}

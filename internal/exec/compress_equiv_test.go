@@ -68,13 +68,14 @@ func TestCompressedFormatEquivalence(t *testing.T) {
 		info.HeapPages+info.IndexPages > info.TotalPages {
 		t.Errorf("implausible size breakdown: %+v", info)
 	}
-	tags, err := db.Tags()
+	sn := pin(t, db)
+	tags, err := sn.Tags()
 	if err != nil {
 		t.Fatal(err)
 	}
 	postings := 0
 	for _, tag := range tags {
-		ps, err := db.TagPostings(tag)
+		ps, err := sn.TagPostings(tag)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func TestCompressedFormatEquivalence(t *testing.T) {
 		t.Helper()
 		db.ResetStats()
 		tr := db.NewTracer("equiv")
-		res, err := groupByExec(db, spec, Options{Parallelism: p, Tracer: tr})
+		res, err := runAs(db, StrategyGroupBy, spec, Options{Parallelism: p, Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}

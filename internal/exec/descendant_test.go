@@ -127,7 +127,7 @@ func TestDescendantAxisGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, spec := plansFor(t, queryDescSrc)
-	res, err := groupByExec(db, spec, Options{})
+	res, err := runAs(db, StrategyGroupBy, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestDescendantAxisGolden(t *testing.T) {
 	}
 	// The child-axis query must NOT see the nested pair.
 	_, _, childSpec := plansFor(t, query1Src)
-	res2, err := groupByExec(db, childSpec, Options{})
+	res2, err := runAs(db, StrategyGroupBy, childSpec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

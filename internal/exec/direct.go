@@ -36,7 +36,7 @@ import (
 //
 // Output order matches the logical naive plan: distinct values in
 // first-occurrence order, members in document order.
-func directMaterialized(db storage.Reader, spec Spec, o Options) (*Result, error) {
+func directMaterialized(db *storage.Snapshot, spec Spec, o Options) (*Result, error) {
 	res := &Result{}
 	basisTag := spec.BasisTag()
 	sp := o.trace("exec: direct materialized")
@@ -168,7 +168,7 @@ func directMaterialized(db storage.Reader, spec Spec, o Options) (*Result, error
 // the same data-value look-ups twice (dedupe pass and join pass) but
 // never materializes a member subtree, so it sits between the
 // materialized direct plan and the groupby plan.
-func directBatch(db storage.Reader, spec Spec, o Options) (*Result, error) {
+func directBatch(db *storage.Snapshot, spec Spec, o Options) (*Result, error) {
 	res := &Result{}
 	basisTag := spec.BasisTag()
 	sp := o.trace("exec: direct batch")
@@ -262,7 +262,7 @@ func directBatch(db storage.Reader, spec Spec, o Options) (*Result, error) {
 // outerValues is the outer FOR over distinct-values(//tag) before
 // duplicate elimination: every basis posting from the tag index and one
 // value look-up each, in document order.
-func outerValues(db storage.Reader, tag string, o Options, res *Result, sp *obs.Span) ([]string, error) {
+func outerValues(db *storage.Snapshot, tag string, o Options, res *Result, sp *obs.Span) ([]string, error) {
 	posts, err := db.TagPostings(tag)
 	if err != nil {
 		return nil, err
@@ -286,7 +286,7 @@ func outerValues(db storage.Reader, tag string, o Options, res *Result, sp *obs.
 // joinPathPairs identifies, index-only, every (member, join-value node)
 // pair of the join path, under an "sjoin: join path" span. The member
 // postings are returned too, for the value and order paths.
-func joinPathPairs(db storage.Reader, spec Spec, o Options, res *Result, sp *obs.Span) ([]storage.Posting, []pair, error) {
+func joinPathPairs(db *storage.Snapshot, spec Spec, o Options, res *Result, sp *obs.Span) ([]storage.Posting, []pair, error) {
 	joinSp := sp.Child("sjoin: join path")
 	defer joinSp.End()
 	members, err := db.TagPostings(spec.MemberTag)
@@ -306,7 +306,7 @@ func joinPathPairs(db storage.Reader, spec Spec, o Options, res *Result, sp *obs
 // membersByValue is the hash-join build: one value look-up per join
 // pair, grouping the members by join value — each member once per
 // value, in pair (document) order.
-func membersByValue(db storage.Reader, pairs []pair, o Options, res *Result) (map[string][]storage.Posting, error) {
+func membersByValue(db *storage.Snapshot, pairs []pair, o Options, res *Result) (map[string][]storage.Posting, error) {
 	type key struct {
 		value  string
 		member xmltree.NodeID

@@ -147,7 +147,7 @@ type rankedStart struct {
 // values the scan did not cover were read from the heap inside the
 // fragments; after the fragments' barrier they are sorted and merged
 // into the rank space (mergeFallback).
-func runExchange(db storage.Reader, spec Spec, ctx context.Context, workers, batchSize int, ops *opSet) (*exchange, error) {
+func runExchange(db *storage.Snapshot, spec Spec, ctx context.Context, workers, batchSize int, ops *opSet) (*exchange, error) {
 	ex := &exchange{}
 	scanCounts := ops.get("scan: member postings")
 	members, err := scanPostings(db.OpenTagCursor(spec.MemberTag))
@@ -432,7 +432,7 @@ func postingIndex(ps []storage.Posting, start uint32) int {
 // scan (rankIter); the heap is read only for the grouping values the
 // scan did not cover, and for ordering values. scanned is the number
 // of ranks the scan assigned.
-func runFragment(db storage.Reader, spec Spec, f *fragment, scanned, batchSize int) (*fragResult, error) {
+func runFragment(db *storage.Snapshot, spec Spec, f *fragment, scanned, batchSize int) (*fragResult, error) {
 	ops := newOpSet()
 	fr := &fragResult{ops: ops}
 

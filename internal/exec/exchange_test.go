@@ -108,7 +108,7 @@ func tracedGroupBy(t *testing.T, db *storage.DB, spec Spec, o Options) splitDocR
 	db.ResetStats()
 	tr := db.NewTracer("split")
 	o.Tracer = tr
-	res, err := groupByExec(db, spec, o)
+	res, err := runAs(db, StrategyGroupBy, spec, o)
 	if err != nil {
 		t.Fatalf("p=%d bs=%d sortmem=%d: %v", o.Parallelism, o.BatchSize, o.SortMemRows, err)
 	}
@@ -269,10 +269,12 @@ func BenchmarkExchange(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			sn := db.Snapshot()
+			defer sn.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ex, err := runExchange(db, spec, nil, par.Workers(0), defaultBatchSize, newOpSet())
+				ex, err := runExchange(sn, spec, nil, par.Workers(0), defaultBatchSize, newOpSet())
 				if err != nil {
 					b.Fatal(err)
 				}

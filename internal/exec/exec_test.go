@@ -40,6 +40,20 @@ func plansFor(t testing.TB, src string) (naive, rewritten plan.Op, spec Spec) {
 	return naive, rewritten, spec
 }
 
+// pin returns a snapshot of db, closed when the test ends (before a
+// database whose cleanup was registered first).
+func pin(tb testing.TB, db *storage.DB) *storage.Snapshot {
+	sn := db.Snapshot()
+	tb.Cleanup(func() { sn.Close() })
+	return sn
+}
+
+// runAs runs spec through Run under strategy s.
+func runAs(db *storage.DB, s Strategy, spec Spec, o Options) (*Result, error) {
+	spec.Strategy = s
+	return Run(db, spec, o)
+}
+
 func sampleDB(t *testing.T) *storage.DB {
 	t.Helper()
 	db, err := storage.CreateTemp(storage.Options{PageSize: 512, PoolPages: 256})
@@ -124,7 +138,7 @@ var wantSample = []string{
 func TestGroupByExecSample(t *testing.T) {
 	db := sampleDB(t)
 	_, _, spec := plansFor(t, query1Src)
-	res, err := groupByExec(db, spec, Options{})
+	res, err := runAs(db, StrategyGroupBy, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +168,7 @@ func TestGroupByExecSample(t *testing.T) {
 func TestGroupByExecCountIdentifierOnly(t *testing.T) {
 	db := sampleDB(t)
 	_, _, spec := plansFor(t, queryCountSrc)
-	res, err := groupByExec(db, spec, Options{})
+	res, err := runAs(db, StrategyGroupBy, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +186,7 @@ func TestGroupByExecCountIdentifierOnly(t *testing.T) {
 func TestDirectBatchSample(t *testing.T) {
 	db := sampleDB(t)
 	_, _, spec := plansFor(t, query1Src)
-	res, err := directBatch(db, spec, Options{})
+	res, err := runAs(db, StrategyDirectBatch, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,14 +199,14 @@ func TestDirectCountSample(t *testing.T) {
 	db := sampleDB(t)
 	_, _, spec := plansFor(t, queryCountSrc)
 	want := []string{"Jack:2", "John:2", "Jill:1"}
-	mt, err := directMaterialized(db, spec, Options{})
+	mt, err := runAs(db, StrategyDirect, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rows(mt.Trees); !reflect.DeepEqual(got, want) {
 		t.Errorf("materialized count = %v, want %v", got, want)
 	}
-	bt, err := directBatch(db, spec, Options{})
+	bt, err := runAs(db, StrategyDirectBatch, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +227,11 @@ func TestLogicalOracleAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := directMaterialized(db, spec, Options{})
+	direct, err := runAs(db, StrategyDirect, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	group, err := groupByExec(db, spec, Options{})
+	group, err := runAs(db, StrategyGroupBy, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,15 +310,15 @@ func TestAllPlansAgreeProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			dmt, err := directMaterialized(db, tc.spec, Options{})
+			dmt, err := runAs(db, StrategyDirect, tc.spec, Options{})
 			if err != nil {
 				return false
 			}
-			dbt, err := directBatch(db, tc.spec, Options{})
+			dbt, err := runAs(db, StrategyDirectBatch, tc.spec, Options{})
 			if err != nil {
 				return false
 			}
-			gb, err := groupByExec(db, tc.spec, Options{})
+			gb, err := runAs(db, StrategyGroupBy, tc.spec, Options{})
 			if err != nil {
 				return false
 			}
@@ -365,7 +379,7 @@ RETURN
 		t.Fatal(err)
 	}
 
-	gb, err := groupByExec(db, spec, Options{})
+	gb, err := runAs(db, StrategyGroupBy, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +387,7 @@ RETURN
 	if got := rows(gb.Trees); !reflect.DeepEqual(got, want) {
 		t.Errorf("groupby institution = %v, want %v", got, want)
 	}
-	dmt, err := directMaterialized(db, spec, Options{})
+	dmt, err := runAs(db, StrategyDirect, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // (one pin per page filled), reads each page back once, rebuilds the
 // trees from one node slab and frees the pages, so concurrent runs
 // never share a spill region.
-func finishResult(db storage.Reader, res *Result, sp *obs.Span) error {
+func finishResult(db *storage.Snapshot, res *Result, sp *obs.Span) error {
 	finSp := sp.Child("spill: result trees")
 	defer finSp.End()
 	trees, err := db.SpillTrees(res.Trees)

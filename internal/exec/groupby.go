@@ -63,7 +63,7 @@ type ExecStats struct {
 // cut by the data and their rows arrive at the sort in document order,
 // the sort's order is total (arrival position breaks every tie), and
 // each operator preserves its input's row order.
-func groupByExec(db storage.Reader, spec Spec, o Options) (*Result, error) {
+func groupByExec(db *storage.Snapshot, spec Spec, o Options) (*Result, error) {
 	if err := o.err(); err != nil {
 		return nil, err
 	}

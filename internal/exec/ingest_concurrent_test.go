@@ -2,13 +2,18 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"timber/internal/match"
+	"timber/internal/pattern"
 	"timber/internal/storage"
+	"timber/internal/tax"
 	"timber/internal/xmltree"
 )
 
@@ -35,43 +40,128 @@ func sidecarDoc(t *testing.T, w, i int) *xmltree.Node {
 
 // TestConcurrentIngestByteIdentity is the snapshot-isolation
 // acceptance check: while writers insert and delete documents through
-// the WAL, every concurrently executing query — streaming groupby and
-// the materializing batch direct plan, at parallelism 1 and 4, with
-// tracing on — returns bytes identical to the quiesced run. Run under
-// -race by make race.
+// the WAL, every query entry point run concurrently returns bytes
+// identical to the quiesced run. The inputs are Run under groupby,
+// direct and direct-batch (traced), ExecPhysical and ExecLogical of
+// Query 1's plans, match.Open drained under the binary and the twig
+// matcher, and match.MatchKindObs on a snapshot the reader pins — each
+// at parallelism 1 and 4. Run under -race by make race.
 func TestConcurrentIngestByteIdentity(t *testing.T) {
 	db := sampleDB(t)
-	_, _, spec := plansFor(t, query1Src)
+	naive, rewritten, spec := plansFor(t, query1Src)
+	pt, err := pattern.ParseTree("$1 [tag=article]\n  pc $2 [tag=author & content=\"Jack\"]\n  pc $3 [tag=title]")
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	strategies := []Strategy{StrategyGroupBy, StrategyDirectBatch}
-	parallelisms := []int{1, 4}
-	want := map[string]string{}
-	for _, st := range strategies {
-		for _, p := range parallelisms {
+	runSpec := func(st Strategy) func(*testing.T, int, string) (string, error) {
+		return func(t *testing.T, p int, trace string) (string, error) {
 			s := spec
 			s.Strategy = st
-			res, err := Run(db, s, Options{Parallelism: p})
-			if err != nil {
-				t.Fatalf("quiesced %v/p%d: %v", st, p, err)
+			o := Options{Parallelism: p}
+			if trace != "" {
+				o.Tracer = db.NewTracer(trace)
 			}
-			want[fmt.Sprintf("%v/p%d", st, p)] = serializeResult(t, res.Trees)
+			res, err := Run(db, s, o)
+			if err != nil {
+				return "", err
+			}
+			return serializeResult(t, res.Trees), nil
+		}
+	}
+	collection := func(c tax.Collection, err error) (string, error) {
+		return strings.Join(c.Strings(), "\n"), err
+	}
+	bindings := func(bs []match.DBBinding) string {
+		var b strings.Builder
+		for _, bnd := range bs {
+			for _, l := range pt.Labels() {
+				fmt.Fprintf(&b, "%s=%v ", l, bnd[l])
+			}
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	drain := func(kind match.MatcherKind) func(*testing.T, int, string) (string, error) {
+		return func(*testing.T, int, string) (string, error) {
+			m, err := match.Open(db, pt, kind)
+			if err != nil {
+				return "", err
+			}
+			var bs []match.DBBinding
+			for b, ok := m.Next(); ok; b, ok = m.Next() {
+				bs = append(bs, b.Clone())
+			}
+			return bindings(bs), errors.Join(m.Err(), m.Close())
+		}
+	}
+	inputs := []struct {
+		name string
+		run  func(t *testing.T, p int, trace string) (string, error)
+	}{
+		{"groupby", runSpec(StrategyGroupBy)},
+		{"direct", runSpec(StrategyDirect)},
+		{"direct-batch", runSpec(StrategyDirectBatch)},
+		{"physical", func(_ *testing.T, p int, _ string) (string, error) {
+			return collection(ExecPhysical(db, rewritten, Options{Parallelism: p}))
+		}},
+		{"logical", func(*testing.T, int, string) (string, error) {
+			return collection(ExecLogical(db, naive))
+		}},
+		{"open-binary", drain(match.MatcherBinary)},
+		{"open-twig", drain(match.MatcherTwig)},
+		{"match-kind", func(_ *testing.T, p int, _ string) (string, error) {
+			sn := db.Snapshot()
+			defer sn.Close()
+			bs, _, err := match.MatchKindObs(context.Background(), sn, pt, match.MatcherAuto, p, nil)
+			return bindings(bs), err
+		}},
+	}
+	parallelisms := []int{1, 4}
+	key := func(i, p int) string { return fmt.Sprintf("%s/p%d", inputs[i].name, p) }
+	want := map[string]string{}
+	for i, in := range inputs {
+		for _, p := range parallelisms {
+			got, err := in.run(t, p, "")
+			if err != nil {
+				t.Fatalf("quiesced %s: %v", key(i, p), err)
+			}
+			if got == "" {
+				t.Fatalf("quiesced %s: empty result, the input checks nothing", key(i, p))
+			}
+			want[key(i, p)] = got
 		}
 	}
 
-	const writers, docsPerWriter, readers, iters = 2, 10, 4, 5
-	var wg sync.WaitGroup
+	// Writers insert and delete until every reader is done (and at least
+	// minDocs documents each), so queries overlap commits, retirement
+	// and reclamation.
+	const writers, minDocs, readers, rounds = 2, 10, 4, 2
+	var (
+		wg, wwg           sync.WaitGroup
+		inserted, deleted atomic.Int64
+	)
+	stop := make(chan struct{})
 	errs := make(chan error, writers+readers)
 	for w := 0; w < writers; w++ {
 		w := w
-		wg.Add(1)
+		wwg.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := 0; i < docsPerWriter; i++ {
+			defer wwg.Done()
+			for i := 0; ; i++ {
+				if i >= minDocs {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
 				name := fmt.Sprintf("sidecar-%d-%d.xml", w, i)
 				if _, err := db.InsertDocument(name, sidecarDoc(t, w, i), storage.SyncGroup); err != nil {
 					errs <- fmt.Errorf("writer %d: %v", w, err)
 					return
 				}
+				inserted.Add(1)
 				// Delete every other document: retire/reclaim runs while
 				// reader snapshots still pin older epochs.
 				if i%2 == 1 {
@@ -79,6 +169,7 @@ func TestConcurrentIngestByteIdentity(t *testing.T) {
 						errs <- fmt.Errorf("writer %d delete: %v", w, err)
 						return
 					}
+					deleted.Add(1)
 				}
 			}
 		}()
@@ -88,36 +179,37 @@ func TestConcurrentIngestByteIdentity(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				st := strategies[(r+i)%len(strategies)]
-				p := parallelisms[(r+i)%len(parallelisms)]
-				s := spec
-				s.Strategy = st
-				res, err := Run(db, s, Options{Parallelism: p, Tracer: db.NewTracer(fmt.Sprintf("reader-%d-%d", r, i))})
+			n := len(inputs) * len(parallelisms)
+			for k := 0; k < rounds*n; k++ {
+				j := (r + k) % n
+				i, p := j/len(parallelisms), parallelisms[j%len(parallelisms)]
+				got, err := inputs[i].run(t, p, fmt.Sprintf("reader-%d-%d", r, k))
 				if err != nil {
-					errs <- fmt.Errorf("reader %d iter %d: %v", r, i, err)
+					errs <- fmt.Errorf("reader %d %s: %v", r, key(i, p), err)
 					return
 				}
-				key := fmt.Sprintf("%v/p%d", st, p)
-				if got := serializeResult(t, res.Trees); got != want[key] {
-					errs <- fmt.Errorf("reader %d iter %d (%s): bytes differ from quiesced run under concurrent ingest", r, i, key)
+				if got != want[key(i, p)] {
+					errs <- fmt.Errorf("reader %d %s: bytes differ from quiesced run under concurrent ingest", r, key(i, p))
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	wwg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
 
 	ic := db.IngestCounters()
-	if ic.DocumentsInserted != writers*docsPerWriter {
-		t.Errorf("inserted counter = %d, want %d", ic.DocumentsInserted, writers*docsPerWriter)
+	t.Logf("%d documents inserted and %d deleted under %d reader queries", inserted.Load(), deleted.Load(), readers*rounds*len(want))
+	if ic.DocumentsInserted != uint64(inserted.Load()) || inserted.Load() == 0 {
+		t.Errorf("inserted counter = %d, writers inserted %d", ic.DocumentsInserted, inserted.Load())
 	}
-	if ic.DocumentsDeleted != writers*docsPerWriter/2 {
-		t.Errorf("deleted counter = %d, want %d", ic.DocumentsDeleted, writers*docsPerWriter/2)
+	if ic.DocumentsDeleted != uint64(deleted.Load()) {
+		t.Errorf("deleted counter = %d, writers deleted %d", ic.DocumentsDeleted, deleted.Load())
 	}
 	if ic.SnapshotsPinned != 0 {
 		t.Errorf("snapshots still pinned after drain: %d", ic.SnapshotsPinned)

@@ -33,7 +33,7 @@ const stageLimit = 1 << 16
 // batched late-materialization API, so every heap page is pinned once
 // per flush however the groups scatter the titles across the heap.
 type sink struct {
-	db    storage.Reader
+	db    *storage.Snapshot
 	spec  Spec
 	ctx   context.Context
 	limit int64
@@ -55,7 +55,7 @@ type sink struct {
 	vals   []string
 }
 
-func newSink(db storage.Reader, spec Spec, ctx context.Context, limit int64, names []string) *sink {
+func newSink(db *storage.Snapshot, spec Spec, ctx context.Context, limit int64, names []string) *sink {
 	return &sink{db: db, spec: spec, ctx: ctx, limit: limit, names: names}
 }
 

@@ -55,12 +55,13 @@ func findSpan(d *obs.SpanData, name string) *obs.SpanData {
 func TestSinkFetchesEachTitlePageOnce(t *testing.T) {
 	db := sinkDB(t)
 	_, _, spec := plansFor(t, query1Src)
-	titles, err := db.TagPostings("title")
+	sn := pin(t, db)
+	titles, err := sn.TagPostings("title")
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := db.NewTracer("sink")
-	res, err := groupByExec(db, spec, Options{Tracer: tr})
+	res, err := runAs(db, StrategyGroupBy, spec, Options{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,8 @@ func titleStream(titles []storage.Posting, n, k int) (rows []Row, names []string
 func TestSinkFlushesAtStageLimit(t *testing.T) {
 	db := sinkDB(t)
 	_, _, spec := plansFor(t, query1Src)
-	titles, err := db.TagPostings("title")
+	sn := pin(t, db)
+	titles, err := sn.TagPostings("title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestSinkFlushesAtStageLimit(t *testing.T) {
 	}
 	want := make(map[storage.Posting]string)
 	for _, p := range titles {
-		c, err := db.Content(p)
+		c, err := sn.Content(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +148,7 @@ func TestSinkFlushesAtStageLimit(t *testing.T) {
 	}
 
 	before := db.Stats().Fetches
-	s := newSink(db, spec, context.Background(), 0, names)
+	s := newSink(sn, spec, context.Background(), 0, names)
 	// Batch size 1 fills the stage to exactly stageLimit titles.
 	if err := s.drain(&rowsIter{rows: rows}, 1); err != nil {
 		t.Fatal(err)
@@ -180,14 +182,15 @@ func TestSinkFlushesAtStageLimit(t *testing.T) {
 func TestSinkCancelDuringFlush(t *testing.T) {
 	db := sinkDB(t)
 	_, _, spec := plansFor(t, query1Src)
-	titles, err := db.TagPostings("title")
+	sn := pin(t, db)
+	titles, err := sn.TagPostings("title")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows, names := titleStream(titles, 300, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s := newSink(db, spec, ctx, 0, names)
+	s := newSink(sn, spec, ctx, 0, names)
 	err = s.drain(&rowsIter{rows: rows, onEnd: cancel}, 64)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("drain = %v, want context.Canceled", err)

@@ -11,7 +11,7 @@ import (
 func TestDirectMaterializedSample(t *testing.T) {
 	db := sampleDB(t)
 	_, _, spec := plansFor(t, query1Src)
-	res, err := directMaterialized(db, spec, Options{})
+	res, err := runAs(db, StrategyDirect, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestDirectMaterializedSample(t *testing.T) {
 func TestDirectMaterializedCount(t *testing.T) {
 	db := sampleDB(t)
 	_, _, spec := plansFor(t, queryCountSrc)
-	res, err := directMaterialized(db, spec, Options{})
+	res, err := runAs(db, StrategyDirect, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ RETURN
 	if _, err := db.LoadDocument("bib.xml", root); err != nil {
 		t.Fatal(err)
 	}
-	res, err := directMaterialized(db, spec, Options{})
+	res, err := runAs(db, StrategyDirect, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestStructuralDedupCaveat(t *testing.T) {
 	if got := rows(ln.Trees); !reflect.DeepEqual(got, []string{"A:Same"}) {
 		t.Errorf("logical naive = %v, want structural dedup", got)
 	}
-	dm, err := directMaterialized(db, spec, Options{})
+	dm, err := runAs(db, StrategyDirect, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestStructuralDedupCaveat(t *testing.T) {
 	if got := rows(lr.Trees); !reflect.DeepEqual(got, []string{"A:Same,Same"}) {
 		t.Errorf("rewritten = %v, want both witnesses", got)
 	}
-	gb, err := groupByExec(db, spec, Options{})
+	gb, err := runAs(db, StrategyGroupBy, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +137,10 @@ func TestExecutorsNoTemporaryPageLeak(t *testing.T) {
 	_, _, spec := plansFor(t, query1Src)
 	before := db.NumPages()
 	for i := 0; i < 3; i++ {
-		if _, err := directMaterialized(db, spec, Options{}); err != nil {
+		if _, err := runAs(db, StrategyDirect, spec, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := groupByExec(db, spec, Options{}); err != nil {
+		if _, err := runAs(db, StrategyGroupBy, spec, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,13 +163,13 @@ func TestExecutorsOnClosedDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every executor must surface the storage failure, not panic.
-	if _, err := groupByExec(db, spec, Options{}); err == nil {
+	if _, err := runAs(db, StrategyGroupBy, spec, Options{}); err == nil {
 		t.Error("GroupByExec on closed db should fail")
 	}
-	if _, err := directMaterialized(db, spec, Options{}); err == nil {
+	if _, err := runAs(db, StrategyDirect, spec, Options{}); err == nil {
 		t.Error("DirectMaterialized on closed db should fail")
 	}
-	if _, err := directBatch(db, spec, Options{}); err == nil {
+	if _, err := runAs(db, StrategyDirectBatch, spec, Options{}); err == nil {
 		t.Error("DirectBatch on closed db should fail")
 	}
 }

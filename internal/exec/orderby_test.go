@@ -55,7 +55,7 @@ func TestOrderBySpec(t *testing.T) {
 func TestOrderByDescendingTitles(t *testing.T) {
 	db := sampleDB(t)
 	_, _, spec := plansFor(t, queryOrderedSrc)
-	res, err := groupByExec(db, spec, Options{})
+	res, err := runAs(db, StrategyGroupBy, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestOrderByYearAscending(t *testing.T) {
 	naive, rewritten, spec := plansFor(t, queryOrderedByYearSrc)
 
 	want := []string{"A:oldest,middle,newest"}
-	gb, err := groupByExec(db, spec, Options{})
+	gb, err := runAs(db, StrategyGroupBy, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestOrderByMixedValuesDeterministic(t *testing.T) {
 			}
 		}
 		for _, mem := range []int{0, 1, 2, 3, 5} {
-			res, err := groupByExec(db, spec, Options{SortMemRows: mem})
+			res, err := runAs(db, StrategyGroupBy, spec, Options{SortMemRows: mem})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,7 +23,7 @@ import (
 // The selection of each member's first (document-order) match is
 // sequential and deterministic; only the value fetches fan out over
 // the worker pool.
-func orderValues(ctx context.Context, db storage.Reader, members []storage.Posting, path Path, res *Result, workers int, sp *obs.Span) (map[xmltree.NodeID]string, error) {
+func orderValues(ctx context.Context, db *storage.Snapshot, members []storage.Posting, path Path, res *Result, workers int, sp *obs.Span) (map[xmltree.NodeID]string, error) {
 	ordSp := sp.Child("populate: ordering values")
 	defer ordSp.End()
 	pairs, err := pathPairs(ctx, db, members, path, workers, ordSp)

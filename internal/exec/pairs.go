@@ -32,7 +32,7 @@ type pair struct {
 // Steps run sequentially on the calling goroutine, so the spans nest
 // without synchronization. A non-nil ctx cancels between steps and
 // inside each step's per-document join pool.
-func pathPairs(ctx context.Context, db storage.Reader, members []storage.Posting, path Path, workers int, sp *obs.Span) ([]pair, error) {
+func pathPairs(ctx context.Context, db *storage.Snapshot, members []storage.Posting, path Path, workers int, sp *obs.Span) ([]pair, error) {
 	cur := make([]pair, len(members))
 	for i, m := range members {
 		cur[i] = pair{member: m, leaf: m}

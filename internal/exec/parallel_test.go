@@ -54,12 +54,12 @@ func TestGroupByExecParallelEquivalence(t *testing.T) {
 	db := multiDocDB(t, 7, 11, 13)
 	for _, src := range []string{query1Src, queryCountSrc, queryOrderedSrc} {
 		_, _, spec := plansFor(t, src)
-		seq, err := groupByExec(db, spec, Options{Parallelism: 1})
+		seq, err := runAs(db, StrategyGroupBy, spec, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range []int{2, 4, 8, 0} {
-			par, err := groupByExec(db, spec, Options{Parallelism: p})
+			par, err := runAs(db, StrategyGroupBy, spec, Options{Parallelism: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,11 +98,11 @@ func TestGroupByExecParallelRandomized(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			spec.Mode = Count
 		}
-		seq, err := groupByExec(db, spec, Options{Parallelism: 1})
+		seq, err := runAs(db, StrategyGroupBy, spec, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := groupByExec(db, spec, Options{Parallelism: 2 + rng.Intn(7)})
+		par, err := runAs(db, StrategyGroupBy, spec, Options{Parallelism: 2 + rng.Intn(7)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestParallelStatsExact(t *testing.T) {
 		}
 		_, _, spec := plansFor(t, query1Src)
 		db.ResetStats()
-		res, err := groupByExec(db, spec, Options{Parallelism: parallelism})
+		res, err := runAs(db, StrategyGroupBy, spec, Options{Parallelism: parallelism})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,33 +170,33 @@ func TestParallelStatsExact(t *testing.T) {
 }
 
 // TestConcurrentReaders exercises the storage read paths — tag-index
-// scans, path joins, record fetches, subtree reads — from many
-// goroutines at once; run with -race this is the storage-layer
-// thread-safety gate. (Whole executors stay single-flight because
-// finishResult spills results through a shared temporary page region;
-// only their internal read phases fan out.)
+// scans, path joins, record fetches, subtree reads — of one shared
+// Snapshot from many goroutines at once; run with -race this is the
+// storage-layer thread-safety gate. (Whole executors running side by
+// side are TestConcurrentIngestByteIdentity's subject.)
 func TestConcurrentReaders(t *testing.T) {
 	db := multiDocDB(t, 3)
 	_, _, spec := plansFor(t, query1Src)
+	sn := pin(t, db)
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			done <- func() error {
 				for i := 0; i < 5; i++ {
-					members, err := db.TagPostings(spec.MemberTag)
+					members, err := sn.TagPostings(spec.MemberTag)
 					if err != nil {
 						return err
 					}
-					pairs, err := pathPairs(nil, db, members, spec.JoinPath, 1+g%4, nil)
+					pairs, err := pathPairs(nil, sn, members, spec.JoinPath, 1+g%4, nil)
 					if err != nil {
 						return err
 					}
 					for _, p := range pairs[:min(len(pairs), 20)] {
-						if _, err := db.Content(p.leaf); err != nil {
+						if _, err := sn.Content(p.leaf); err != nil {
 							return err
 						}
 					}
-					if _, err := db.GetSubtree(members[g%len(members)].ID()); err != nil {
+					if _, err := sn.GetSubtree(members[g%len(members)].ID()); err != nil {
 						return err
 					}
 				}

@@ -35,10 +35,10 @@ import (
 // materialization span, the residual logical evaluation its own), and
 // o.Ctx cancels the run between leaves and inside the match/
 // materialization pools.
-func ExecPhysical(db storage.Reader, op plan.Op, o Options) (tax.Collection, error) {
-	db, release := storage.Pin(db)
-	defer release()
-	rewritten, err := substituteLeaves(db, op, o)
+func ExecPhysical(db *storage.DB, op plan.Op, o Options) (tax.Collection, error) {
+	sn := db.Snapshot()
+	defer sn.Close()
+	rewritten, err := substituteLeaves(sn, op, o)
 	if err != nil {
 		return tax.Collection{}, err
 	}
@@ -54,12 +54,12 @@ func ExecPhysical(db storage.Reader, op plan.Op, o Options) (tax.Collection, err
 // collections computed from the indices, and any remaining DBScan with
 // the materialized documents. Shared sub-plans (the rewrite's common
 // GroupBy) stay shared: substitution is memoized per input operator.
-func substituteLeaves(db storage.Reader, op plan.Op, o Options) (plan.Op, error) {
+func substituteLeaves(db *storage.Snapshot, op plan.Op, o Options) (plan.Op, error) {
 	return (&substituter{db: db, o: o, memo: map[plan.Op]plan.Op{}}).sub(op)
 }
 
 type substituter struct {
-	db   storage.Reader
+	db   *storage.Snapshot
 	o    Options
 	memo map[plan.Op]plan.Op
 }
@@ -94,7 +94,7 @@ func (s *substituter) subUncached(op plan.Op) (plan.Op, error) {
 		return &plan.Select{In: in, Pattern: o.Pattern, SL: o.SL}, nil
 	case *plan.DBScan:
 		scanSp := s.o.Tracer.Start("scan: full database")
-		c, err := LoadCollection(db)
+		c, err := loadCollection(db)
 		scanSp.End()
 		if err != nil {
 			return nil, err
@@ -173,7 +173,7 @@ func (s *substituter) rebuild1(in plan.Op, mk func(plan.Op) plan.Op) (plan.Op, e
 // subtrees). Witness materialization is the record-fetch-heavy phase,
 // so each binding's tree is built by whichever worker claims its slot;
 // slot order preserves the sequential output exactly.
-func physSelect(db storage.Reader, pt *pattern.Tree, sl []tax.Item, o Options) (tax.Collection, error) {
+func physSelect(db *storage.Snapshot, pt *pattern.Tree, sl []tax.Item, o Options) (tax.Collection, error) {
 	starred := make(map[string]bool, len(sl))
 	for _, it := range sl {
 		starred[it.Label] = true
@@ -209,7 +209,7 @@ func physSelect(db storage.Reader, pt *pattern.Tree, sl []tax.Item, o Options) (
 
 // materializeWitness builds the witness tree for one binding, fetching
 // exactly the needed records.
-func materializeWitness(db storage.Reader, pn *pattern.Node, b match.DBBinding, starred map[string]bool) (*xmltree.Node, error) {
+func materializeWitness(db *storage.Snapshot, pn *pattern.Node, b match.DBBinding, starred map[string]bool) (*xmltree.Node, error) {
 	post := b[pn.Label]
 	if starred[pn.Label] {
 		return db.GetSubtree(post.ID())

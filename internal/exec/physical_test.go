@@ -144,7 +144,7 @@ func TestExecPhysicalSharedGroupBySubplan(t *testing.T) {
 	// plan must keep sharing it (pointer equality after substitution).
 	db := sampleDB(t)
 	_, rewritten, _ := plansFor(t, query1Src)
-	sub, err := substituteLeaves(db, rewritten, Options{Parallelism: 1})
+	sub, err := substituteLeaves(pin(t, db), rewritten, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ const noRank = ^uint32(0)
 // space after its barrier. Rows pass through otherwise unchanged.
 type rankIter struct {
 	child Iterator
-	db    storage.Reader
+	db    *storage.Snapshot
 	// basis is the fragment's grouping-basis candidate window (start
 	// order); ranks is parallel to it, nil when the scan covered none.
 	basis   []storage.Posting
@@ -42,7 +42,7 @@ type rankIter struct {
 	vals     []string
 }
 
-func newRank(child Iterator, db storage.Reader, basis []storage.Posting, ranks []uint32, scanned int, counts *opCounts) *rankIter {
+func newRank(child Iterator, db *storage.Snapshot, basis []storage.Posting, ranks []uint32, scanned int, counts *opCounts) *rankIter {
 	return &rankIter{child: child, db: db, basis: basis, ranks: ranks, scanned: uint32(scanned), counts: counts}
 }
 

@@ -35,7 +35,7 @@ import (
 // order: the order is total (arrival breaks every tie).
 type groupSortIter struct {
 	frags   [][]Row
-	db      storage.Reader
+	db      *storage.Snapshot
 	ov      map[xmltree.NodeID]string
 	desc    bool
 	memRows int
@@ -59,7 +59,7 @@ type groupSortIter struct {
 	vals []string
 }
 
-func newGroupSort(frags [][]Row, db storage.Reader, ranks int, ov map[xmltree.NodeID]string, desc bool, memRows int, counts *opCounts) *groupSortIter {
+func newGroupSort(frags [][]Row, db *storage.Snapshot, ranks int, ov map[xmltree.NodeID]string, desc bool, memRows int, counts *opCounts) *groupSortIter {
 	return &groupSortIter{frags: frags, db: db, ranks: ranks, ov: ov, desc: desc, memRows: memRows, counts: counts}
 }
 

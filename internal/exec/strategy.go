@@ -88,20 +88,20 @@ func StrategyNames() []string {
 // (logical, physical) need the logical plan rather than a Spec, so Run
 // rejects them — the engine dispatches those to ExecLogical and
 // ExecPhysical with its cached plans.
-func Run(db storage.Reader, spec Spec, o Options) (*Result, error) {
+func Run(db *storage.DB, spec Spec, o Options) (*Result, error) {
 	// Pin one snapshot for the whole run: every operator of the query —
 	// including exchange fragments on other goroutines — reads the same
 	// committed epoch, so results are byte-identical to a quiesced run
 	// even while documents are inserted or deleted concurrently.
-	db, release := storage.Pin(db)
-	defer release()
+	sn := db.Snapshot()
+	defer sn.Close()
 	switch spec.Strategy {
 	case StrategyAuto, StrategyGroupBy:
-		return groupByExec(db, spec, o)
+		return groupByExec(sn, spec, o)
 	case StrategyDirect:
-		return directMaterialized(db, spec, o)
+		return directMaterialized(sn, spec, o)
 	case StrategyDirectBatch:
-		return directBatch(db, spec, o)
+		return directBatch(sn, spec, o)
 	case StrategyLogical, StrategyPhysical:
 		return nil, fmt.Errorf("exec: strategy %v evaluates a logical plan, not a Spec; use the engine facade (or ExecLogical/ExecPhysical)", spec.Strategy)
 	default:

@@ -51,7 +51,7 @@ func assertStreamEqual(t *testing.T, db *storage.DB, src, label string, want Exe
 		for _, bs := range []int{0, 1, 3} {
 			for _, mem := range []int{0, 16} {
 				arm := fmt.Sprintf("%s p=%d bs=%d sortmem=%d", label, p, bs, mem)
-				got, err := groupByExec(db, spec, Options{Parallelism: p, BatchSize: bs, SortMemRows: mem})
+				got, err := runAs(db, StrategyGroupBy, spec, Options{Parallelism: p, BatchSize: bs, SortMemRows: mem})
 				if err != nil {
 					t.Fatalf("%s: %v", arm, err)
 				}
@@ -144,7 +144,7 @@ func TestStreamingSpillEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inMem, err := groupByExec(db, spec, Options{})
+		inMem, err := runAs(db, StrategyGroupBy, spec, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestStreamingSpillEquivalence(t *testing.T) {
 		// Each spilled run pins one pool frame during the k-way merge,
 		// so the budget is chosen to yield a handful of runs, not one
 		// per few rows.
-		spilled, err := groupByExec(db, spec, Options{SortMemRows: 64, BatchSize: 16})
+		spilled, err := runAs(db, StrategyGroupBy, spec, Options{SortMemRows: 64, BatchSize: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,18 +181,18 @@ func TestStreamingSpillEquivalence(t *testing.T) {
 func TestMaterializeLimit(t *testing.T) {
 	db := sampleDB(t)
 	_, _, spec := plansFor(t, query1Src)
-	res, err := groupByExec(db, spec, Options{MaxMaterializeBytes: 1})
+	res, err := runAs(db, StrategyGroupBy, spec, Options{MaxMaterializeBytes: 1})
 	if !errors.Is(err, ErrMaterializeLimit) {
 		t.Fatalf("limit 1: err = %v, want ErrMaterializeLimit", err)
 	}
 	if res != nil {
 		t.Fatalf("limit 1: partial result returned: %+v", res)
 	}
-	unlimited, err := groupByExec(db, spec, Options{})
+	unlimited, err := runAs(db, StrategyGroupBy, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := groupByExec(db, spec, Options{MaxMaterializeBytes: 1 << 20})
+	capped, err := runAs(db, StrategyGroupBy, spec, Options{MaxMaterializeBytes: 1 << 20})
 	if err != nil {
 		t.Fatalf("generous limit: %v", err)
 	}
@@ -207,21 +207,21 @@ func TestMaterializeLimit(t *testing.T) {
 		})
 		names += int64(len(tr.Children[0].Content))
 	}
-	res, err = groupByExec(db, spec, Options{MaxMaterializeBytes: names + 1})
+	res, err = runAs(db, StrategyGroupBy, spec, Options{MaxMaterializeBytes: names + 1})
 	if !errors.Is(err, ErrMaterializeLimit) || res != nil {
 		t.Fatalf("budget of the group names + 1: result %v, err = %v; want ErrMaterializeLimit and no result", res, err)
 	}
 	if err := db.DropCache(); err != nil {
 		t.Errorf("failed flush left pages pinned: %v", err)
 	}
-	if _, err := groupByExec(db, spec, Options{MaxMaterializeBytes: total}); err != nil {
+	if _, err := runAs(db, StrategyGroupBy, spec, Options{MaxMaterializeBytes: total}); err != nil {
 		t.Errorf("budget of exactly the output's %d content bytes: %v", total, err)
 	}
 
 	// The count query's only materialized bytes are the three author
 	// keys — a budget far below the title volume suffices.
 	_, _, countSpec := plansFor(t, queryCountSrc)
-	if _, err := groupByExec(db, countSpec, Options{MaxMaterializeBytes: 16}); err != nil {
+	if _, err := runAs(db, StrategyGroupBy, countSpec, Options{MaxMaterializeBytes: 16}); err != nil {
 		t.Errorf("count under tight budget: %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"timber/internal/obs"
-	"timber/internal/storage"
 	"timber/internal/xmltree"
 )
 
@@ -30,18 +29,18 @@ func serializeAll(t *testing.T, trees []*xmltree.Node) []byte {
 func TestTracingPreservesResults(t *testing.T) {
 	db := sampleDB(t)
 	executors := []struct {
-		name string
-		fn   func(storage.Reader, Spec, Options) (*Result, error)
+		name     string
+		strategy Strategy
 	}{
-		{"groupby", groupByExec},
-		{"direct-materialized", directMaterialized},
-		{"direct-batch", directBatch},
+		{"groupby", StrategyGroupBy},
+		{"direct-materialized", StrategyDirect},
+		{"direct-batch", StrategyDirectBatch},
 	}
 	for _, src := range []string{query1Src, queryCountSrc} {
 		_, _, spec := plansFor(t, src)
 		for _, ex := range executors {
 			for _, p := range []int{1, 4} {
-				base, err := ex.fn(db, spec, Options{Parallelism: p})
+				base, err := runAs(db, ex.strategy, spec, Options{Parallelism: p})
 				if err != nil {
 					t.Fatalf("%s p=%d untraced: %v", ex.name, p, err)
 				}
@@ -49,7 +48,7 @@ func TestTracingPreservesResults(t *testing.T) {
 
 				db.ResetStats()
 				tr := db.NewTracer("test")
-				traced, err := ex.fn(db, spec, Options{Parallelism: p, Tracer: tr})
+				traced, err := runAs(db, ex.strategy, spec, Options{Parallelism: p, Tracer: tr})
 				if err != nil {
 					t.Fatalf("%s p=%d traced: %v", ex.name, p, err)
 				}

@@ -85,7 +85,7 @@ func benchCorpusDB(tb testing.TB, docs, articlesPerDoc int) *storage.DB {
 // drain pulls a matcher to its last witness the way a streaming
 // consumer does — each binding read before the next is requested — and
 // returns the witness count.
-func drain(tb testing.TB, db storage.Reader, pt *pattern.Tree, kind MatcherKind) int {
+func drain(tb testing.TB, db *storage.DB, pt *pattern.Tree, kind MatcherKind) int {
 	m, err := Open(db, pt, kind)
 	if err != nil {
 		tb.Fatal(err)
@@ -161,11 +161,11 @@ func TestTwigAllocCeiling(t *testing.T) {
 func TestTwigWinsDeepChain(t *testing.T) {
 	db := benchCorpusDB(t, 16, 60)
 	pt := mustParsePattern(t, benchPatterns[0].text)
-	_, binary, err := MatchKindObs(nil, db, pt, MatcherBinary, 0, nil)
+	_, binary, err := matchPinned(db, pt, MatcherBinary, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, twig, err := MatchKindObs(nil, db, pt, MatcherTwig, 0, nil)
+	_, twig, err := matchPinned(db, pt, MatcherTwig, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

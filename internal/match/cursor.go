@@ -9,17 +9,16 @@ import (
 )
 
 // Cursor streams a pattern's witnesses one binding at a time instead
-// of returning the full slice — the streaming-cursor face of MatchDB
-// the iterator executor builds on. Candidate postings (identifiers
+// of returning the full slice — the streaming face of the binary
+// cascade that Open returns. Candidate postings (identifiers
 // only) are scanned up front, but the structural joins run one
 // document at a time, on demand: peak memory is one document's witness
 // set rather than the corpus's, and an early-terminating consumer
 // never joins the remaining documents. The binding sequence is
-// identical to MatchDB's — per-document witnesses sort
+// identical to matchDBObs's — per-document witnesses sort
 // lexicographically by pre-order node identifiers, and documents
 // ascend, which is exactly the order the global sort produces.
 type Cursor struct {
-	db     storage.Reader
 	order  []*pattern.Node
 	colOf  map[string]int
 	jorder []int
@@ -32,17 +31,13 @@ type Cursor struct {
 	interm atomic.Int64
 }
 
-// OpenCursor scans the pattern's candidate postings and positions the
-// cursor before the first witness. The returned cursor only reads the
-// database and is safe to use concurrently with other readers.
-func OpenCursor(db storage.Reader, pt *pattern.Tree) (*Cursor, error) {
-	// Every database read happens here at open (candidate scans and
-	// predicate fetches); one pinned epoch covers them all.
-	db, release := storage.Pin(db)
-	defer release()
+// openCursor scans the pattern's candidate postings and positions the
+// cursor before the first witness. Every database read happens here
+// (candidate scans and predicate fetches), so the cursor holds nothing
+// of db once it returns.
+func openCursor(db *storage.Snapshot, pt *pattern.Tree) (*Cursor, error) {
 	order := preorder(pt.Root)
 	c := &Cursor{
-		db:    db,
 		order: order,
 		colOf: make(map[string]int, len(order)),
 		cands: make([][]storage.Posting, len(order)),
@@ -111,14 +106,14 @@ func (c *Cursor) Stats() *DBStats {
 	return c.stats
 }
 
-// Err reports the first error the cursor hit. OpenCursor performs
+// Err reports the first error the cursor hit. openCursor performs
 // every database read up front, so a successfully opened cursor cannot
 // fail later; Err exists to satisfy the Matcher interface.
 func (c *Cursor) Err() error { return nil }
 
 // Close drops the candidate lists and the staged rows; Next reports
-// ok=false from then on. OpenCursor released its pin before returning,
-// so nothing else is held. Idempotent.
+// ok=false from then on. The cursor holds no pin, so nothing else is
+// held. Idempotent.
 func (c *Cursor) Close() error {
 	c.cands, c.docs = nil, nil
 	c.out.drop()

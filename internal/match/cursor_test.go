@@ -11,8 +11,8 @@ import (
 	"timber/internal/pattern"
 )
 
-// drainCursor pulls a cursor to exhaustion.
-func drainCursor(c *Cursor) []DBBinding {
+// drainCursor pulls a matcher to exhaustion.
+func drainCursor(c Matcher) []DBBinding {
 	var out []DBBinding
 	for {
 		b, ok := c.Next()
@@ -23,9 +23,9 @@ func drainCursor(c *Cursor) []DBBinding {
 	}
 }
 
-// TestCursorMatchesMatchDB pins the streaming cursor to MatchDB:
-// identical bindings, identical order, identical witness count — on
-// the paper's figures and across documents.
+// TestCursorMatchesMatchDB pins the streaming cursor to the bulk binary
+// cascade: identical bindings, identical order, identical witness
+// count — on the paper's figures and across documents.
 func TestCursorMatchesMatchDB(t *testing.T) {
 	db := newTestDB(t)
 	if _, err := db.LoadDocument("one", paperdata.SampleDatabase()); err != nil {
@@ -37,17 +37,17 @@ func TestCursorMatchesMatchDB(t *testing.T) {
 	pr := pattern.NewNode("$1", pattern.TagEq{Tag: "article"})
 	pr.AddChild(pattern.Child, pattern.NewNode("$2", pattern.TagEq{Tag: "author"}))
 	for _, pt := range []*pattern.Tree{pattern.MustTree(pr), paperdata.Figure1Pattern()} {
-		want, wantStats, err := MatchDB(db, pt)
+		want, wantStats, err := matchPinned(db, pt, MatcherBinary, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := OpenCursor(db, pt)
+		c, err := Open(db, pt, MatcherBinary)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := drainCursor(c)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("cursor bindings differ from MatchDB:\ngot  %v\nwant %v", got, want)
+			t.Errorf("cursor bindings differ from the bulk match:\ngot  %v\nwant %v", got, want)
 		}
 		if c.Stats().Witnesses != wantStats.Witnesses {
 			t.Errorf("witnesses = %d, want %d", c.Stats().Witnesses, wantStats.Witnesses)
@@ -64,7 +64,7 @@ func TestCursorNoMatches(t *testing.T) {
 	}
 	pr := pattern.NewNode("$1", pattern.TagEq{Tag: "article"})
 	pr.AddChild(pattern.Child, pattern.NewNode("$2", pattern.TagEq{Tag: "no_such_tag"}))
-	c, err := OpenCursor(db, pattern.MustTree(pr))
+	c, err := Open(db, pattern.MustTree(pr), MatcherBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestCursorMatchesMatchDBProperty(t *testing.T) {
 		}
 		pr.AddChild(axis, pattern.NewNode("$2", pattern.TagEq{Tag: "author"}))
 		pt := pattern.MustTree(pr)
-		want, _, err := MatchDB(db, pt)
+		want, _, err := matchPinned(db, pt, MatcherBinary, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := OpenCursor(db, pt)
+		c, err := Open(db, pt, MatcherBinary)
 		if err != nil {
 			t.Fatal(err)
 		}

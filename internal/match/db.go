@@ -24,7 +24,7 @@ type DBBinding map[string]storage.Posting
 // Next returns is overwritten by the following Next.
 func (b DBBinding) Clone() DBBinding { return maps.Clone(b) }
 
-// DBStats reports what a MatchDB call did, for experiment reporting.
+// DBStats reports what a match did, for experiment reporting.
 type DBStats struct {
 	// Candidates is the total number of index postings considered
 	// across pattern nodes.
@@ -71,42 +71,32 @@ func (f recFields) Attr(name string) (string, bool) {
 	return "", false
 }
 
-// RecordFields exposes a stored record as predicate-testable fields.
-func RecordFields(r *storage.NodeRecord) pattern.Fields { return recFields{r} }
+// MatchDBPar pins one snapshot and computes the pattern's witnesses
+// with the binary cascade at the given parallelism (<= 0 means
+// GOMAXPROCS).
+//
+// Deprecated: only the benchmark harness calls it; query code calls
+// MatchKindObs with its own snapshot. ROADMAP item 2(a) moves the
+// harness onto MatchKindObs and then deletes this function.
+func MatchDBPar(db *storage.DB, pt *pattern.Tree, parallelism int) ([]DBBinding, *DBStats, error) {
+	sn := db.Snapshot()
+	defer sn.Close()
+	return MatchKindObs(nil, sn, pt, MatcherBinary, parallelism, nil)
+}
 
-// MatchDB computes the pattern's witnesses against every document in
-// the database, using the strategy of Sec. 5.2: independently locate
+// matchDBObs computes the pattern's witnesses against every document
+// of the snapshot, using the strategy of Sec. 5.2: independently locate
 // candidate postings for each pattern node from the indices, then
 // resolve structural relationships one pattern edge at a time with
 // single-pass containment joins. Witness order is identical to Match's.
-// It parallelizes across every core; use MatchDBPar to bound (or
-// disable) the parallelism.
-func MatchDB(db storage.Reader, pt *pattern.Tree) ([]DBBinding, *DBStats, error) {
-	return MatchDBPar(db, pt, 0)
-}
-
-// MatchDBPar is MatchDB with an explicit parallelism bound (<= 0 means
-// GOMAXPROCS). Candidate postings come from sequential index scans;
-// the structural-join phase is then partitioned by document — edges
-// never cross documents — and the per-document witness sets are merged
-// in document order, so the output is identical to the sequential
-// path's for any parallelism. MatchDBPar only reads the database and is
-// safe to call concurrently with other readers.
-func MatchDBPar(db storage.Reader, pt *pattern.Tree, parallelism int) ([]DBBinding, *DBStats, error) {
-	return MatchDBObs(nil, db, pt, parallelism, nil)
-}
-
-// MatchDBObs is MatchDBPar with a cancellation context and an
-// observability span. A non-nil ctx cancels the match between
-// candidate scans and inside the per-document join pool; a cancelled
-// match returns ctx.Err() and no bindings. When sp is non-nil,
-// candidate scanning and the structural-join phase become child spans
-// carrying candidate, fetch, join and witness counts. A nil span costs
-// nothing and the witness output is identical either way.
-func MatchDBObs(ctx context.Context, db storage.Reader, pt *pattern.Tree, parallelism int, sp *obs.Span) ([]DBBinding, *DBStats, error) {
-	// One pinned epoch for candidate scans and predicate fetches alike.
-	db, release := storage.Pin(db)
-	defer release()
+// Candidate postings come from sequential index scans; the
+// structural-join phase is then partitioned by document — edges never
+// cross documents — over at most parallelism workers, and the
+// per-document witness sets are merged in document order, so the
+// output is identical for any parallelism. ctx and sp follow
+// MatchKindObs; the spans carry candidate, fetch, join and witness
+// counts.
+func matchDBObs(ctx context.Context, db *storage.Snapshot, pt *pattern.Tree, parallelism int, sp *obs.Span) ([]DBBinding, *DBStats, error) {
 	order := preorder(pt.Root)
 	stats := &DBStats{Matcher: MatcherBinary.String()}
 
@@ -323,7 +313,7 @@ func docSegment(posts []storage.Posting, doc xmltree.DocID) []storage.Posting {
 
 // candidates produces the sorted candidate postings for one pattern
 // node, preferring index-only access paths.
-func candidates(db storage.Reader, pn *pattern.Node, stats *DBStats) ([]storage.Posting, error) {
+func candidates(db *storage.Snapshot, pn *pattern.Node, stats *DBStats) ([]storage.Posting, error) {
 	tag := pn.TagConstraint()
 	var posts []storage.Posting
 	var covered []pattern.Predicate // predicates the access path has answered
@@ -424,7 +414,7 @@ func predsMatch(preds []pattern.Predicate, f pattern.Fields) bool {
 	return true
 }
 
-func postingFor(db storage.Reader, rec *storage.NodeRecord) (storage.Posting, error) {
+func postingFor(db *storage.Snapshot, rec *storage.NodeRecord) (storage.Posting, error) {
 	rid, err := db.LocateRID(rec.ID())
 	if err != nil {
 		return storage.Posting{}, err
@@ -450,7 +440,7 @@ func distinctSorted(rows *rowSet, col int) []storage.Posting {
 }
 
 // SortDBBindings orders db witnesses lexicographically by bound node IDs
-// in pattern pre-order (the order MatchDB already returns).
+// in pattern pre-order (the order matchDBObs already returns).
 func SortDBBindings(pt *pattern.Tree, bs []DBBinding) {
 	labels := pt.Labels()
 	sort.SliceStable(bs, func(i, j int) bool {

@@ -108,6 +108,13 @@ func newTestDB(t *testing.T) *storage.DB {
 	return db
 }
 
+// matchPinned runs MatchKindObs on a snapshot of db pinned for the call.
+func matchPinned(db *storage.DB, pt *pattern.Tree, kind MatcherKind, parallelism int) ([]DBBinding, *DBStats, error) {
+	sn := db.Snapshot()
+	defer sn.Close()
+	return MatchKindObs(nil, sn, pt, kind, parallelism, nil)
+}
+
 // TestMatchDBCancelled: an already-cancelled context aborts the match
 // before the candidate scans and returns ctx.Err() with no bindings.
 func TestMatchDBCancelled(t *testing.T) {
@@ -118,7 +125,9 @@ func TestMatchDBCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ws, _, err := MatchDBObs(ctx, db, paperdata.Figure1Pattern(), 1, nil)
+	sn := db.Snapshot()
+	defer sn.Close()
+	ws, _, err := MatchKindObs(ctx, sn, paperdata.Figure1Pattern(), MatcherBinary, 1, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -134,7 +143,7 @@ func TestMatchDBFigure1(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := paperdata.Figure1Pattern()
-	ws, stats, err := MatchDB(db, pt)
+	ws, stats, err := matchPinned(db, pt, MatcherBinary, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +183,7 @@ func TestMatchDBValueIndexPath(t *testing.T) {
 	pr.AddChild(pattern.Child, pattern.NewNode("$2",
 		pattern.TagEq{Tag: "author"}, pattern.ContentEq{Value: "Jack"}))
 	pt := pattern.MustTree(pr)
-	ws, stats, err := MatchDB(db, pt)
+	ws, stats, err := matchPinned(db, pt, MatcherBinary, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +204,7 @@ func TestMatchDBFullScanFallback(t *testing.T) {
 	// A pattern node with no tag constraint: any node with content
 	// "Jack". Forces the full-scan access path.
 	pt := pattern.MustTree(pattern.NewNode("$1", pattern.ContentEq{Value: "Jack"}))
-	ws, _, err := MatchDB(db, pt)
+	ws, _, err := matchPinned(db, pt, MatcherBinary, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +219,7 @@ func TestMatchDBNoMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := pattern.MustTree(pattern.NewNode("$1", pattern.TagEq{Tag: "nonexistent"}))
-	ws, stats, err := MatchDB(db, pt)
+	ws, stats, err := matchPinned(db, pt, MatcherBinary, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +238,7 @@ func TestMatchDBMultipleDocuments(t *testing.T) {
 	}
 	pr := pattern.NewNode("$1", pattern.TagEq{Tag: "article"})
 	pr.AddChild(pattern.Child, pattern.NewNode("$2", pattern.TagEq{Tag: "author"}))
-	ws, _, err := MatchDB(db, pattern.MustTree(pr))
+	ws, _, err := matchPinned(db, pattern.MustTree(pr), MatcherBinary, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +319,7 @@ func TestMatchersAgreeProperty(t *testing.T) {
 		}
 		pt := randomPattern(rng)
 		mem := Match(pt, roots)
-		dbw, _, err := MatchDB(db, pt)
+		dbw, _, err := matchPinned(db, pt, MatcherBinary, 0)
 		if err != nil {
 			return false
 		}
@@ -338,7 +347,7 @@ func TestSortDBBindings(t *testing.T) {
 	}
 	pr := pattern.NewNode("$1", pattern.TagEq{Tag: "author"})
 	pt := pattern.MustTree(pr)
-	ws, _, err := MatchDB(db, pt)
+	ws, _, err := matchPinned(db, pt, MatcherBinary, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,11 +382,11 @@ func TestMatchDBParMatchesSequentialProperty(t *testing.T) {
 			}
 		}
 		pt := randomPattern(rng)
-		seq, seqStats, err := MatchDBPar(db, pt, 1)
+		seq, seqStats, err := matchPinned(db, pt, MatcherBinary, 1)
 		if err != nil {
 			return false
 		}
-		par, parStats, err := MatchDBPar(db, pt, int(workers%8)+2)
+		par, parStats, err := matchPinned(db, pt, MatcherBinary, int(workers%8)+2)
 		if err != nil {
 			return false
 		}

@@ -9,7 +9,6 @@ import (
 	"timber/internal/obs"
 	"timber/internal/pattern"
 	"timber/internal/storage"
-	"timber/internal/xmltree"
 )
 
 // MatcherKind selects the algorithm that embeds a pattern tree into the
@@ -101,13 +100,24 @@ func Resolve(pt *pattern.Tree, kind MatcherKind) MatcherKind {
 	return MatcherBinary
 }
 
-// Open returns a streaming matcher over the database, of the kind
-// Resolve picks for the request; Stats().Matcher records what ran.
-func Open(db storage.Reader, pt *pattern.Tree, kind MatcherKind) (Matcher, error) {
-	if Resolve(pt, kind) == MatcherTwig {
-		return openTwig(db, pt)
+// Open pins one snapshot of the database and returns a streaming
+// matcher over it, of the kind Resolve picks for the request;
+// Stats().Matcher records what ran. The twig matcher reads as it
+// streams and releases the pin on Close; the binary cursor does every
+// read before Open returns and releases it there.
+func Open(db *storage.DB, pt *pattern.Tree, kind MatcherKind) (Matcher, error) {
+	sn := db.Snapshot()
+	if Resolve(pt, kind) == MatcherBinary {
+		defer sn.Close()
+		return openCursor(sn, pt)
 	}
-	return OpenCursor(db, pt)
+	m, err := openTwig(sn, pt)
+	if err != nil {
+		sn.Close()
+		return nil, err
+	}
+	m.pin = sn
+	return m, nil
 }
 
 // TwigApplicable reports whether the holistic matcher can drive the
@@ -123,15 +133,17 @@ func TwigApplicable(pt *pattern.Tree) bool {
 	return true
 }
 
-// MatchKindObs is MatchDBObs with a matcher request: it computes the
-// full witness slice with the algorithm Resolve picks, under the same
-// span and cancellation contract. The binding output is byte-identical
-// across kinds and parallelisms; only the access counters differ.
-// parallelism applies to the binary cascade's per-document join phase —
-// the holistic matcher is single-pass by construction.
-func MatchKindObs(ctx context.Context, db storage.Reader, pt *pattern.Tree, kind MatcherKind, parallelism int, sp *obs.Span) ([]DBBinding, *DBStats, error) {
+// MatchKindObs computes the full witness slice against the caller's
+// snapshot with the algorithm Resolve picks for kind. The binding
+// output is byte-identical across kinds and parallelisms; only the
+// access counters differ. parallelism applies to the binary cascade's
+// per-document join phase — the holistic matcher is single-pass by
+// construction. A non-nil ctx cancels the match (ctx.Err(), no
+// bindings); a non-nil sp gets per-phase child spans with the access
+// counters.
+func MatchKindObs(ctx context.Context, db *storage.Snapshot, pt *pattern.Tree, kind MatcherKind, parallelism int, sp *obs.Span) ([]DBBinding, *DBStats, error) {
 	if Resolve(pt, kind) == MatcherBinary {
-		return MatchDBObs(ctx, db, pt, parallelism, sp)
+		return matchDBObs(ctx, db, pt, parallelism, sp)
 	}
 	m, err := openTwig(db, pt)
 	if err != nil {
@@ -170,42 +182,4 @@ func MatchKindObs(ctx context.Context, db storage.Reader, pt *pattern.Tree, kind
 		return nil, nil, cerr
 	}
 	return out, stats, nil
-}
-
-// OpenMem streams the in-memory matcher's bindings through the Matcher
-// interface, unifying the three historical code paths behind one face.
-// Bindings carry postings synthesized from the nodes' intervals; the
-// record locations (RIDs) are zero, since in-memory trees have no
-// stored records.
-func OpenMem(pt *pattern.Tree, trees []*xmltree.Node) Matcher {
-	labels := pt.Labels()
-	m := &memMatcher{out: witnesses{labels: labels, rows: rowSet{width: len(labels)}}}
-	m.stats.Matcher = "mem"
-	for _, b := range Match(pt, trees) {
-		for _, l := range labels {
-			m.out.rows.posts = append(m.out.rows.posts, storage.Posting{Interval: b[l].Interval})
-		}
-	}
-	return m
-}
-
-type memMatcher struct {
-	out   witnesses
-	stats DBStats
-}
-
-func (m *memMatcher) Next() (DBBinding, bool) {
-	b, ok := m.out.next()
-	if ok {
-		m.stats.Witnesses++
-	}
-	return b, ok
-}
-
-func (m *memMatcher) Stats() *DBStats { return &m.stats }
-func (m *memMatcher) Err() error      { return nil }
-
-func (m *memMatcher) Close() error {
-	m.out.drop()
-	return nil
 }

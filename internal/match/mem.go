@@ -5,12 +5,14 @@
 //
 //   - Match embeds a pattern into in-memory trees by direct traversal.
 //     The logical TAX operators (package tax) use it.
-//   - MatchDB embeds a pattern into a stored database using the tag and
+//   - MatchKindObs (the whole witness slice) and Open (a streaming
+//     Matcher) embed a pattern into a stored database using the tag and
 //     value indices to obtain candidate posting lists and single-pass
 //     structural joins to connect them, one pattern edge at a time —
-//     the strategy of Sec. 5.2. Bindings come back as node identifiers
-//     (postings) without touching node records except where a
-//     predicate cannot be answered from an index.
+//     the strategy of Sec. 5.2 — or the holistic twig join. Bindings
+//     come back as node identifiers (postings) without touching node
+//     records except where a predicate cannot be answered from an
+//     index.
 //
 // Both return witnesses sorted lexicographically by the bound node IDs
 // in pattern pre-order, so results are deterministic and the two
@@ -33,9 +35,6 @@ type nodeFields struct{ n *xmltree.Node }
 func (f nodeFields) Tag() string                     { return f.n.Tag }
 func (f nodeFields) Content() string                 { return f.n.Content }
 func (f nodeFields) Attr(name string) (string, bool) { return f.n.Attr(name) }
-
-// NodeFields exposes an in-memory node as predicate-testable fields.
-func NodeFields(n *xmltree.Node) pattern.Fields { return nodeFields{n} }
 
 // Match returns every embedding of the pattern into the given trees.
 // The pattern root may bind to any node of any tree (including interior

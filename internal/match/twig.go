@@ -60,7 +60,7 @@ type twigStream struct {
 	posts []storage.Posting  // value-index (or test) postings
 	pos   int
 	rest  []pattern.Predicate // predicates needing the node record
-	db    storage.Reader
+	db    *storage.Snapshot
 	stats *DBStats
 
 	head        storage.Posting
@@ -143,10 +143,10 @@ func (s *twigStream) close() {
 }
 
 // twigMatcher streams a pattern's witnesses with the holistic twig
-// join. It holds a snapshot pin and open cursors until Close.
+// join. It holds open cursors, and the snapshot pin Open took, until
+// Close.
 type twigMatcher struct {
-	db      storage.Reader
-	release func()
+	pin     *storage.Snapshot // the snapshot Open pinned for this matcher; nil under MatchKindObs
 	order   []*pattern.Node
 	parentI []int   // parent's pre-order index (-1 for the root)
 	childI  [][]int // children's pre-order indexes
@@ -168,10 +168,9 @@ type twigMatcher struct {
 	out    witnesses         // the document's witnesses, aliasing a merge buffer
 }
 
-// openTwig builds the streams and primes them. The caller has checked
-// TwigApplicable.
-func openTwig(db storage.Reader, pt *pattern.Tree) (*twigMatcher, error) {
-	db, release := storage.Pin(db)
+// openTwig builds the streams over db and primes them. The caller has
+// checked TwigApplicable and keeps db open until the matcher is closed.
+func openTwig(db *storage.Snapshot, pt *pattern.Tree) (*twigMatcher, error) {
 	order := preorder(pt.Root)
 	stats := &DBStats{Matcher: MatcherTwig.String()}
 	colOf := make(map[string]int, len(order))
@@ -179,8 +178,6 @@ func openTwig(db storage.Reader, pt *pattern.Tree) (*twigMatcher, error) {
 		colOf[pn.Label] = i
 	}
 	m := &twigMatcher{
-		db:      db,
-		release: release,
 		order:   order,
 		parentI: make([]int, len(order)),
 		childI:  make([][]int, len(order)),
@@ -235,7 +232,6 @@ func openTwig(db storage.Reader, pt *pattern.Tree) (*twigMatcher, error) {
 			posts, err := db.ValuePostings(tag, ceq.Value)
 			if err != nil {
 				m.closeStreams()
-				release()
 				return nil, err
 			}
 			s.posts = posts
@@ -251,7 +247,6 @@ func openTwig(db storage.Reader, pt *pattern.Tree) (*twigMatcher, error) {
 		if s.err != nil {
 			err := s.err
 			m.closeStreams()
-			release()
 			return nil, err
 		}
 	}
@@ -289,9 +284,9 @@ func (m *twigMatcher) Err() error { return m.err }
 // buffers; Next reports ok=false from then on. Idempotent.
 func (m *twigMatcher) Close() error {
 	m.closeStreams()
-	if m.release != nil {
-		m.release()
-		m.release = nil
+	if m.pin != nil {
+		m.pin.Close()
+		m.pin = nil
 	}
 	m.done = true
 	m.paths, m.merged = nil, [2]rowSet{}

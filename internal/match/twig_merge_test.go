@@ -76,9 +76,9 @@ func nestedDocument(rng *rand.Rand) *xmltree.Node {
 // checkTwigEqualsBinary asserts the holistic matcher's bindings equal
 // the binary cascade's at parallelism 1 — in bulk at parallelism 1 and
 // 4 and through the streaming face — and returns the witness count.
-func checkTwigEqualsBinary(tb testing.TB, db storage.Reader, pt *pattern.Tree) int {
+func checkTwigEqualsBinary(tb testing.TB, db *storage.DB, pt *pattern.Tree) int {
 	tb.Helper()
-	want, _, err := MatchKindObs(nil, db, pt, MatcherBinary, 1, nil)
+	want, _, err := matchPinned(db, pt, MatcherBinary, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func checkTwigEqualsBinary(tb testing.TB, db storage.Reader, pt *pattern.Tree) i
 		}
 	}
 	for _, par := range []int{1, 4} {
-		got, stats, err := MatchKindObs(nil, db, pt, MatcherTwig, par, nil)
+		got, stats, err := matchPinned(db, pt, MatcherTwig, par)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func matcherFixtures(t *testing.T) map[string]func() Matcher {
 	return map[string]func() Matcher{
 		"binary": open(MatcherBinary),
 		"twig":   open(MatcherTwig),
-		"mem":    func() Matcher { return OpenMem(pt, []*xmltree.Node{root}) },
+		"mem":    func() Matcher { return openMem(pt, []*xmltree.Node{root}) },
 	}
 }
 
@@ -303,7 +303,7 @@ func TestCollectorsReturnDistinctBindings(t *testing.T) {
 	}
 	pt := mergePattern(t, 1)
 	for _, kind := range []MatcherKind{MatcherBinary, MatcherTwig} {
-		bs, _, err := MatchKindObs(nil, db, pt, kind, 1, nil)
+		bs, _, err := matchPinned(db, pt, kind, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

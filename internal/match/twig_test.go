@@ -82,11 +82,11 @@ func TestTwigFigure1(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := paperdata.Figure1Pattern()
-	bin, _, err := MatchKindObs(nil, db, pt, MatcherBinary, 1, nil)
+	bin, _, err := matchPinned(db, pt, MatcherBinary, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twig, stats, err := MatchKindObs(nil, db, pt, MatcherTwig, 1, nil)
+	twig, stats, err := matchPinned(db, pt, MatcherTwig, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestTwigValueIndexStream(t *testing.T) {
 	pr.AddChild(pattern.Child, pattern.NewNode("$2",
 		pattern.TagEq{Tag: "author"}, pattern.ContentEq{Value: "Jack"}))
 	pt := pattern.MustTree(pr)
-	twig, stats, err := MatchKindObs(nil, db, pt, MatcherTwig, 1, nil)
+	twig, stats, err := matchPinned(db, pt, MatcherTwig, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestTwigSingleNodePattern(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := pattern.MustTree(pattern.NewNode("$1", pattern.TagEq{Tag: "author"}))
-	bin, _, err := MatchKindObs(nil, db, pt, MatcherBinary, 1, nil)
+	bin, _, err := matchPinned(db, pt, MatcherBinary, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twig, _, err := MatchKindObs(nil, db, pt, MatcherTwig, 1, nil)
+	twig, _, err := matchPinned(db, pt, MatcherTwig, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestTwigFallsBackWithoutTags(t *testing.T) {
 	if TwigApplicable(pt) {
 		t.Fatal("untagged pattern reported twig-applicable")
 	}
-	ws, stats, err := MatchKindObs(nil, db, pt, MatcherTwig, 1, nil)
+	ws, stats, err := matchPinned(db, pt, MatcherTwig, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +187,11 @@ func TestTwigSkipsNonMatchingDocuments(t *testing.T) {
 		}
 	}
 	pt := deepChainPattern()
-	bin, bstats, err := MatchKindObs(nil, db, pt, MatcherBinary, 1, nil)
+	bin, bstats, err := matchPinned(db, pt, MatcherBinary, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twig, tstats, err := MatchKindObs(nil, db, pt, MatcherTwig, 1, nil)
+	twig, tstats, err := matchPinned(db, pt, MatcherTwig, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +278,11 @@ func TestOpenMemMatcher(t *testing.T) {
 	if _, err := db.LoadDocument("bib", root); err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := MatchDB(db, pt)
+	want, _, err := matchPinned(db, pt, MatcherBinary, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := OpenMem(pt, []*xmltree.Node{root})
+	m := openMem(pt, []*xmltree.Node{root})
 	defer m.Close()
 	i := 0
 	for {

@@ -14,10 +14,8 @@ import (
 var ErrNoSuchNode = errors.New("storage: no such node")
 
 // The read path. Every access primitive is a method on Snapshot — a
-// pinned immutable view — and DB carries a pin-per-call wrapper for
-// each, so single-shot callers keep the old convenience while
-// long-running readers (the streaming executor, exchange fragments)
-// pin once and read consistently across many calls.
+// pinned immutable view. A query's entry point pins one Snapshot and
+// hands it down, so every read of the query sees one committed epoch.
 
 // GetNode fetches the record for a node by identifier. It costs one
 // locator descent plus one heap page fetch — the "data value look-up"
@@ -37,13 +35,6 @@ func (sn *Snapshot) GetNode(id xmltree.NodeID) (*NodeRecord, error) {
 	return sn.GetNodeAt(rid)
 }
 
-// GetNode is the pin-per-call form of Snapshot.GetNode.
-func (db *DB) GetNode(id xmltree.NodeID) (*NodeRecord, error) {
-	sn := db.Snapshot()
-	defer sn.Close()
-	return sn.GetNode(id)
-}
-
 // LocateRID resolves a node identifier to its physical record location
 // through the locator index, without fetching the record itself.
 func (sn *Snapshot) LocateRID(id xmltree.NodeID) (pagestore.RID, error) {
@@ -55,13 +46,6 @@ func (sn *Snapshot) LocateRID(id xmltree.NodeID) (pagestore.RID, error) {
 		return pagestore.RID{}, err
 	}
 	return decodeRID(v)
-}
-
-// LocateRID is the pin-per-call form of Snapshot.LocateRID.
-func (db *DB) LocateRID(id xmltree.NodeID) (pagestore.RID, error) {
-	sn := db.Snapshot()
-	defer sn.Close()
-	return sn.LocateRID(id)
 }
 
 // GetNodeAt fetches a node record directly by its physical RID, skipping
@@ -80,13 +64,6 @@ func (sn *Snapshot) GetNodeAt(rid pagestore.RID) (*NodeRecord, error) {
 	return rec, nil
 }
 
-// GetNodeAt is the pin-per-call form of Snapshot.GetNodeAt.
-func (db *DB) GetNodeAt(rid pagestore.RID) (*NodeRecord, error) {
-	sn := db.Snapshot()
-	defer sn.Close()
-	return sn.GetNodeAt(rid)
-}
-
 // Content returns the stored content of a node identified by posting,
 // using its RID. This is the narrow "populate only the grouping (and
 // sorting) list values" access path of Sec. 5.3.
@@ -96,13 +73,6 @@ func (sn *Snapshot) Content(p Posting) (string, error) {
 		return "", err
 	}
 	return rec.Content, nil
-}
-
-// Content is the pin-per-call form of Snapshot.Content.
-func (db *DB) Content(p Posting) (string, error) {
-	sn := db.Snapshot()
-	defer sn.Close()
-	return sn.Content(p)
 }
 
 // TagPostings returns the postings of every node with the given tag, in
@@ -127,6 +97,9 @@ func (sn *Snapshot) TagPostings(tag string) ([]Posting, error) {
 }
 
 // TagPostings is the pin-per-call form of Snapshot.TagPostings.
+//
+// Deprecated: only the benchmark harness calls it; ROADMAP item 2(a)
+// moves the harness onto a Snapshot and then deletes this method.
 func (db *DB) TagPostings(tag string) ([]Posting, error) {
 	sn := db.Snapshot()
 	defer sn.Close()
@@ -158,13 +131,6 @@ func (sn *Snapshot) ValuePostings(tag, content string) ([]Posting, error) {
 		return nil, inner
 	}
 	return out, nil
-}
-
-// ValuePostings is the pin-per-call form of Snapshot.ValuePostings.
-func (db *DB) ValuePostings(tag, content string) ([]Posting, error) {
-	sn := db.Snapshot()
-	defer sn.Close()
-	return sn.ValuePostings(tag, content)
 }
 
 // ScanValueRange walks the value index's prefix tag\0 — every indexed
@@ -220,13 +186,6 @@ func (sn *Snapshot) ScanValueRange(tag string, fn func(value string, ps []Postin
 		flush()
 	}
 	return inner
-}
-
-// ScanValueRange is the pin-per-call form of Snapshot.ScanValueRange.
-func (db *DB) ScanValueRange(tag string, fn func(value string, ps []Posting) error) error {
-	sn := db.Snapshot()
-	defer sn.Close()
-	return sn.ScanValueRange(tag, fn)
 }
 
 // ScanRange calls fn for every node of doc whose start number lies in
@@ -300,25 +259,11 @@ func (sn *Snapshot) GetSubtree(id xmltree.NodeID) (*xmltree.Node, error) {
 	return root, nil
 }
 
-// GetSubtree is the pin-per-call form of Snapshot.GetSubtree.
-func (db *DB) GetSubtree(id xmltree.NodeID) (*xmltree.Node, error) {
-	sn := db.Snapshot()
-	defer sn.Close()
-	return sn.GetSubtree(id)
-}
-
 // ScanDocument calls fn for every node of the document in document
 // order. It is the full-scan access path (the paper's "simplest way to
 // find matches for a pattern tree is to scan the entire database").
 func (sn *Snapshot) ScanDocument(doc xmltree.DocID, fn func(*NodeRecord) error) error {
 	return sn.ScanRange(doc, 0, ^uint32(0), fn)
-}
-
-// ScanDocument is the pin-per-call form of Snapshot.ScanDocument.
-func (db *DB) ScanDocument(doc xmltree.DocID, fn func(*NodeRecord) error) error {
-	sn := db.Snapshot()
-	defer sn.Close()
-	return sn.ScanDocument(doc, fn)
 }
 
 // Tags returns every distinct tag present in the tag index, in
@@ -342,11 +287,4 @@ func (sn *Snapshot) Tags() ([]string, error) {
 		return nil, err
 	}
 	return tags, nil
-}
-
-// Tags is the pin-per-call form of Snapshot.Tags.
-func (db *DB) Tags() ([]string, error) {
-	sn := db.Snapshot()
-	defer sn.Close()
-	return sn.Tags()
 }

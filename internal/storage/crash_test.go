@@ -30,7 +30,9 @@ func crashDoc(t *testing.T, i int) *xmltree.Node {
 // serializeDoc renders one stored document back to XML bytes.
 func serializeDoc(t *testing.T, db *DB, d DocInfo) string {
 	t.Helper()
-	root, err := db.GetSubtree(xmltree.NodeID{Doc: d.ID, Start: d.RootStart})
+	sn := db.Snapshot()
+	defer sn.Close()
+	root, err := sn.GetSubtree(xmltree.NodeID{Doc: d.ID, Start: d.RootStart})
 	if err != nil {
 		t.Fatalf("doc %s: %v", d.Name, err)
 	}

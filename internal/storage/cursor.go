@@ -49,6 +49,9 @@ func (sn *Snapshot) OpenTagCursor(tag string) *TagCursor {
 
 // OpenTagCursor pins a snapshot for the cursor's lifetime; the pin is
 // released by the cursor's Close.
+//
+// Deprecated: only the benchmark harness calls it; ROADMAP item 2(a)
+// moves the harness onto a Snapshot and then deletes this method.
 func (db *DB) OpenTagCursor(tag string) *TagCursor {
 	sn := db.Snapshot()
 	c := sn.OpenTagCursor(tag)
@@ -65,15 +68,6 @@ func (sn *Snapshot) OpenTagDocCursor(tag string, doc xmltree.DocID) *TagCursor {
 	prefix := tagPrefix(tag)
 	prefix = append(prefix, be32(uint32(doc))...)
 	return &TagCursor{it: sn.tagIdx.Seek(prefix), prefix: prefix}
-}
-
-// OpenTagDocCursor pins a snapshot for the cursor's lifetime; the pin
-// is released by the cursor's Close.
-func (db *DB) OpenTagDocCursor(tag string, doc xmltree.DocID) *TagCursor {
-	sn := db.Snapshot()
-	c := sn.OpenTagDocCursor(tag, doc)
-	c.pin = sn
-	return c
 }
 
 // Next returns the next posting, or ok=false at the end of the range
@@ -258,6 +252,9 @@ func (sn *Snapshot) ContentsBatch(ps []Posting, out []string) error {
 }
 
 // ContentsBatch is the pin-per-call form of Snapshot.ContentsBatch.
+//
+// Deprecated: only the benchmark harness calls it; ROADMAP item 2(a)
+// moves the harness onto a Snapshot and then deletes this method.
 func (db *DB) ContentsBatch(ps []Posting, out []string) error {
 	sn := db.Snapshot()
 	defer sn.Close()

@@ -20,12 +20,13 @@ func TestTagCursorMatchesTagPostings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	sn := pin(t, db)
 	for _, tag := range []string{"author", "article", "title", "nonexistent"} {
-		want, err := db.TagPostings(tag)
+		want, err := sn.TagPostings(tag)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := db.OpenTagCursor(tag)
+		c := sn.OpenTagCursor(tag)
 		var got []Posting
 		for {
 			p, ok := c.Next()
@@ -44,7 +45,7 @@ func TestTagCursorMatchesTagPostings(t *testing.T) {
 		// Per-document segments concatenate back to the full list.
 		var byDoc []Posting
 		for d := 1; d <= len(docs); d++ {
-			dc := db.OpenTagDocCursor(tag, xmltree.DocID(d))
+			dc := sn.OpenTagDocCursor(tag, xmltree.DocID(d))
 			for {
 				p, ok := dc.Next()
 				if !ok {
@@ -76,7 +77,8 @@ func TestTagCursorEarlyClose(t *testing.T) {
 	if _, err := db.LoadDocument("bib.xml", paperdata.SampleDatabase()); err != nil {
 		t.Fatal(err)
 	}
-	c := db.OpenTagCursor("author")
+	sn := pin(t, db)
+	c := sn.OpenTagCursor("author")
 	if _, ok := c.Next(); !ok {
 		t.Fatal("no first posting")
 	}
@@ -97,7 +99,8 @@ func TestContentsBatch(t *testing.T) {
 	if _, err := db.LoadDocument("bib.xml", paperdata.SampleDatabase()); err != nil {
 		t.Fatal(err)
 	}
-	ps, err := db.TagPostings("title")
+	sn := pin(t, db)
+	ps, err := sn.TagPostings("title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +109,13 @@ func TestContentsBatch(t *testing.T) {
 	}
 	want := make([]string, len(ps))
 	for i, p := range ps {
-		if want[i], err = db.Content(p); err != nil {
+		if want[i], err = sn.Content(p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	before := db.Stats().Fetches
 	got := make([]string, len(ps))
-	if err := db.ContentsBatch(ps, got); err != nil {
+	if err := sn.ContentsBatch(ps, got); err != nil {
 		t.Fatal(err)
 	}
 	batchFetches := db.Stats().Fetches - before
@@ -131,8 +134,9 @@ func TestSpoolRoundTrip(t *testing.T) {
 	if _, err := db.LoadDocument("bib.xml", paperdata.SampleDatabase()); err != nil {
 		t.Fatal(err)
 	}
+	sn := pin(t, db)
 	pagesBefore := db.NumPages()
-	sp := db.NewSpool()
+	sp := sn.NewSpool()
 	var runs []*SpoolRun
 	for r := 0; r < 3; r++ {
 		run, err := sp.NewRun()
@@ -174,7 +178,7 @@ func TestSpoolRoundTrip(t *testing.T) {
 		t.Errorf("pages after spool = %d, want %d (region not reclaimed)", got, pagesBefore)
 	}
 	// Region free again: a result spill must work immediately after.
-	trees, err := db.SpillTrees([]*xmltree.Node{xmltree.Elem("t", "v")})
+	trees, err := sn.SpillTrees([]*xmltree.Node{xmltree.Elem("t", "v")})
 	if err != nil || len(trees) != 1 {
 		t.Fatalf("spill after spool: %v, %v", trees, err)
 	}

@@ -120,14 +120,14 @@ type DocInfo struct {
 // values: every committed transaction builds a fresh state whose new
 // pages are copies (copy-on-write trees, freshly cut heap tails), so a
 // reader that pins a state sees byte-stable pages until it unpins.
-// Readers obtain a pin with Snapshot (every read method on DB itself
-// is a pin-per-call wrapper); writers serialize on writeMu and chain
-// off tip, the newest committed state, which may be slightly ahead of
-// the reader-visible head while its WAL fsync is in flight. Pages
-// superseded by a commit are retired and only reclaimed for reuse once
-// (a) no snapshot pinned an older epoch and (b) the commit that freed
-// them is WAL-durable — so a crash can never have reused a page the
-// last durable metadata still references.
+// Readers obtain a pin with Snapshot and read through it (DB's own
+// methods cover writes, the catalog and reporting); writers serialize
+// on writeMu and chain off tip, the newest committed state, which may
+// be slightly ahead of the reader-visible head while its WAL fsync is
+// in flight. Pages superseded by a commit are retired and only
+// reclaimed for reuse once (a) no snapshot pinned an older epoch and
+// (b) the commit that freed them is WAL-durable — so a crash can never
+// have reused a page the last durable metadata still references.
 //
 // The offline bulk path (LoadDocument, LoadXML) mutates index pages in
 // place and still requires exclusive access: no reader, spool or other

@@ -44,18 +44,20 @@ func TestOpenSniffsFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		ps, err := db.TagPostings("author")
+		sn := db.Snapshot()
+		defer sn.Close()
+		ps, err := sn.TagPostings("author")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(ps) != 3 {
 			t.Fatalf("got %d author postings, want 3", len(ps))
 		}
-		content, err := db.Content(ps[0])
+		content, err := sn.Content(ps[0])
 		if err != nil || content != "A" {
 			t.Fatalf("Content = %q, %v", content, err)
 		}
-		vp, err := db.ValuePostings("author", "A")
+		vp, err := sn.ValuePostings("author", "A")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +150,9 @@ func TestIncrementalSecondDocument(t *testing.T) {
 	if _, err := db.LoadXML("two.xml", strings.NewReader(formatTestDoc)); err != nil {
 		t.Fatal(err)
 	}
-	ps, err := db.TagPostings("author")
+	sn := db.Snapshot()
+	defer sn.Close()
+	ps, err := sn.TagPostings("author")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +167,7 @@ func TestIncrementalSecondDocument(t *testing.T) {
 		}
 	}
 	// Per-document cursor sees only its document.
-	c := db.OpenTagDocCursor("author", xmltree.DocID(2))
+	c := sn.OpenTagDocCursor("author", xmltree.DocID(2))
 	n := 0
 	for {
 		p, ok := c.Next()

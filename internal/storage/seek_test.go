@@ -21,8 +21,9 @@ func seekTestDoc(items int) string {
 	return b.String()
 }
 
-// seekDB loads docs documents of items nodes each and returns the DB.
-func seekDB(t *testing.T, opts Options, docs, items int) *DB {
+// seekDB loads docs documents of items nodes each and returns a
+// snapshot of the database.
+func seekDB(t *testing.T, opts Options, docs, items int) *Snapshot {
 	t.Helper()
 	db := testDB(t, opts)
 	for d := 0; d < docs; d++ {
@@ -34,7 +35,7 @@ func seekDB(t *testing.T, opts Options, docs, items int) *DB {
 			t.Fatal(err)
 		}
 	}
-	return db
+	return pin(t, db)
 }
 
 // TestTagCursorSeekMatchesScan: seeking to any (doc, start) target

@@ -17,12 +17,16 @@ import (
 // runs for seconds returns byte-identical results to one run against a
 // quiesced database.
 //
-// Snapshots are cheap (a map increment and four tree handles; no I/O)
-// but must be Closed: an open snapshot holds every page of its epoch
-// on disk. Close is idempotent and safe to call from any goroutine,
-// though the Snapshot's read methods themselves are not synchronized —
-// use one per goroutine, or one per exchange fragment, exactly like a
-// *DB handle before durable ingest existed.
+// Snapshot is the one read surface of query code: a query's entry
+// point pins one and everything below it reads through it. Snapshots
+// are cheap (a map increment and four tree handles; no I/O) but must be
+// Closed: an open snapshot holds every page of its epoch on disk. Close
+// is idempotent and safe to call from any goroutine.
+//
+// The read methods are safe for concurrent use: they hold no mutable
+// state of their own, only immutable tree roots over the shared buffer
+// pool, so the exchange's workers share one Snapshot. A TagCursor it
+// opens belongs to one goroutine at a time.
 type Snapshot struct {
 	db       *DB
 	s        *snapState
@@ -78,9 +82,6 @@ func (sn *Snapshot) Close() error {
 	return nil
 }
 
-// Epoch identifies the committed state this snapshot reads.
-func (sn *Snapshot) Epoch() uint64 { return sn.s.epoch }
-
 // Documents returns the snapshot's catalog in ID order.
 func (sn *Snapshot) Documents() []DocInfo {
 	out := make([]DocInfo, len(sn.s.docs))
@@ -88,33 +89,8 @@ func (sn *Snapshot) Documents() []DocInfo {
 	return out
 }
 
-// DocumentByName returns the catalog entry with the given name.
-func (sn *Snapshot) DocumentByName(name string) (DocInfo, bool) {
-	return findDoc(sn.s.docs, name)
-}
-
 // HasValueIndex reports whether the (tag, content) value index exists.
 func (sn *Snapshot) HasValueIndex() bool { return sn.valIdx != nil }
-
-// NumPages exposes the store's allocated page count.
-func (sn *Snapshot) NumPages() uint32 { return sn.db.st.NumPages() }
-
-// Stats returns the underlying buffer pool counters (shared with the
-// DB — pool activity is global, not per-snapshot).
-func (sn *Snapshot) Stats() pagestore.Stats { return sn.db.Stats() }
-
-// IndexMetrics returns the shared B+tree traversal counters.
-func (sn *Snapshot) IndexMetrics() btree.MetricsSnapshot { return sn.db.IndexMetrics() }
-
-// NewSpool delegates to the database: spools are scratch space, not
-// part of the snapshot's state.
-func (sn *Snapshot) NewSpool() *Spool { return sn.db.NewSpool() }
-
-// ResetStats zeroes the shared pool and index counters.
-func (sn *Snapshot) ResetStats() { sn.db.ResetStats() }
-
-// TraceCounters snapshots the shared pool and index counters.
-func (sn *Snapshot) TraceCounters() obs.Counters { return sn.db.TraceCounters() }
 
 // retiredSet is a batch of pages superseded by one commit, waiting for
 // reclamation.

@@ -25,7 +25,8 @@ import (
 // like any writer's, and are returned to it on every exit path —
 // success or error — so a failed spill no longer strands its pages
 // until shutdown.
-func (db *DB) SpillTrees(trees []*xmltree.Node) ([]*xmltree.Node, error) {
+func (sn *Snapshot) SpillTrees(trees []*xmltree.Node) ([]*xmltree.Node, error) {
+	db := sn.db
 	if len(trees) == 0 {
 		return nil, nil
 	}
@@ -109,12 +110,6 @@ func (db *DB) SpillTrees(trees []*xmltree.Node) ([]*xmltree.Node, error) {
 			len(out), read, len(trees), records)
 	}
 	return out, nil
-}
-
-// SpillTrees on a snapshot delegates to the database: spilled pages
-// are scratch space, not part of any published state.
-func (sn *Snapshot) SpillTrees(trees []*xmltree.Node) ([]*xmltree.Node, error) {
-	return sn.db.SpillTrees(trees)
 }
 
 // NumPages exposes the store's allocated page count (used by tools to

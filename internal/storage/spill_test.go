@@ -15,6 +15,7 @@ func TestSpillTreesRoundTrip(t *testing.T) {
 	if _, err := db.LoadDocument("base", paperdata.SampleDatabase()); err != nil {
 		t.Fatal(err)
 	}
+	sn := pin(t, db)
 	before := db.NumPages()
 
 	trees := []*xmltree.Node{
@@ -29,7 +30,7 @@ func TestSpillTreesRoundTrip(t *testing.T) {
 	for i, tr := range trees {
 		want[i] = tr.Clone()
 	}
-	got, err := db.SpillTrees(trees)
+	got, err := sn.SpillTrees(trees)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestSpillTreesRoundTrip(t *testing.T) {
 		t.Errorf("temporary pages not released: %d -> %d", before, db.NumPages())
 	}
 	// The base data is untouched.
-	posts, err := db.TagPostings("author")
+	posts, err := sn.TagPostings("author")
 	if err != nil || len(posts) != 5 {
 		t.Errorf("base data damaged: %d postings, %v", len(posts), err)
 	}
@@ -53,7 +54,8 @@ func TestSpillTreesRoundTrip(t *testing.T) {
 
 func TestSpillTreesEmpty(t *testing.T) {
 	db := testDB(t, Options{})
-	got, err := db.SpillTrees(nil)
+	sn := pin(t, db)
+	got, err := sn.SpillTrees(nil)
 	if err != nil || got != nil {
 		t.Errorf("empty spill = %v, %v", got, err)
 	}
@@ -64,8 +66,9 @@ func TestSpillChargesBufferPool(t *testing.T) {
 	if _, err := db.LoadDocument("base", paperdata.SampleDatabase()); err != nil {
 		t.Fatal(err)
 	}
+	sn := pin(t, db)
 	db.ResetStats()
-	if _, err := db.SpillTrees([]*xmltree.Node{paperdata.SampleDatabase()}); err != nil {
+	if _, err := sn.SpillTrees([]*xmltree.Node{paperdata.SampleDatabase()}); err != nil {
 		t.Fatal(err)
 	}
 	if db.Stats().Fetches == 0 {
@@ -83,16 +86,17 @@ func TestBulkVsIncrementalLoadEquivalent(t *testing.T) {
 	if _, err := db.LoadDocument("two", paperdata.SampleDatabase()); err != nil {
 		t.Fatal(err)
 	}
-	posts, err := db.TagPostings("author")
+	sn := pin(t, db)
+	posts, err := sn.TagPostings("author")
 	if err != nil || len(posts) != 10 {
 		t.Fatalf("authors across bulk+incremental = %d, %v", len(posts), err)
 	}
-	vj, err := db.ValuePostings("author", "Jack")
+	vj, err := sn.ValuePostings("author", "Jack")
 	if err != nil || len(vj) != 4 {
 		t.Fatalf("Jack postings = %d, %v", len(vj), err)
 	}
 	for _, doc := range []xmltree.DocID{1, 2} {
-		sub, err := db.GetSubtree(xmltree.NodeID{Doc: doc, Start: 1})
+		sub, err := sn.GetSubtree(xmltree.NodeID{Doc: doc, Start: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,13 +135,14 @@ func TestSpillTreesPagesAndPins(t *testing.T) {
 	if _, err := db.LoadDocument("base", paperdata.SampleDatabase()); err != nil {
 		t.Fatal(err)
 	}
+	sn := pin(t, db)
 	before, freedBefore := db.st.Stats(), db.ing.spoolPagesFreed.Load()
 	trees := spillShapedTrees(600)
 	want := make([]*xmltree.Node, len(trees))
 	for i, tr := range trees {
 		want[i] = tr.Clone()
 	}
-	got, err := db.SpillTrees(trees)
+	got, err := sn.SpillTrees(trees)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +180,7 @@ func TestSpillTreesPagesAndPins(t *testing.T) {
 	pages := db.NumPages()
 	bad := spillShapedTrees(600)
 	bad[400].Append(xmltree.Elem("huge", strings.Repeat("x", pagestore.MaxRecord(db.st.PageSize()))))
-	if _, err := db.SpillTrees(bad); err == nil {
+	if _, err := sn.SpillTrees(bad); err == nil {
 		t.Fatal("spill of an oversized record succeeded")
 	}
 	after = db.st.Stats()
@@ -221,12 +226,14 @@ func BenchmarkSpillTrees(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { db.Close() })
+	sn := db.Snapshot()
+	b.Cleanup(func() { sn.Close() })
 	trees := e1ResultTrees()
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := db.st.Stats().Fetches
 	for i := 0; i < b.N; i++ {
-		out, err := db.SpillTrees(trees)
+		out, err := sn.SpillTrees(trees)
 		if err != nil {
 			b.Fatal(err)
 		}

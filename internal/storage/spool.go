@@ -29,8 +29,10 @@ type Spool struct {
 	runs   []*SpoolRun
 }
 
-// NewSpool starts a spill region.
-func (db *DB) NewSpool() *Spool {
+// NewSpool starts a spill region. Spools are scratch space, not part of
+// the snapshot's state: their pages come from the database's allocator.
+func (sn *Snapshot) NewSpool() *Spool {
+	db := sn.db
 	sp := &Spool{db: db}
 	runtime.SetFinalizer(sp, func(leaked *Spool) {
 		if !leaked.closed {

@@ -35,6 +35,14 @@ func testDB(t *testing.T, opts Options) *DB {
 	return db
 }
 
+// pin returns a snapshot of db's current state, closed when the test
+// ends (before the database, whose cleanup was registered first).
+func pin(t testing.TB, db *DB) *Snapshot {
+	sn := db.Snapshot()
+	t.Cleanup(func() { sn.Close() })
+	return sn
+}
+
 // encodeRecord is the stored form of r: the tree node r describes,
 // under a stub parent carrying r.ParentStart.
 func encodeRecord(r *NodeRecord) []byte {
@@ -110,11 +118,12 @@ func TestLoadAndGetNode(t *testing.T) {
 	if doc != 1 {
 		t.Errorf("first doc ID = %d, want 1", doc)
 	}
+	sn := pin(t, db)
 	// Every node in the in-memory tree must be retrievable by ID with
 	// identical fields.
 	var checked int
 	root.Walk(func(n *xmltree.Node) bool {
-		rec, err := db.GetNode(n.Interval.ID())
+		rec, err := sn.GetNode(n.Interval.ID())
 		if err != nil {
 			t.Fatalf("GetNode(%v): %v", n.Interval.ID(), err)
 		}
@@ -130,7 +139,7 @@ func TestLoadAndGetNode(t *testing.T) {
 	if checked != root.Size() {
 		t.Errorf("checked %d nodes, tree has %d", checked, root.Size())
 	}
-	if _, err := db.GetNode(xmltree.NodeID{Doc: 1, Start: 9999}); !errors.Is(err, ErrNoSuchNode) {
+	if _, err := sn.GetNode(xmltree.NodeID{Doc: 1, Start: 9999}); !errors.Is(err, ErrNoSuchNode) {
 		t.Errorf("bogus GetNode err = %v", err)
 	}
 }
@@ -141,7 +150,8 @@ func TestTagPostingsSortedAndComplete(t *testing.T) {
 	if _, err := db.LoadDocument("bib.xml", root); err != nil {
 		t.Fatal(err)
 	}
-	posts, err := db.TagPostings("author")
+	sn := pin(t, db)
+	posts, err := sn.TagPostings("author")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +167,7 @@ func TestTagPostingsSortedAndComplete(t *testing.T) {
 			t.Errorf("postings not in document order at %d", i)
 		}
 	}
-	empty, err := db.TagPostings("nonexistent")
+	empty, err := sn.TagPostings("nonexistent")
 	if err != nil || len(empty) != 0 {
 		t.Errorf("nonexistent tag: %v, %v", empty, err)
 	}
@@ -169,7 +179,8 @@ func TestTagPostingsNoPrefixBleed(t *testing.T) {
 	if _, err := db.LoadDocument("d", root); err != nil {
 		t.Fatal(err)
 	}
-	posts, err := db.TagPostings("author")
+	sn := pin(t, db)
+	posts, err := sn.TagPostings("author")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +195,8 @@ func TestValuePostings(t *testing.T) {
 	if _, err := db.LoadDocument("bib.xml", root); err != nil {
 		t.Fatal(err)
 	}
-	posts, err := db.ValuePostings("author", "Jack")
+	sn := pin(t, db)
+	posts, err := sn.ValuePostings("author", "Jack")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +204,7 @@ func TestValuePostings(t *testing.T) {
 		t.Fatalf("Jack postings = %d, want 2", len(posts))
 	}
 	for _, p := range posts {
-		rec, err := db.GetNodeAt(p.RID)
+		rec, err := sn.GetNodeAt(p.RID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,10 +212,10 @@ func TestValuePostings(t *testing.T) {
 			t.Errorf("posting resolves to %+v", rec)
 		}
 	}
-	if got, _ := db.ValuePostings("author", "Nobody"); len(got) != 0 {
+	if got, _ := sn.ValuePostings("author", "Nobody"); len(got) != 0 {
 		t.Errorf("Nobody postings = %d", len(got))
 	}
-	if _, err := db.ValuePostings("author", strings.Repeat("x", maxIndexedContent+1)); err == nil {
+	if _, err := sn.ValuePostings("author", strings.Repeat("x", maxIndexedContent+1)); err == nil {
 		t.Error("overlong content should be rejected")
 	}
 }
@@ -213,14 +225,15 @@ func TestNoValueIndex(t *testing.T) {
 	if _, err := db.LoadDocument("d", paperdata.SampleDatabase()); err != nil {
 		t.Fatal(err)
 	}
+	sn := pin(t, db)
 	if db.HasValueIndex() {
 		t.Error("HasValueIndex should be false")
 	}
-	if _, err := db.ValuePostings("author", "Jack"); err == nil {
+	if _, err := sn.ValuePostings("author", "Jack"); err == nil {
 		t.Error("ValuePostings without index should fail")
 	}
 	// Tag postings still work.
-	posts, err := db.TagPostings("author")
+	posts, err := sn.TagPostings("author")
 	if err != nil || len(posts) != 5 {
 		t.Errorf("TagPostings = %d, %v", len(posts), err)
 	}
@@ -231,13 +244,14 @@ func TestContent(t *testing.T) {
 	if _, err := db.LoadDocument("d", paperdata.SampleDatabase()); err != nil {
 		t.Fatal(err)
 	}
-	posts, err := db.TagPostings("title")
+	sn := pin(t, db)
+	posts, err := sn.TagPostings("title")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var titles []string
 	for _, p := range posts {
-		c, err := db.Content(p)
+		c, err := sn.Content(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,8 +269,9 @@ func TestGetSubtree(t *testing.T) {
 	if _, err := db.LoadDocument("bib.xml", root); err != nil {
 		t.Fatal(err)
 	}
+	sn := pin(t, db)
 	// Whole document round trip.
-	got, err := db.GetSubtree(root.Interval.ID())
+	got, err := sn.GetSubtree(root.Interval.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +280,7 @@ func TestGetSubtree(t *testing.T) {
 	}
 	// Single article subtree.
 	art := root.Children[1]
-	sub, err := db.GetSubtree(art.Interval.ID())
+	sub, err := sn.GetSubtree(art.Interval.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +289,7 @@ func TestGetSubtree(t *testing.T) {
 	}
 	// Leaf subtree.
 	leaf := art.Children[0]
-	lsub, err := db.GetSubtree(leaf.Interval.ID())
+	lsub, err := sn.GetSubtree(leaf.Interval.ID())
 	if err != nil || !xmltree.Equal(lsub, leaf) {
 		t.Errorf("leaf subtree: %v %v", lsub, err)
 	}
@@ -292,10 +307,12 @@ func TestGetSubtreeProperty(t *testing.T) {
 		if _, err := db.LoadDocument("d", root); err != nil {
 			return false
 		}
+		sn := db.Snapshot()
+		defer sn.Close()
 		// Every subtree must round trip.
 		ok := true
 		root.Walk(func(n *xmltree.Node) bool {
-			got, err := db.GetSubtree(n.Interval.ID())
+			got, err := sn.GetSubtree(n.Interval.ID())
 			if err != nil || !xmltree.Equal(got, n) {
 				ok = false
 				return false
@@ -328,9 +345,10 @@ func TestScanDocument(t *testing.T) {
 	if _, err := db.LoadDocument("bib.xml", root); err != nil {
 		t.Fatal(err)
 	}
+	sn := pin(t, db)
 	var count int
 	var prev uint32
-	err := db.ScanDocument(1, func(rec *NodeRecord) error {
+	err := sn.ScanDocument(1, func(rec *NodeRecord) error {
 		if rec.Interval.Start <= prev {
 			t.Error("scan out of document order")
 		}
@@ -346,7 +364,7 @@ func TestScanDocument(t *testing.T) {
 	}
 	// Error propagation from fn.
 	sentinel := errors.New("stop")
-	err = db.ScanDocument(1, func(*NodeRecord) error { return sentinel })
+	err = sn.ScanDocument(1, func(*NodeRecord) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Errorf("scan error = %v, want sentinel", err)
 	}
@@ -365,6 +383,7 @@ func TestMultipleDocuments(t *testing.T) {
 	if d1 == d2 {
 		t.Fatal("duplicate doc IDs")
 	}
+	sn := pin(t, db)
 	docs := db.Documents()
 	if len(docs) != 2 || docs[0].Name != "one" || docs[1].Name != "two" {
 		t.Errorf("catalog = %+v", docs)
@@ -379,7 +398,7 @@ func TestMultipleDocuments(t *testing.T) {
 		t.Error("DocumentByName(none) should miss")
 	}
 	// Postings stay per-document-disjoint but are returned merged by tag.
-	posts, err := db.TagPostings("article")
+	posts, err := sn.TagPostings("article")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +413,8 @@ func TestLoadXML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	posts, err := db.TagPostings("a")
+	sn := pin(t, db)
+	posts, err := sn.TagPostings("a")
 	if err != nil || len(posts) != 2 {
 		t.Fatalf("a postings = %d, %v", len(posts), err)
 	}
@@ -426,18 +446,20 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
+	sn := db2.Snapshot()
+	defer sn.Close()
 	docs := db2.Documents()
 	if len(docs) != 1 || docs[0].Name != "bib.xml" {
 		t.Fatalf("catalog after reopen = %+v", docs)
 	}
-	got, err := db2.GetSubtree(xmltree.NodeID{Doc: 1, Start: 1})
+	got, err := sn.GetSubtree(xmltree.NodeID{Doc: 1, Start: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !xmltree.Equal(got, root) {
 		t.Error("document differs after reopen")
 	}
-	posts, err := db2.TagPostings("author")
+	posts, err := sn.TagPostings("author")
 	if err != nil || len(posts) != 5 {
 		t.Errorf("author postings after reopen = %d, %v", len(posts), err)
 	}
@@ -488,7 +510,8 @@ func TestTags(t *testing.T) {
 	if _, err := db.LoadDocument("d", paperdata.SampleDatabase()); err != nil {
 		t.Fatal(err)
 	}
-	tags, err := db.Tags()
+	sn := pin(t, db)
+	tags, err := sn.Tags()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,35 +521,35 @@ func TestTags(t *testing.T) {
 	}
 }
 
-// TestConcurrentReaders exercises the read-only access paths from
-// several goroutines at once: index scans, record fetches and subtree
-// reconstruction are all safe concurrently (writes and temp-page use
-// are not, by design).
+// TestConcurrentReaders exercises the read-only access paths of one
+// shared Snapshot from several goroutines at once: index scans, record
+// fetches and subtree reconstruction are all safe concurrently.
 func TestConcurrentReaders(t *testing.T) {
 	db := testDB(t, Options{})
 	root := paperdata.SampleDatabase()
 	if _, err := db.LoadDocument("bib.xml", root); err != nil {
 		t.Fatal(err)
 	}
+	sn := pin(t, db)
 	errc := make(chan error, 6)
 	for g := 0; g < 6; g++ {
 		go func(g int) {
 			for i := 0; i < 200; i++ {
 				switch (g + i) % 3 {
 				case 0:
-					posts, err := db.TagPostings("author")
+					posts, err := sn.TagPostings("author")
 					if err != nil || len(posts) != 5 {
 						errc <- fmt.Errorf("postings: %d, %v", len(posts), err)
 						return
 					}
 				case 1:
-					rec, err := db.GetNode(xmltree.NodeID{Doc: 1, Start: 1})
+					rec, err := sn.GetNode(xmltree.NodeID{Doc: 1, Start: 1})
 					if err != nil || rec.Tag != "doc_root" {
 						errc <- fmt.Errorf("get node: %v, %v", rec, err)
 						return
 					}
 				default:
-					sub, err := db.GetSubtree(xmltree.NodeID{Doc: 1, Start: 2})
+					sub, err := sn.GetSubtree(xmltree.NodeID{Doc: 1, Start: 2})
 					if err != nil || sub.Tag != "article" {
 						errc <- fmt.Errorf("subtree: %v, %v", sub, err)
 						return
@@ -548,8 +571,9 @@ func TestStatsCountLookups(t *testing.T) {
 	if _, err := db.LoadDocument("d", paperdata.SampleDatabase()); err != nil {
 		t.Fatal(err)
 	}
+	sn := pin(t, db)
 	db.ResetStats()
-	if _, err := db.GetNode(xmltree.NodeID{Doc: 1, Start: 1}); err != nil {
+	if _, err := sn.GetNode(xmltree.NodeID{Doc: 1, Start: 1}); err != nil {
 		t.Fatal(err)
 	}
 	s := db.Stats()

@@ -20,7 +20,7 @@ type valuePair struct {
 
 // scanPairs drains ScanValueRange into pairs, checking that each
 // distinct content arrives once, in strictly ascending byte order.
-func scanPairs(t *testing.T, r Reader, tag string) []valuePair {
+func scanPairs(t *testing.T, r *Snapshot, tag string) []valuePair {
 	t.Helper()
 	var out []valuePair
 	var last string
@@ -47,7 +47,7 @@ func scanPairs(t *testing.T, r Reader, tag string) []valuePair {
 // coveredPairs is the reference for a value-range scan: every posting
 // of tag with its heap content, keeping the contents the value index
 // holds, in (content, doc, start) order.
-func coveredPairs(t *testing.T, r Reader, tag string) []valuePair {
+func coveredPairs(t *testing.T, r *Snapshot, tag string) []valuePair {
 	t.Helper()
 	ps, err := r.TagPostings(tag)
 	if err != nil {
@@ -74,8 +74,9 @@ func TestScanValueRange(t *testing.T) {
 	if _, err := db.LoadDocument("bib.xml", paperdata.SampleDatabase()); err != nil {
 		t.Fatal(err)
 	}
+	sn := pin(t, db)
 	var got []string
-	if err := db.ScanValueRange("author", func(v string, ps []Posting) error {
+	if err := sn.ScanValueRange("author", func(v string, ps []Posting) error {
 		got = append(got, fmt.Sprintf("%s:%d", v, len(ps)))
 		return nil
 	}); err != nil {
@@ -84,12 +85,12 @@ func TestScanValueRange(t *testing.T) {
 	if want := []string{"Jack:2", "Jill:1", "John:2"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("author values = %v, want %v", got, want)
 	}
-	if !reflect.DeepEqual(scanPairs(t, db, "title"), coveredPairs(t, db, "title")) {
+	if !reflect.DeepEqual(scanPairs(t, sn, "title"), coveredPairs(t, sn, "title")) {
 		t.Error("title scan differs from the tag postings' contents")
 	}
 	stop := fmt.Errorf("stop")
 	n := 0
-	if err := db.ScanValueRange("author", func(string, []Posting) error { n++; return stop }); err != stop || n != 1 {
+	if err := sn.ScanValueRange("author", func(string, []Posting) error { n++; return stop }); err != stop || n != 1 {
 		t.Errorf("callback error: got %v after %d calls, want stop after 1", err, n)
 	}
 
@@ -97,7 +98,7 @@ func TestScanValueRange(t *testing.T) {
 	if _, err := noVal.LoadDocument("bib.xml", paperdata.SampleDatabase()); err != nil {
 		t.Fatal(err)
 	}
-	if err := noVal.ScanValueRange("author", func(v string, _ []Posting) error {
+	if err := pin(t, noVal).ScanValueRange("author", func(v string, _ []Posting) error {
 		t.Errorf("scan without a value index yielded %q", v)
 		return nil
 	}); err != nil {
@@ -166,8 +167,9 @@ func FuzzValueRange(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
+		sn := pin(t, db)
 		for _, tag := range []string{"v", "w", "missing"} {
-			got, want := scanPairs(t, db, tag), coveredPairs(t, db, tag)
+			got, want := scanPairs(t, sn, tag), coveredPairs(t, sn, tag)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("tag %s: scan yields %d pairs, reference %d\ngot  %v\nwant %v", tag, len(got), len(want), got, want)
 			}

@@ -27,12 +27,12 @@ func blockDoc(n int) *xmltree.Node {
 
 // wantPostings is the posting list of the nodes of doc tagged tag (and
 // holding content, unless it is empty), with RIDs from the locator.
-func wantPostings(t *testing.T, db *DB, doc *xmltree.Node, tag, content string) []Posting {
+func wantPostings(t *testing.T, sn *Snapshot, doc *xmltree.Node, tag, content string) []Posting {
 	t.Helper()
 	var out []Posting
 	doc.Walk(func(n *xmltree.Node) bool {
 		if n.Tag == tag && (content == "" || n.Content == content) {
-			rid, err := db.LocateRID(n.Interval.ID())
+			rid, err := sn.LocateRID(n.Interval.ID())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,29 +132,30 @@ func TestDocumentWritesPackBlocks(t *testing.T) {
 				}
 				docs = append(docs, doc)
 			}
+			sn := pin(t, db)
 			s := db.head.Load()
 			tagT, valT := db.tree(s.tag), db.tree(s.val)
 			var allP, allSame []Posting
 			for _, doc := range docs {
-				p := wantPostings(t, db, doc, "p", "")
-				same := wantPostings(t, db, doc, "p", "same")
+				p := wantPostings(t, sn, doc, "p", "")
+				same := wantPostings(t, sn, doc, "p", "same")
 				assertIndexCells(t, db, tagT, tagPrefix("p"), func(id xmltree.NodeID) []byte { return tagKey("p", id) }, p, (n+127)/128)
 				assertIndexCells(t, db, valT, valuePrefix("p", "same"), func(id xmltree.NodeID) []byte { return valueKey("p", "same", id) }, same, (n+127)/128)
 				allP = append(allP, p...)
 				allSame = append(allSame, same...)
-				assertPostings(t, "doc cursor", drain(t, db.OpenTagDocCursor("p", doc.Interval.Doc)), p)
+				assertPostings(t, "doc cursor", drain(t, sn.OpenTagDocCursor("p", doc.Interval.Doc)), p)
 			}
-			assertPostings(t, "tag cursor", drain(t, db.OpenTagCursor("p")), allP)
-			vals, err := db.ValuePostings("p", "same")
+			assertPostings(t, "tag cursor", drain(t, sn.OpenTagCursor("p")), allP)
+			vals, err := sn.ValuePostings("p", "same")
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertPostings(t, "value postings", vals, allSame)
 			var allQ []Posting
 			for _, doc := range docs {
-				allQ = append(allQ, wantPostings(t, db, doc, "q", "q5")...)
+				allQ = append(allQ, wantPostings(t, sn, doc, "q", "q5")...)
 			}
-			vals, err = db.ValuePostings("q", "q5")
+			vals, err = sn.ValuePostings("q", "q5")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -86,6 +86,7 @@ func MustParse(s string) *Node {
 // package comment).
 func Serialize(w io.Writer, n *Node) error {
 	sw := &stickyWriter{w: w}
+	sw.sw, _ = w.(io.StringWriter)
 	writeIndented(sw, n, 0)
 	return sw.err
 }
@@ -121,16 +122,23 @@ func serializedSize(n *Node, depth int) int {
 	return size + 2*depth + len(n.Tag) + 4 // indent, "</", tag, ">\n"
 }
 
+// stickyWriter keeps the first write error and drops every write after
+// it. sw is w's io.StringWriter, resolved once per Serialize rather than
+// per fragment; nil when w has none.
 type stickyWriter struct {
 	w   io.Writer
+	sw  io.StringWriter
 	err error
 }
 
 func (s *stickyWriter) WriteString(str string) {
-	if s.err != nil {
-		return
+	switch {
+	case s.err != nil:
+	case s.sw != nil:
+		_, s.err = s.sw.WriteString(str)
+	default:
+		_, s.err = s.w.Write([]byte(str))
 	}
-	_, s.err = io.WriteString(s.w, str)
 }
 
 // spaces holds the indentation of the first 32 levels; deeper levels

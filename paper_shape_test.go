@@ -29,7 +29,9 @@ func TestPaperShape(t *testing.T) {
 	if _, err := dblpgen.GenerateToDB(db, dblpgen.Config{Articles: articles, Seed: 2002}); err != nil {
 		t.Fatal(err)
 	}
-	authors, err := db.TagPostings("author")
+	sn := db.Snapshot()
+	authors, err := sn.TagPostings("author")
+	sn.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
