@@ -21,8 +21,14 @@ vet:
 # (cmd/timber.TestCLI) all run here. The few checks that skip under
 # -race (the twig and serializer allocation ceilings, the pool's
 # drop-and-refetch allocation ceiling) run in plain `make test`.
+# It then repeats the concurrency hammers 20 times each: one pass
+# reaches a rare interleaving only now and then (a flush racing a
+# scratch-page append showed up in about 1.5 % of single passes).
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run '^TestDebugEventsConcurrentHammer$$' ./cmd/timber-serve/
+	$(GO) test -race -count=20 -run '^(TestConcurrentIngestByteIdentity|TestSpoolCancellationHammer)$$' ./internal/exec/
+	$(GO) test -race -count=20 -run '^TestTwigBinaryConcurrentHammer$$' ./internal/match/
 
 # check is the full gate: static analysis, the whole suite under the
 # race detector, and a short fuzz pass over every parser and codec.

@@ -1,10 +1,10 @@
 package pagestore
 
-// HeapCursor is a pull-style reader over a heap's record chain: where
-// Heap.Scan pushes every record through a callback in one call, a
-// cursor yields records one at a time, holding only the current page
-// pinned. Blocking operators that merge several spilled runs need this
-// shape — k cursors advance independently, one pinned page each.
+// HeapCursor is the heap's sequential read: a pull-style reader over
+// its record chain that yields records one at a time in (page, slot)
+// order, holding only the current page pinned (one fetch per page).
+// Blocking operators that merge several spilled runs need this shape —
+// k cursors advance independently, one pinned page each.
 type HeapCursor struct {
 	st   *Store
 	page *Page

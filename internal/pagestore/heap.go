@@ -6,11 +6,17 @@ import "fmt"
 // The data manager stores node records in heaps; record identifiers
 // (RIDs) are stable for the life of the heap. A heap is identified by
 // its first page, which the metadata manager persists.
+//
+// Heap pages are always exempt from the store's codec: records are
+// payloads the upper layers already varint-encode, their access pattern
+// (random point reads during late materialization, or write-once,
+// read-once scratch) makes per-fetch decompression the dominant cost,
+// and fixed-size slots mean compressing them saves no disk space.
 type Heap struct {
 	st    *Store
 	first PageID
 	last  PageID
-	raw   bool
+	class pageClass // classRaw, or classScratch for NewScratchHeap
 	// tracked, when tracking is on, accumulates every page the heap
 	// allocates (chained tail pages, cut tails) so a transaction can
 	// log their images and reclaim them on abort.
@@ -18,55 +24,33 @@ type Heap struct {
 	tracked  []PageID
 }
 
-// SetRaw excludes the heap's pages from the store's page codec: the
-// insertion page and every page chained from now on are written raw.
-// Record heaps hold payloads the upper layers already varint-encode,
-// and their access pattern (random point reads during late
-// materialization) makes per-fetch decompression the dominant cost —
-// while fixed-size slots mean compressing them saves no disk space.
-// Call it right after NewHeap/OpenHeap, before inserts.
-func (h *Heap) SetRaw() {
-	h.raw = true
-	h.st.SetRawPage(h.last)
-}
+// NewHeap allocates a fresh heap of committed records in the store.
+func NewHeap(st *Store) (*Heap, error) { return newHeap(st, classRaw) }
 
-// NewHeap allocates a fresh heap in the store.
-func NewHeap(st *Store) (*Heap, error) {
-	p, err := st.Allocate()
+// NewScratchHeap allocates a fresh heap for temporary records: its
+// pages are written back only on eviction, never by Flush or Close, so
+// its appender may fill a pinned page while a checkpoint flushes the
+// pool. The owner frees the pages (FirstPage plus Track's record).
+func NewScratchHeap(st *Store) (*Heap, error) { return newHeap(st, classScratch) }
+
+func newHeap(st *Store, class pageClass) (*Heap, error) {
+	p, err := st.allocate(class)
 	if err != nil {
 		return nil, fmt.Errorf("pagestore: new heap: %w", err)
 	}
 	InitSlotted(p)
 	st.Unpin(p, true)
-	return &Heap{st: st, first: p.ID(), last: p.ID()}, nil
+	return &Heap{st: st, first: p.ID(), last: p.ID(), class: class}, nil
 }
 
-// OpenHeap reopens a heap whose first page is known, walking the chain
-// to find the insertion point.
-func OpenHeap(st *Store, first PageID) (*Heap, error) {
-	last := first
-	for {
-		p, err := st.Fetch(last)
-		if err != nil {
-			return nil, fmt.Errorf("pagestore: open heap: %w", err)
-		}
-		next := ViewSlotted(p).Next()
-		st.Unpin(p, false)
-		if next == InvalidPage {
-			break
-		}
-		last = next
-	}
-	return &Heap{st: st, first: first, last: last}, nil
-}
-
-// OpenHeapAt reopens a heap whose first and last pages are both known
-// (from committed metadata), skipping OpenHeap's chain walk. The
-// durable open path uses it: after a crash the chain's tail links may
-// run past the committed state, so walking them would resurrect
-// uncommitted pages.
+// OpenHeapAt reopens a committed heap whose first and last pages are
+// both known (from committed metadata), and marks the insertion page
+// codec-exempt. No chain is walked: after a crash the chain's tail
+// links may run past the committed state, so walking them would
+// resurrect uncommitted pages.
 func OpenHeapAt(st *Store, first, last PageID) *Heap {
-	return &Heap{st: st, first: first, last: last}
+	st.SetRawPage(last)
+	return &Heap{st: st, first: first, last: last, class: classRaw}
 }
 
 // FirstPage returns the identifier of the heap's first page.
@@ -100,12 +84,9 @@ func (h *Heap) TakeTracked() []PageID {
 // chain never see uncommitted pages, and no committed page's bytes are
 // touched while unpinned readers may hold it).
 func (h *Heap) CutTail() (sealed, fresh PageID, err error) {
-	np, err := h.st.Allocate()
+	np, err := h.st.allocate(h.class)
 	if err != nil {
 		return InvalidPage, InvalidPage, fmt.Errorf("pagestore: cut tail: %w", err)
-	}
-	if h.raw {
-		h.st.SetRawPage(np.ID())
 	}
 	InitSlotted(np)
 	h.st.Unpin(np, true)
@@ -162,12 +143,9 @@ func (a *Appender) Append(rec []byte) (RID, error) {
 		return RID{Page: a.page.ID(), Slot: slot}, nil
 	}
 	// The tail is full: chain a new page.
-	np, err := h.st.Allocate()
+	np, err := h.st.allocate(h.class)
 	if err != nil {
 		return RID{}, err
-	}
-	if h.raw {
-		h.st.SetRawPage(np.ID())
 	}
 	if h.tracking {
 		h.tracked = append(h.tracked, np.ID())
@@ -192,24 +170,8 @@ func (a *Appender) Close() {
 	}
 }
 
-// Get copies out the record stored at rid.
-func (h *Heap) Get(rid RID) ([]byte, error) {
-	p, err := h.st.Fetch(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	defer h.st.Unpin(p, false)
-	rec, err := ViewSlotted(p).Read(rid.Slot)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(rec))
-	copy(out, rec)
-	return out, nil
-}
-
-// View calls fn with the record bytes at rid while the page is pinned.
-// fn must not retain the slice. View avoids Get's copy on hot paths.
+// View calls fn with the record bytes at rid while the page is pinned:
+// the heap's point read. fn must not retain the slice.
 func (h *Heap) View(rid RID, fn func(rec []byte) error) error {
 	p, err := h.st.Fetch(rid.Page)
 	if err != nil {
@@ -239,36 +201,4 @@ func (h *Heap) Pages() (uint32, error) {
 		id = next
 	}
 	return n, nil
-}
-
-// Scan visits every live record in the heap in (page, slot) order. The
-// record slice passed to fn is only valid during the call. If fn returns
-// an error the scan stops and returns it.
-func (h *Heap) Scan(fn func(rid RID, rec []byte) error) error {
-	id := h.first
-	for id != InvalidPage {
-		p, err := h.st.Fetch(id)
-		if err != nil {
-			return err
-		}
-		sp := ViewSlotted(p)
-		for s := 0; s < sp.NumSlots(); s++ {
-			if !sp.Live(Slot(s)) {
-				continue
-			}
-			rec, err := sp.Read(Slot(s))
-			if err != nil {
-				h.st.Unpin(p, false)
-				return err
-			}
-			if err := fn(RID{Page: id, Slot: Slot(s)}, rec); err != nil {
-				h.st.Unpin(p, false)
-				return err
-			}
-		}
-		next := sp.Next()
-		h.st.Unpin(p, false)
-		id = next
-	}
-	return nil
 }

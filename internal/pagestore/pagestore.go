@@ -315,7 +315,11 @@ type shard struct {
 // concurrent use by multiple goroutines: each page operation takes only
 // its shard's lock, disk I/O uses positioned reads/writes, and the
 // counters are atomic. Whole-pool operations (DropCache, Truncate,
-// Flush, Close) lock every shard and must not race with writers.
+// Flush, Close) lock every shard. Flush and Close write committed pages
+// only: while they run, a committed page may change only under the
+// caller's writer lock, and a scratch heap's appender (NewScratchHeap)
+// may keep filling its pinned tail. DropCache and Truncate must not
+// race with writers.
 type Store struct {
 	file     File
 	opts     Options
@@ -334,16 +338,32 @@ type Store struct {
 	// them on read; usable is the in-memory page size the layers above
 	// see (opts.PageSize minus the slot header). slotBufs pools
 	// scratch buffers for compress output and staged compressed
-	// payloads (raw slots move through the frame itself). rawPages
-	// holds pages excluded from the codec (SetRawPage): their slots are
-	// written with the raw flag, so reads — which dispatch on the slot's
-	// own flag byte — need no marking.
+	// payloads (raw slots move through the frame itself).
 	codec    Codec
 	usable   int
 	slotBufs sync.Pool
-	rawMu    sync.RWMutex
-	rawPages map[PageID]struct{}
+	// classes holds every page that is not a plain codec page: raw
+	// (SetRawPage) or scratch (NewScratchHeap). Both are written with
+	// the raw flag, so reads — which dispatch on the slot's own flag
+	// byte — need no marking. classMu is taken inside shard locks,
+	// never around one.
+	classMu sync.RWMutex
+	classes map[PageID]pageClass
 }
+
+// pageClass is a page's write policy. Pages absent from Store.classes
+// are committed pages, compressed when the store has a codec.
+type pageClass uint8
+
+const (
+	// classRaw pages are committed pages exempt from the codec.
+	classRaw pageClass = iota + 1
+	// classScratch pages hold temporary records (spills, sort runs).
+	// They are codec-exempt and never part of a committed state, so only
+	// eviction writes them back (the pool may re-read them); Flush and
+	// Close skip them.
+	classScratch
+)
 
 // Create creates (or truncates) the file at path and opens a store over
 // it with the given options. The parent directory is fsynced so the
@@ -426,7 +446,8 @@ func newStore(f File, opts Options, numPages uint32) (*Store, error) {
 	if o.PoolPages < 1 {
 		return nil, errors.Join(errors.New("pagestore: pool must hold at least one page"), f.Close())
 	}
-	s := &Store{file: f, opts: o, shards: make([]shard, o.Shards), codec: o.Codec}
+	s := &Store{file: f, opts: o, shards: make([]shard, o.Shards), codec: o.Codec,
+		classes: make(map[PageID]pageClass)}
 	s.usable = o.PageSize - slotHeaderLen
 	// Compress output can exceed the input on incompressible data;
 	// give the scratch buffers headroom so Compress rarely grows.
@@ -465,31 +486,33 @@ func (s *Store) SlotSize() int { return s.opts.PageSize }
 // it store the raw image (slot flag raw) instead of compressing. Slots
 // are fixed-size, so the codec trims write I/O bytes, never the file —
 // pages whose payloads are already tightly encoded (varint-packed
-// records, spill runs) gain nothing from a second pass, while every
-// cold fetch of them would pay the decompression. Reads need no
-// marking: each slot self-describes via its flag byte. No-op without a
-// codec.
+// records) gain nothing from a second pass, while every cold fetch of
+// them would pay the decompression. Reads need no marking: each slot
+// self-describes via its flag byte. Heaps mark their own pages.
 func (s *Store) SetRawPage(id PageID) {
-	if s.codec == nil {
-		return
-	}
-	s.rawMu.Lock()
-	if s.rawPages == nil {
-		s.rawPages = make(map[PageID]struct{})
-	}
-	s.rawPages[id] = struct{}{}
-	s.rawMu.Unlock()
+	s.classMu.Lock()
+	s.classes[id] = classRaw
+	s.classMu.Unlock()
 }
 
-// rawPage reports whether the page is codec-exempt.
-func (s *Store) rawPage(id PageID) bool {
-	if s.codec == nil {
-		return false
+// class returns the page's write policy (0 for a plain codec page).
+func (s *Store) class(id PageID) pageClass {
+	s.classMu.RLock()
+	c := s.classes[id]
+	s.classMu.RUnlock()
+	return c
+}
+
+// dropClassesFrom forgets the class of every page at or past n, so a
+// reused id starts as a plain codec page.
+func (s *Store) dropClassesFrom(n uint32) {
+	s.classMu.Lock()
+	for id := range s.classes {
+		if uint32(id) >= n {
+			delete(s.classes, id)
+		}
 	}
-	s.rawMu.RLock()
-	_, ok := s.rawPages[id]
-	s.rawMu.RUnlock()
-	return ok
+	s.classMu.Unlock()
 }
 
 // PoolPages returns the buffer pool capacity in pages.
@@ -579,7 +602,12 @@ func (s *Store) DropCache() error {
 // Allocate returns a zeroed page, pinned. Page IDs come from the free
 // list when FreePages has returned any, otherwise a fresh ID extends
 // the file.
-func (s *Store) Allocate() (*Page, error) {
+func (s *Store) Allocate() (*Page, error) { return s.allocate(0) }
+
+// allocate is Allocate for a page of the given class. The class is
+// set under the shard lock before the frame is published, so Flush
+// never sees a scratch page unmarked.
+func (s *Store) allocate(class pageClass) (*Page, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -598,7 +626,7 @@ func (s *Store) Allocate() (*Page, error) {
 	// Same transient-exhaustion retry as Fetch: concurrent fetchers may
 	// briefly pin every frame in the new page's shard.
 	for attempt := 0; ; attempt++ {
-		p, err := s.allocShard(sh, id, reused)
+		p, err := s.allocShard(sh, id, reused, class)
 		if err != ErrPoolExhausted || !pinWait(attempt) {
 			if err != nil && reused {
 				s.freeList = append(s.freeList, id)
@@ -610,7 +638,7 @@ func (s *Store) Allocate() (*Page, error) {
 
 // allocShard is one attempt of Allocate under the shard lock; the
 // caller holds allocMu.
-func (s *Store) allocShard(sh *shard, id PageID, reused bool) (*Page, error) {
+func (s *Store) allocShard(sh *shard, id PageID, reused bool, class pageClass) (*Page, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	fr, err := s.freeFrame(sh, id)
@@ -626,6 +654,11 @@ func (s *Store) allocShard(sh *shard, id PageID, reused bool) (*Page, error) {
 		s.numPages.Add(1)
 	}
 	s.stats.allocations.Add(1)
+	if class != 0 {
+		s.classMu.Lock()
+		s.classes[id] = class
+		s.classMu.Unlock()
+	}
 	fr.pins = 1
 	fr.dirty = true // a new page must eventually reach disk
 	sh.frames[id] = fr
@@ -633,7 +666,7 @@ func (s *Store) allocShard(sh *shard, id PageID, reused bool) (*Page, error) {
 }
 
 // FreePages returns pages to the allocator: their frames are dropped
-// from the pool without write-back, any codec exemption is cleared,
+// from the pool without write-back, their page class is cleared,
 // and the IDs become available for reuse. IDs that form a contiguous
 // run at the file tail (counting previously freed pages) shorten the
 // file, so pure-scratch workloads release disk exactly as the old
@@ -670,14 +703,11 @@ func (s *Store) FreePages(ids []PageID) error {
 			delete(sh.frames, id)
 		}
 	}
-	s.rawMu.Lock()
-	for _, id := range s.freeList {
-		delete(s.rawPages, id)
-	}
+	s.classMu.Lock()
 	for _, id := range ids {
-		delete(s.rawPages, id)
+		delete(s.classes, id)
 	}
-	s.rawMu.Unlock()
+	s.classMu.Unlock()
 	s.stats.freedPages.Add(uint64(len(ids)))
 
 	// Merge the new IDs with the existing free list and peel the
@@ -899,7 +929,7 @@ func (s *Store) readInto(fr *frame) error {
 
 func (s *Store) writeFrame(fr *frame) error {
 	off := int64(fr.id) * int64(s.opts.PageSize)
-	if s.codec != nil && !s.rawPage(fr.id) {
+	if s.codec != nil && s.class(fr.id) == 0 {
 		sp := s.slotBufs.Get().(*[]byte)
 		slot := append((*sp)[:0], make([]byte, slotHeaderLen)...)
 		slot = s.codec.Compress(slot, fr.data)
@@ -952,7 +982,7 @@ func (s *Store) SlotImage(id PageID) ([]byte, error) {
 	}
 	defer s.Unpin(p, false)
 	fr := p.frame
-	if s.codec != nil && !s.rawPage(id) {
+	if s.codec != nil && s.class(id) == 0 {
 		buf := make([]byte, slotHeaderLen, s.opts.PageSize+s.opts.PageSize/8+64)
 		buf = s.codec.Compress(buf, fr.data)
 		if clen := len(buf) - slotHeaderLen; clen < s.usable {
@@ -1078,13 +1108,7 @@ func (s *Store) SetNumPages(n uint32) error {
 		}
 	}
 	s.freeList = slices.DeleteFunc(s.freeList, func(id PageID) bool { return uint32(id) >= n })
-	s.rawMu.Lock()
-	for id := range s.rawPages {
-		if uint32(id) >= n {
-			delete(s.rawPages, id)
-		}
-	}
-	s.rawMu.Unlock()
+	s.dropClassesFrom(n)
 	s.numPages.Store(n)
 	return nil
 }
@@ -1152,23 +1176,21 @@ func (s *Store) Truncate(keep uint32) error {
 	if err := s.file.Truncate(int64(keep) * int64(s.opts.PageSize)); err != nil {
 		return fmt.Errorf("pagestore: truncate: %w", err)
 	}
-	// Truncated ids may be reallocated for different purposes; drop any
-	// codec exemptions so a reused id starts with the default policy,
-	// and forget free-list entries past the cut.
-	s.rawMu.Lock()
-	for id := range s.rawPages {
-		if uint32(id) >= keep {
-			delete(s.rawPages, id)
-		}
-	}
-	s.rawMu.Unlock()
+	// Truncated ids may be reallocated for different purposes; drop
+	// their classes so a reused id starts with the default policy, and
+	// forget free-list entries past the cut.
+	s.dropClassesFrom(keep)
 	s.freeList = slices.DeleteFunc(s.freeList, func(id PageID) bool { return uint32(id) >= keep })
 	s.numPages.Store(keep)
 	return nil
 }
 
-// Flush writes every dirty page in the pool back to disk and syncs the
-// file. Pages remain cached and pinned pages are flushed in place.
+// Flush writes every dirty committed page in the pool back to disk and
+// syncs the file; pages remain cached. Scratch pages are skipped: they
+// are no part of a committed state, and their owner may be writing a
+// pinned one. A pinned committed page is written in place, so the
+// caller must keep its writers out (storage's checkpoint holds the
+// writer lock).
 func (s *Store) Flush() error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -1177,7 +1199,7 @@ func (s *Store) Flush() error {
 	defer s.unlockAll()
 	for i := range s.shards {
 		for _, fr := range s.shards[i].frames {
-			if fr.dirty {
+			if fr.dirty && s.class(fr.id) != classScratch {
 				if err := s.writeFrame(fr); err != nil {
 					return err
 				}
@@ -1193,8 +1215,9 @@ func (s *Store) Flush() error {
 	return nil
 }
 
-// Close flushes dirty pages and closes the underlying file. It is an
-// error to close a store with pinned pages.
+// Close flushes dirty committed pages (not scratch pages, as Flush)
+// and closes the underlying file. It is an error to close a store with
+// pinned pages.
 func (s *Store) Close() error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -1210,7 +1233,7 @@ func (s *Store) Close() error {
 	}
 	for i := range s.shards {
 		for _, fr := range s.shards[i].frames {
-			if fr.dirty {
+			if fr.dirty && s.class(fr.id) != classScratch {
 				if err := s.writeFrame(fr); err != nil {
 					return err
 				}

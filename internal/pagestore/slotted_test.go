@@ -198,7 +198,7 @@ func TestSlottedProperty(t *testing.T) {
 	}
 }
 
-func TestHeapInsertGetScan(t *testing.T) {
+func TestHeapInsertViewCursor(t *testing.T) {
 	st := tempStore(t, Options{PageSize: 128, PoolPages: 4})
 	h, err := NewHeap(st)
 	if err != nil {
@@ -216,32 +216,31 @@ func TestHeapInsertGetScan(t *testing.T) {
 		want = append(want, rec)
 	}
 	for i, rid := range rids {
-		got, err := h.Get(rid)
+		err := h.View(rid, func(got []byte) error {
+			if !bytes.Equal(got, want[i]) {
+				t.Errorf("rid %v = %v, want %v", rid, got, want[i])
+			}
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want[i]) {
-			t.Errorf("rid %v = %v, want %v", rid, got, want[i])
-		}
 	}
-	// Scan must visit every record once, in insertion order here (heap
-	// appends and never reorders).
+	// The cursor must visit every record once, in insertion order here
+	// (heap appends and never reorders).
+	c := NewHeapCursor(st, h.FirstPage())
 	var seen int
-	err = h.Scan(func(rid RID, rec []byte) error {
-		if !bytes.Equal(rec, want[seen]) {
-			t.Errorf("scan item %d = %v, want %v", seen, rec, want[seen])
-		}
-		if rid != rids[seen] {
-			t.Errorf("scan rid %d = %v, want %v", seen, rid, rids[seen])
+	for rec, ok := c.Next(); ok; rec, ok = c.Next() {
+		if seen < len(want) && !bytes.Equal(rec, want[seen]) {
+			t.Errorf("cursor item %d = %v, want %v", seen, rec, want[seen])
 		}
 		seen++
-		return nil
-	})
-	if err != nil {
+	}
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if seen != len(want) {
-		t.Errorf("scan saw %d records, want %d", seen, len(want))
+		t.Errorf("cursor saw %d records, want %d", seen, len(want))
 	}
 	if st.NumPages() < 2 {
 		t.Error("heap should have chained multiple pages")
@@ -282,6 +281,8 @@ func TestHeapRejectsOversized(t *testing.T) {
 	}
 }
 
+// TestHeapReopen reopens a heap at its committed first and last pages
+// (OpenHeapAt, the durable open path) and appends to it.
 func TestHeapReopen(t *testing.T) {
 	st := tempStore(t, Options{PageSize: 128, PoolPages: 4})
 	h, err := NewHeap(st)
@@ -296,23 +297,26 @@ func TestHeapReopen(t *testing.T) {
 		}
 		rids = append(rids, rid)
 	}
-	h2, err := OpenHeap(st, h.FirstPage())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h2 := OpenHeapAt(st, h.FirstPage(), h.LastPage())
 	rid, err := h2.Insert([]byte{99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := h2.Get(rid)
-	if err != nil || got[0] != 99 {
-		t.Errorf("insert after reopen: %v %v", got, err)
+	view := func(rid RID, want byte) {
+		t.Helper()
+		err := h2.View(rid, func(got []byte) error {
+			if len(got) != 1 || got[0] != want {
+				t.Errorf("record %v = %v, want [%d]", rid, got, want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
 	}
+	view(rid, 99)
 	// Old records still readable through the reopened heap.
-	got0, err := h2.Get(rids[0])
-	if err != nil || got0[0] != 0 {
-		t.Errorf("old record after reopen: %v %v", got0, err)
-	}
+	view(rids[0], 0)
 }
 
 // TestHeapAppenderMatchesInsert writes one record sequence through an

@@ -311,13 +311,12 @@ func initDB(st *pagestore.Store, walFile pagestore.File, opts Options) (*DB, err
 	st.SetRawPage(0)
 
 	// Record pages carry varint-compact payloads and serve random point
-	// reads (late materialization); only the index trees go through the
-	// page codec.
+	// reads (late materialization); heaps are codec-exempt, so only the
+	// index trees go through the page codec.
 	heap, err := pagestore.NewHeap(st)
 	if err != nil {
 		return fail(err)
 	}
-	heap.SetRaw()
 	catalog, err := btree.New(st)
 	if err != nil {
 		return fail(err)
@@ -935,7 +934,7 @@ func (db *DB) RegisterMetrics(r *obs.Registry) {
 		func() float64 { return float64(db.head.Load().epoch) })
 	r.GaugeFunc("snapshots_pinned", "Currently open snapshots.",
 		func() float64 { return float64(db.ing.snapshotsPinned.Load()) })
-	r.CounterFunc("spool_runs", "Spill runs started by blocking operators.",
+	r.CounterFunc("spool_runs", "Scratch runs started: sort-spill runs of blocking operators and result-tree spills (one run each).",
 		func() float64 { return float64(db.ing.spoolRuns.Load()) })
 	r.CounterFunc("spool_runs_leaked", "Spools reclaimed by the garbage collector instead of Close.",
 		func() float64 { return float64(db.ing.spoolRunsLeaked.Load()) })

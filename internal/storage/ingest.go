@@ -152,7 +152,6 @@ func (db *DB) beginTxn() (*writeHandles, error) {
 	base := db.tip
 	h := &writeHandles{}
 	heap := pagestore.OpenHeapAt(db.st, base.heapFirst, base.heapLast)
-	heap.SetRaw()
 	heap.Track()
 	sealed, fresh, err := heap.CutTail()
 	if err != nil {

@@ -43,7 +43,6 @@ func (db *DB) LoadDocument(name string, root *xmltree.Node) (xmltree.DocID, erro
 	xmltree.Number(root, doc)
 
 	heap := pagestore.OpenHeapAt(db.st, base.heapFirst, base.heapLast)
-	heap.SetRaw()
 	catalog := db.tree(base.catalog)
 	locator := db.tree(base.locator)
 	tagIdx := db.tree(base.tag)

@@ -52,7 +52,6 @@ func (db *DB) Snapshot() *Snapshot {
 
 	sn := &Snapshot{db: db, s: s}
 	sn.heap = pagestore.OpenHeapAt(db.st, s.heapFirst, s.heapLast)
-	sn.heap.SetRaw()
 	sn.catalogT = db.tree(s.catalog)
 	sn.locator = db.tree(s.locator)
 	sn.tagIdx = db.tree(s.tag)
@@ -104,6 +103,9 @@ type retiredSet struct {
 	// freeing state with its pages overwritten.
 	seq   uint64
 	pages []pagestore.PageID
+	// scratch marks a spool's pages whose release failed (Spool.Close):
+	// a retry batch counted in spool_pages_freed, not pages_reclaimed.
+	scratch bool
 }
 
 // retire queues pages superseded by the commit that produced epoch
@@ -158,7 +160,11 @@ func (db *DB) reclaimLocked() {
 			// A transiently pinned page (a still-draining cursor) makes
 			// FreePages refuse the whole batch; retry on the next pass with
 			// no epoch/seq gate, since both conditions were already met.
-			keep = append(keep, retiredSet{pages: set.pages})
+			keep = append(keep, retiredSet{pages: set.pages, scratch: set.scratch})
+			continue
+		}
+		if set.scratch {
+			db.ing.spoolPagesFreed.Add(uint64(len(set.pages)))
 			continue
 		}
 		db.ing.pagesReclaimed.Add(uint64(len(set.pages)))

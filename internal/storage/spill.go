@@ -4,51 +4,41 @@ import (
 	"errors"
 	"fmt"
 
-	"timber/internal/pagestore"
 	"timber/internal/xmltree"
 )
 
 // SpillTrees materializes a collection of trees through the storage
 // engine and reads it back: every node of every tree is written as a
-// record to temporary pages (through the buffer pool, one pin per page
-// filled), then the pages are scanned once each to rebuild the trees,
-// and the temporary pages are released. This models what TIMBER's naive evaluation plans do
-// between operators — intermediate collections such as the witness
-// trees of Figure 7 or the TAX_prod_root trees of Figure 8 exist as
-// stored trees, and both the writing and the re-reading flow through
-// the same buffer pool as the base data, competing for its capacity.
+// record to one spool run (through the buffer pool, one pin per page
+// filled), then the run's pages are read once each to rebuild the
+// trees, and the spool is closed. This models what TIMBER's naive
+// evaluation plans do between operators — intermediate collections
+// such as the witness trees of Figure 7 or the TAX_prod_root trees of
+// Figure 8 exist as stored trees, and both the writing and the
+// re-reading flow through the same buffer pool as the base data,
+// competing for its capacity.
 //
 // The input trees are renumbered in place (documents 1..n) so the
 // records carry rebuildable positions; the returned trees are fresh.
 //
-// Safe for concurrent use: the pages come from the store's allocator
-// like any writer's, and are returned to it on every exit path —
-// success or error — so a failed spill no longer strands its pages
-// until shutdown.
-func (sn *Snapshot) SpillTrees(trees []*xmltree.Node) ([]*xmltree.Node, error) {
-	db := sn.db
+// Safe for concurrent use: the spool allocates from the store like any
+// writer and is closed on every exit path, success or error.
+func (sn *Snapshot) SpillTrees(trees []*xmltree.Node) (out []*xmltree.Node, err error) {
 	if len(trees) == 0 {
 		return nil, nil
 	}
-	heap, err := pagestore.NewHeap(db.st)
+	spool := sn.NewSpool()
+	defer func() {
+		if cerr := spool.Close(); cerr != nil && err == nil {
+			out, err = nil, cerr
+		}
+	}()
+	run, err := spool.NewRun()
 	if err != nil {
 		return nil, err
 	}
-	// Spill pages are written once and read back once; compressing them
-	// would cost a decompress on the read-back for no disk saving.
-	heap.SetRaw()
-	heap.Track()
-	defer func() {
-		pages := append([]pagestore.PageID{heap.FirstPage()}, heap.TakeTracked()...)
-		if db.st.FreePages(pages) == nil {
-			db.ing.spoolPagesFreed.Add(uint64(len(pages)))
-		}
-	}()
 
-	// Write: every record is encoded into one reused buffer, and the
-	// appender pins each page once while it fills.
-	app := heap.Appender()
-	defer app.Close() // before the pages are freed
+	// Write: every record is encoded into one reused buffer.
 	var buf []byte
 	records := 0
 	for i, tr := range trees {
@@ -56,7 +46,7 @@ func (sn *Snapshot) SpillTrees(trees []*xmltree.Node) ([]*xmltree.Node, error) {
 		var werr error
 		tr.Walk(func(n *xmltree.Node) bool {
 			buf = appendNodeRecord(buf[:0], n)
-			if _, werr = app.Append(buf); werr != nil {
+			if werr = run.Append(buf); werr != nil {
 				return false
 			}
 			records++
@@ -66,7 +56,6 @@ func (sn *Snapshot) SpillTrees(trees []*xmltree.Node) ([]*xmltree.Node, error) {
 			return nil, fmt.Errorf("storage: spill: %w", werr)
 		}
 	}
-	app.Close()
 
 	// Read back: records arrive in write order — tree by tree, each in
 	// document order — and decode straight into one node slab, tags
@@ -74,35 +63,36 @@ func (sn *Snapshot) SpillTrees(trees []*xmltree.Node) ([]*xmltree.Node, error) {
 	// each node's parent.
 	nodes := make([]xmltree.Node, records)
 	tags := make(map[string]string)
-	out := make([]*xmltree.Node, 0, len(trees))
+	out = make([]*xmltree.Node, 0, len(trees))
 	var stack []*xmltree.Node
 	read := 0
-	err = heap.Scan(func(_ pagestore.RID, b []byte) error {
+	cur := run.Open()
+	defer cur.Close() // before the spool frees the pages
+	for b, ok := cur.Next(); ok; b, ok = cur.Next() {
 		if read == records {
-			return errors.New("storage: spill read back more records than it wrote")
+			return nil, errors.New("storage: spill read back more records than it wrote")
 		}
 		n := &nodes[read]
 		read++
 		parentStart, err := decodeRecordNode(b, n, tags)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("storage: spill read-back: %w", err)
 		}
 		if parentStart == 0 {
 			out = append(out, n)
 			stack = append(stack[:0], n)
-			return nil
+			continue
 		}
 		for len(stack) > 0 && stack[len(stack)-1].Interval.End < n.Interval.Start {
 			stack = stack[:len(stack)-1]
 		}
 		if len(stack) == 0 {
-			return errors.New("storage: spill scan lost its ancestor stack")
+			return nil, errors.New("storage: spill read-back lost its ancestor stack")
 		}
 		stack[len(stack)-1].Append(n)
 		stack = append(stack, n)
-		return nil
-	})
-	if err != nil {
+	}
+	if err := cur.Close(); err != nil {
 		return nil, fmt.Errorf("storage: spill read-back: %w", err)
 	}
 	if len(out) != len(trees) || read != records {
