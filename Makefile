@@ -7,8 +7,13 @@ all: build
 build:
 	$(GO) build ./...
 
+# test and race pass -count=1: the Go test cache does not key on
+# GOMAXPROCS, so without it a local sweep over core counts
+# (GOMAXPROCS=1 make test, then GOMAXPROCS=4 make test) would run only
+# the first value and replay it from the cache for the rest. (CI runs
+# each matrix value on a fresh runner, so it was not affected.)
 test:
-	$(GO) test ./...
+	$(GO) test -count=1 ./...
 
 vet:
 	$(GO) vet ./...
@@ -25,7 +30,7 @@ vet:
 # reaches a rare interleaving only now and then (a flush racing a
 # scratch-page append showed up in about 1.5 % of single passes).
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 	$(GO) test -race -count=20 -run '^TestDebugEventsConcurrentHammer$$' ./cmd/timber-serve/
 	$(GO) test -race -count=20 -run '^(TestConcurrentIngestByteIdentity|TestSpoolCancellationHammer)$$' ./internal/exec/
 	$(GO) test -race -count=20 -run '^TestTwigBinaryConcurrentHammer$$' ./internal/match/

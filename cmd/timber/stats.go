@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 
 	"timber/internal/storage"
@@ -46,14 +45,14 @@ func (c *cli) stats(args []string) error {
 		}
 		fmt.Fprintf(c.stdout, "\ntags (%d):\n", len(tags))
 		for _, tag := range tags {
-			// Count by streaming the posting blocks rather than
+			// Count by summing the posting blocks rather than
 			// materializing the tag's whole list.
-			cur := sn.OpenTagCursor(tag)
+			s := sn.TagStream(tag)
 			n := 0
-			for _, ok := cur.Next(); ok; _, ok = cur.Next() {
-				n++
+			for b, ok := s.NextBlock(); ok; b, ok = s.NextBlock() {
+				n += len(b)
 			}
-			if err := errors.Join(cur.Err(), cur.Close()); err != nil {
+			if err := s.Close(); err != nil {
 				return err
 			}
 			fmt.Fprintf(c.stdout, "  %-24s %12d\n", tag, n)

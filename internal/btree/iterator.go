@@ -215,7 +215,7 @@ func (it *Iterator) PeekNextKey() ([]byte, bool) {
 // safe to call regardless (idempotent), and callers that may stop
 // early must call it (typically via defer) and check the error: a
 // failed release means the buffer pool's pin accounting is off, which
-// a later Truncate or DropCache would otherwise report far from the
+// a later FreePages or DropCache would otherwise report far from the
 // culprit.
 func (it *Iterator) Close() error {
 	it.release()

@@ -10,7 +10,7 @@ import (
 // page has already been unpinned behind its back, Close must return the
 // release error rather than report success (or panic the way
 // Store.Unpin would). Scans that fail this way used to look clean and
-// only blow up much later, at Truncate or DropCache, far from the
+// only blow up much later, at FreePages or DropCache, far from the
 // culprit.
 func TestIteratorCloseSurfacesReleaseError(t *testing.T) {
 	st, tr := testTree(t, 256)

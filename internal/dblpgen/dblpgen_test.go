@@ -123,14 +123,14 @@ func TestGenerateToDB(t *testing.T) {
 	}
 	sn := db.Snapshot()
 	defer sn.Close()
-	posts, err := sn.TagPostings("article")
+	posts, err := storage.Drain(sn.TagStream("article"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(posts) != stats.Articles {
 		t.Errorf("stored articles = %d, want %d", len(posts), stats.Articles)
 	}
-	aus, err := sn.TagPostings("author")
+	aus, err := storage.Drain(sn.TagStream("author"))
 	if err != nil {
 		t.Fatal(err)
 	}

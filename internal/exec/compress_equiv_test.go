@@ -75,7 +75,7 @@ func TestCompressedFormatEquivalence(t *testing.T) {
 	}
 	postings := 0
 	for _, tag := range tags {
-		ps, err := sn.TagPostings(tag)
+		ps, err := storage.Drain(sn.TagStream(tag))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -263,7 +263,7 @@ func directBatch(db *storage.Snapshot, spec Spec, o Options) (*Result, error) {
 // duplicate elimination: every basis posting from the tag index and one
 // value look-up each, in document order.
 func outerValues(db *storage.Snapshot, tag string, o Options, res *Result, sp *obs.Span) ([]string, error) {
-	posts, err := db.TagPostings(tag)
+	posts, err := storage.Drain(db.TagStream(tag))
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +289,7 @@ func outerValues(db *storage.Snapshot, tag string, o Options, res *Result, sp *o
 func joinPathPairs(db *storage.Snapshot, spec Spec, o Options, res *Result, sp *obs.Span) ([]storage.Posting, []pair, error) {
 	joinSp := sp.Child("sjoin: join path")
 	defer joinSp.End()
-	members, err := db.TagPostings(spec.MemberTag)
+	members, err := storage.Drain(db.TagStream(spec.MemberTag))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -134,7 +134,7 @@ type rankedStart struct {
 // scanned once, and so is each document's posting list of every join-,
 // value- and order-path tag — sequential index passes, independent of
 // the worker count. Beside them runs one value-range scan of the
-// grouping-basis tag (storage ScanValueRange): it yields the distinct
+// grouping-basis tag (storage ValueRangeStream): it yields the distinct
 // grouping values in byte order, so a value's rank is its position in
 // the scan, and after the barrier each document's basis postings take
 // their ranks (rankPostings). Each document's members are
@@ -150,7 +150,7 @@ type rankedStart struct {
 func runExchange(db *storage.Snapshot, spec Spec, ctx context.Context, workers, batchSize int, ops *opSet) (*exchange, error) {
 	ex := &exchange{}
 	scanCounts := ops.get("scan: member postings")
-	members, err := scanPostings(db.OpenTagCursor(spec.MemberTag))
+	members, err := storage.Drain(db.TagStream(spec.MemberTag))
 	if err != nil {
 		return nil, err
 	}
@@ -194,21 +194,25 @@ func runExchange(db *storage.Snapshot, spec Spec, ctx context.Context, workers, 
 	hits := make([][]rankedStart, len(docs))
 	if err := par.Do(ctx, len(lists)+1, workers, func(i int) error {
 		if i == 0 {
-			return db.ScanValueRange(basis, func(v string, ps []storage.Posting) error {
-				r := uint32(len(ex.names))
-				ex.names = append(ex.names, v)
+			// Consecutive blocks of equal content are one value.
+			s := db.ValueRangeStream(basis)
+			for ps, ok := s.NextBlock(); ok; ps, ok = s.NextBlock() {
+				if v := s.Value(); len(ex.names) == 0 || string(v) != ex.names[len(ex.names)-1] {
+					ex.names = append(ex.names, string(v))
+				}
+				r := uint32(len(ex.names) - 1)
 				ex.valuePostings += len(ps)
 				for _, p := range ps {
 					if d, ok := docIdx[p.Interval.Doc]; ok {
 						hits[d] = append(hits[d], rankedStart{p.Interval.Start, r})
 					}
 				}
-				return nil
-			})
+			}
+			return s.Close()
 		}
 		i--
 		doc := docs[i/len(tags)][0].Interval.Doc
-		ps, err := scanPostings(db.OpenTagDocCursor(tags[i%len(tags)], doc))
+		ps, err := storage.Drain(db.TagDocStream(tags[i%len(tags)], doc))
 		lists[i] = ps
 		return err
 	}); err != nil {
@@ -381,23 +385,6 @@ func (ex *exchange) mergeFallback(frs []*fragResult) {
 			}
 		}
 	}
-}
-
-// scanPostings drains and closes a tag cursor.
-func scanPostings(cur *storage.TagCursor) ([]storage.Posting, error) {
-	var ps []storage.Posting
-	for {
-		p, ok := cur.Next()
-		if !ok {
-			break
-		}
-		ps = append(ps, p)
-	}
-	err := cur.Err()
-	if cerr := cur.Close(); err == nil {
-		err = cerr
-	}
-	return ps, err
 }
 
 // postingWindow returns the bounds [i, j) of the postings of one

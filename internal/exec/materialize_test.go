@@ -56,7 +56,7 @@ func TestSinkFetchesEachTitlePageOnce(t *testing.T) {
 	db := sinkDB(t)
 	_, _, spec := plansFor(t, query1Src)
 	sn := pin(t, db)
-	titles, err := sn.TagPostings("title")
+	titles, err := storage.Drain(sn.TagStream("title"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSinkFlushesAtStageLimit(t *testing.T) {
 	db := sinkDB(t)
 	_, _, spec := plansFor(t, query1Src)
 	sn := pin(t, db)
-	titles, err := sn.TagPostings("title")
+	titles, err := storage.Drain(sn.TagStream("title"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSinkCancelDuringFlush(t *testing.T) {
 	db := sinkDB(t)
 	_, _, spec := plansFor(t, query1Src)
 	sn := pin(t, db)
-	titles, err := sn.TagPostings("title")
+	titles, err := storage.Drain(sn.TagStream("title"))
 	if err != nil {
 		t.Fatal(err)
 	}

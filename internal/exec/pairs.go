@@ -39,7 +39,7 @@ func pathPairs(ctx context.Context, db *storage.Snapshot, members []storage.Post
 	}
 	for _, st := range path {
 		stepSp := sp.Child("sjoin: step " + st.Tag)
-		next, err := db.TagPostings(st.Tag)
+		next, err := storage.Drain(db.TagStream(st.Tag))
 		if err != nil {
 			stepSp.End()
 			return nil, err

@@ -183,7 +183,7 @@ func TestConcurrentReaders(t *testing.T) {
 		go func(g int) {
 			done <- func() error {
 				for i := 0; i < 5; i++ {
-					members, err := sn.TagPostings(spec.MemberTag)
+					members, err := storage.Drain(sn.TagStream(spec.MemberTag))
 					if err != nil {
 						return err
 					}

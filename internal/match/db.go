@@ -315,27 +315,10 @@ func docSegment(posts []storage.Posting, doc xmltree.DocID) []storage.Posting {
 // node, preferring index-only access paths.
 func candidates(db *storage.Snapshot, pn *pattern.Node, stats *DBStats) ([]storage.Posting, error) {
 	tag := pn.TagConstraint()
-	var posts []storage.Posting
-	var covered []pattern.Predicate // predicates the access path has answered
-	switch {
-	case tag != "" && contentEqOf(pn) != nil && db.HasValueIndex():
-		ceq := contentEqOf(pn)
-		var err error
-		posts, err = db.ValuePostings(tag, ceq.Value)
-		if err != nil {
-			return nil, err
-		}
-		covered = []pattern.Predicate{pattern.TagEq{Tag: tag}, *ceq}
-	case tag != "":
-		var err error
-		posts, err = db.TagPostings(tag)
-		if err != nil {
-			return nil, err
-		}
-		covered = []pattern.Predicate{pattern.TagEq{Tag: tag}}
-	default:
+	if tag == "" {
 		// No index applies: scan every document (the paper's "simplest
 		// way ... scan the entire database" fallback).
+		var posts []storage.Posting
 		for _, d := range db.Documents() {
 			err := db.ScanDocument(d.ID, func(rec *storage.NodeRecord) error {
 				if pn.NodeMatches(recFields{rec}) {
@@ -357,6 +340,11 @@ func candidates(db *storage.Snapshot, pn *pattern.Node, stats *DBStats) ([]stora
 		stats.PostingsScanned += len(posts)
 		return posts, nil
 	}
+	src, covered := openPostings(db, pn)
+	posts, err := storage.Drain(src)
+	if err != nil {
+		return nil, err
+	}
 	stats.Candidates += len(posts)
 	stats.PostingsScanned += len(posts)
 
@@ -377,6 +365,20 @@ func candidates(db *storage.Snapshot, pn *pattern.Node, stats *DBStats) ([]stora
 		}
 	}
 	return filtered, nil
+}
+
+// openPostings opens the index stream of a tagged pattern node: the
+// (tag, value) stream when the node pins its content and the value
+// index holds that content, else the tag stream. covered lists the
+// predicates the stream answers; the rest are checked on the records.
+func openPostings(db *storage.Snapshot, pn *pattern.Node) (*storage.PostingStream, []pattern.Predicate) {
+	tag := pn.TagConstraint()
+	if ceq := contentEqOf(pn); ceq != nil {
+		if s, ok := db.ValueStream(tag, ceq.Value); ok {
+			return s, []pattern.Predicate{pattern.TagEq{Tag: tag}, *ceq}
+		}
+	}
+	return db.TagStream(tag), []pattern.Predicate{pattern.TagEq{Tag: tag}}
 }
 
 func contentEqOf(pn *pattern.Node) *pattern.ContentEq {

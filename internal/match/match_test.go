@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -192,6 +193,60 @@ func TestMatchDBValueIndexPath(t *testing.T) {
 	}
 	if stats.RecordFilterFetches != 0 {
 		t.Errorf("value-index path should not fetch records, got %d", stats.RecordFilterFetches)
+	}
+}
+
+// TestMatchContentEqBeyondValueIndex: a content-equality predicate on
+// content the value index does not hold (over 512 bytes) is answered
+// from the tag postings plus a record check. Both matchers, with and
+// without a value index, give the same witnesses.
+func TestMatchContentEqBeyondValueIndex(t *testing.T) {
+	long, edge := strings.Repeat("L", 600), strings.Repeat("E", 512)
+	doc := func() *xmltree.Node {
+		return xmltree.E("dblp",
+			xmltree.E("article", xmltree.Elem("title", long)),
+			xmltree.E("article", xmltree.Elem("title", "short")),
+			xmltree.E("article", xmltree.Elem("title", edge)),
+			xmltree.E("article", xmltree.Elem("title", long)))
+	}
+	type witness struct{ article, title xmltree.Interval }
+	for _, tc := range []struct {
+		value string
+		want  int
+	}{{long, 2}, {edge, 1}, {"short", 1}, {strings.Repeat("L", 513), 0}} {
+		pr := pattern.NewNode("$1", pattern.TagEq{Tag: "article"})
+		pr.AddChild(pattern.Child, pattern.NewNode("$2",
+			pattern.TagEq{Tag: "title"}, pattern.ContentEq{Value: tc.value}))
+		pt := pattern.MustTree(pr)
+		var ref []witness
+		for _, noValueIndex := range []bool{false, true} {
+			db, err := storage.CreateTemp(storage.Options{PageSize: 4096, PoolPages: 64, NoValueIndex: noValueIndex})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if _, err := db.LoadDocument("dblp", doc()); err != nil {
+				t.Fatal(err)
+			}
+			for _, kind := range []MatcherKind{MatcherBinary, MatcherTwig} {
+				ws, _, err := matchPinned(db, pt, kind, 1)
+				if err != nil {
+					t.Fatalf("%d-byte value, %s, no value index %v: %v", len(tc.value), kind, noValueIndex, err)
+				}
+				var got []witness
+				for _, w := range ws {
+					got = append(got, witness{w["$1"].Interval, w["$2"].Interval})
+				}
+				if len(got) != tc.want {
+					t.Errorf("%d-byte value, %s, no value index %v: %d witnesses, want %d", len(tc.value), kind, noValueIndex, len(got), tc.want)
+				}
+				if ref == nil {
+					ref = got
+				} else if !reflect.DeepEqual(got, ref) {
+					t.Errorf("%d-byte value, %s, no value index %v: witnesses %v, want %v", len(tc.value), kind, noValueIndex, got, ref)
+				}
+			}
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // pattern node whose entries encode the partial root-to-leaf paths
 // discovered so far. Per-node candidate lists are never materialized —
 // the streams are consumed in a single coordinated document-order pass,
-// with three skip mechanisms feeding TagCursor.Seek:
+// with three skip mechanisms feeding PostingStream.Seek:
 //
 //   - document alignment: all streams fast-forward to the next document
 //     every stream can inhabit (whole posting blocks of skipped
@@ -51,14 +51,14 @@ type stackEntry struct {
 	ptr  int
 }
 
-// twigStream is one pattern node's posting source: a tag-index cursor
-// (value-index postings for content-pinned nodes are served from a
-// slice; both look the same to the matcher), with residual predicates
+// twigStream is one pattern node's posting source: an index stream
+// (the tag stream, or the (tag, value) stream of a content-pinned
+// node) and the block it last returned, with residual predicates
 // applied on pull.
 type twigStream struct {
-	cur   *storage.TagCursor // nil when posts is the source
-	posts []storage.Posting  // value-index (or test) postings
-	pos   int
+	src   *storage.PostingStream
+	blk   []storage.Posting   // the block src last returned
+	pos   int                 // blk[pos] is the next unread posting
 	rest  []pattern.Predicate // predicates needing the node record
 	db    *storage.Snapshot
 	stats *DBStats
@@ -73,28 +73,22 @@ type twigStream struct {
 // into head; ok goes false at end of stream.
 func (s *twigStream) advance() {
 	for {
-		var p storage.Posting
-		if s.cur != nil {
-			var ok bool
-			p, ok = s.cur.Next()
-			d := s.cur.PostingsDecoded()
+		if s.pos == len(s.blk) {
+			blk, ok := s.src.NextBlock()
+			d := s.src.Decoded()
 			s.stats.PostingsScanned += d - s.prevDecoded
 			s.prevDecoded = d
 			if !ok {
 				s.ok = false
-				if err := s.cur.Err(); err != nil && s.err == nil {
+				if err := s.src.Err(); err != nil && s.err == nil {
 					s.err = err
 				}
 				return
 			}
-		} else {
-			if s.pos >= len(s.posts) {
-				s.ok = false
-				return
-			}
-			p = s.posts[s.pos]
-			s.pos++
+			s.blk, s.pos = blk, 0
 		}
+		p := s.blk[s.pos]
+		s.pos++
 		s.stats.Candidates++
 		if len(s.rest) > 0 {
 			rec, err := s.db.GetNodeAt(p.RID)
@@ -115,7 +109,9 @@ func (s *twigStream) advance() {
 }
 
 // seekTo fast-forwards the stream so head is the first posting at or
-// after (doc, start); a head already there is kept (never rewinds).
+// after (doc, start); a head already there is kept (never rewinds). A
+// target inside the held block is a reposition; past it, the index
+// stream seeks, skipping whole blocks undecoded.
 func (s *twigStream) seekTo(doc xmltree.DocID, start uint32) {
 	if !s.ok {
 		return
@@ -124,21 +120,22 @@ func (s *twigStream) seekTo(doc xmltree.DocID, start uint32) {
 	if iv.Doc > doc || (iv.Doc == doc && iv.Start >= start) {
 		return
 	}
-	if s.cur != nil {
-		s.cur.Seek(doc, start)
-	} else {
-		s.pos += sort.Search(len(s.posts)-s.pos, func(i int) bool {
-			iv := s.posts[s.pos+i].Interval
-			return iv.Doc > doc || (iv.Doc == doc && iv.Start >= start)
-		})
+	rest := s.blk[s.pos:]
+	i := sort.Search(len(rest), func(i int) bool {
+		iv := rest[i].Interval
+		return iv.Doc > doc || (iv.Doc == doc && iv.Start >= start)
+	})
+	s.pos += i
+	if i == len(rest) {
+		s.src.Seek(doc, start)
 	}
 	s.advance()
 }
 
 func (s *twigStream) close() {
-	if s.cur != nil {
-		s.cur.Close()
-		s.cur = nil
+	if s.src != nil {
+		s.src.Close()
+		s.src = nil
 	}
 }
 
@@ -225,22 +222,9 @@ func openTwig(db *storage.Snapshot, pt *pattern.Tree) (*twigMatcher, error) {
 	}
 
 	for i, pn := range order {
-		tag := pn.TagConstraint()
 		s := &twigStream{db: db, stats: stats}
 		var covered []pattern.Predicate
-		if ceq := contentEqOf(pn); ceq != nil && db.HasValueIndex() {
-			posts, err := db.ValuePostings(tag, ceq.Value)
-			if err != nil {
-				m.closeStreams()
-				return nil, err
-			}
-			s.posts = posts
-			stats.PostingsScanned += len(posts)
-			covered = []pattern.Predicate{pattern.TagEq{Tag: tag}, *ceq}
-		} else {
-			s.cur = db.OpenTagCursor(tag)
-			covered = []pattern.Predicate{pattern.TagEq{Tag: tag}}
-		}
+		s.src, covered = openPostings(db, pn)
 		s.rest = remaining(pn.Preds, covered)
 		m.streams[i] = s
 		s.advance()

@@ -314,12 +314,12 @@ type shard struct {
 // Store is a paged file with a sharded buffer pool. It is safe for
 // concurrent use by multiple goroutines: each page operation takes only
 // its shard's lock, disk I/O uses positioned reads/writes, and the
-// counters are atomic. Whole-pool operations (DropCache, Truncate,
-// Flush, Close) lock every shard. Flush and Close write committed pages
+// counters are atomic. Whole-pool operations (DropCache, Flush, Close)
+// lock every shard. Flush and Close write committed pages
 // only: while they run, a committed page may change only under the
 // caller's writer lock, and a scratch heap's appender (NewScratchHeap)
-// may keep filling its pinned tail. DropCache and Truncate must not
-// race with writers.
+// may keep filling its pinned tail. DropCache must not race with
+// writers.
 type Store struct {
 	file     File
 	opts     Options
@@ -669,10 +669,9 @@ func (s *Store) allocShard(sh *shard, id PageID, reused bool, class pageClass) (
 // from the pool without write-back, their page class is cleared,
 // and the IDs become available for reuse. IDs that form a contiguous
 // run at the file tail (counting previously freed pages) shorten the
-// file, so pure-scratch workloads release disk exactly as the old
-// Truncate-based reclaim did; interior IDs go on the in-memory free
-// list and are handed out again by Allocate. It fails without freeing
-// anything if any of the pages is pinned.
+// file, so pure-scratch workloads give their disk back; interior IDs
+// go on the in-memory free list and are handed out again by Allocate.
+// It fails without freeing anything if any of the pages is pinned.
 func (s *Store) FreePages(ids []PageID) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -1132,56 +1131,6 @@ func (s *Store) extendFile() error {
 	if err := s.file.Truncate(want); err != nil {
 		return fmt.Errorf("pagestore: extend: %w", err)
 	}
-	return nil
-}
-
-// Truncate releases every page with ID >= keep: their frames are
-// dropped from the pool without write-back and the file is shortened.
-// It fails if any such page is pinned. Query evaluation uses it to
-// reclaim temporary pages (materialized intermediate collections) after
-// a run.
-func (s *Store) Truncate(keep uint32) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	s.allocMu.Lock()
-	defer s.allocMu.Unlock()
-	s.lockAll()
-	defer s.unlockAll()
-	if keep > s.numPages.Load() {
-		return fmt.Errorf("pagestore: truncate to %d beyond %d pages", keep, s.numPages.Load())
-	}
-	for i := range s.shards {
-		for id, fr := range s.shards[i].frames {
-			if uint32(id) < keep {
-				continue
-			}
-			if fr.pins > 0 {
-				return fmt.Errorf("pagestore: truncate: page %d still pinned", id)
-			}
-		}
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for id, fr := range sh.frames {
-			if uint32(id) < keep {
-				continue
-			}
-			if fr.lruElem != nil {
-				sh.lru.Remove(fr.lruElem)
-			}
-			delete(sh.frames, id)
-		}
-	}
-	if err := s.file.Truncate(int64(keep) * int64(s.opts.PageSize)); err != nil {
-		return fmt.Errorf("pagestore: truncate: %w", err)
-	}
-	// Truncated ids may be reallocated for different purposes; drop
-	// their classes so a reused id starts with the default policy, and
-	// forget free-list entries past the cut.
-	s.dropClassesFrom(keep)
-	s.freeList = slices.DeleteFunc(s.freeList, func(id PageID) bool { return uint32(id) >= keep })
-	s.numPages.Store(keep)
 	return nil
 }
 

@@ -75,117 +75,63 @@ func (sn *Snapshot) Content(p Posting) (string, error) {
 	return rec.Content, nil
 }
 
-// TagPostings returns the postings of every node with the given tag, in
-// document order (doc, then start). This is the tag-name index access
-// the paper's experiments use ("given a tag, we could efficiently list
-// (by node identifier) all nodes with that tag").
-func (sn *Snapshot) TagPostings(tag string) ([]Posting, error) {
-	prefix := tagPrefix(tag)
-	var out []Posting
-	var inner error
-	err := sn.tagIdx.ScanPrefix(prefix, func(k, v []byte) bool {
-		out, inner = appendBlockPostings(out, k[len(k)-8:], v)
-		return inner == nil
-	})
-	if err != nil {
-		return nil, err
+// ContentsBatch populates out[i] with the stored content of ps[i] for a
+// whole batch of postings in one call — the late-materialization access
+// path of the streaming executor. Consecutive postings on the same heap
+// page share a single buffer-pool fetch (the page stays pinned across
+// them), so a batch of output rows clustered in document order costs
+// far fewer fetches than len(ps) individual Content calls. out must
+// have len(ps) slots.
+func (sn *Snapshot) ContentsBatch(ps []Posting, out []string) error {
+	st := sn.db.st
+	for i := 0; i < len(ps); {
+		j := i + 1
+		for j < len(ps) && ps[j].RID.Page == ps[i].RID.Page {
+			j++
+		}
+		p, err := st.Fetch(ps[i].RID.Page)
+		if err != nil {
+			return err
+		}
+		sp := pagestore.ViewSlotted(p)
+		for k := i; k < j; k++ {
+			b, rerr := sp.Read(ps[k].RID.Slot)
+			if rerr != nil {
+				st.Unpin(p, false)
+				return rerr
+			}
+			content, derr := recordContentCompact(b)
+			if derr != nil {
+				st.Unpin(p, false)
+				return derr
+			}
+			out[k] = content
+		}
+		st.Unpin(p, false)
+		i = j
 	}
-	if inner != nil {
-		return nil, inner
-	}
-	return out, nil
+	return nil
 }
 
-// TagPostings is the pin-per-call form of Snapshot.TagPostings.
+// ContentsBatch is the pin-per-call form of Snapshot.ContentsBatch.
+//
+// Deprecated: only the benchmark harness calls it; ROADMAP item 2(a)
+// moves the harness onto a Snapshot and then deletes this method.
+func (db *DB) ContentsBatch(ps []Posting, out []string) error {
+	sn := db.Snapshot()
+	defer sn.Close()
+	return sn.ContentsBatch(ps, out)
+}
+
+// TagPostings pins a snapshot and drains its TagStream over tag: every
+// posting of tag in document order.
 //
 // Deprecated: only the benchmark harness calls it; ROADMAP item 2(a)
 // moves the harness onto a Snapshot and then deletes this method.
 func (db *DB) TagPostings(tag string) ([]Posting, error) {
 	sn := db.Snapshot()
 	defer sn.Close()
-	return sn.TagPostings(tag)
-}
-
-// ValuePostings returns the postings of nodes with the given tag whose
-// content equals content exactly, using the value index. It returns an
-// error if the database was created without a value index or the content
-// exceeds the indexable length.
-func (sn *Snapshot) ValuePostings(tag, content string) ([]Posting, error) {
-	if sn.valIdx == nil {
-		return nil, errors.New("storage: no value index")
-	}
-	if len(content) > maxIndexedContent {
-		return nil, fmt.Errorf("storage: content of %d bytes exceeds indexable length %d", len(content), maxIndexedContent)
-	}
-	prefix := valuePrefix(tag, content)
-	var out []Posting
-	var inner error
-	err := sn.valIdx.ScanPrefix(prefix, func(k, v []byte) bool {
-		out, inner = appendBlockPostings(out, k[len(k)-8:], v)
-		return inner == nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if inner != nil {
-		return nil, inner
-	}
-	return out, nil
-}
-
-// ScanValueRange walks the value index's prefix tag\0 — every indexed
-// content of tag's elements — and calls fn once per distinct content,
-// in byte order (strings.Compare), with that content's postings in
-// (doc, start) order. The postings slice is reused after fn returns.
-// An error from fn stops the scan and is returned.
-//
-// The scan covers only what the value index holds: elements with empty
-// content or content longer than maxIndexedContent are absent, and so
-// is content containing NUL (the key separator, which would put it out
-// of byte order). Without a value index the scan covers nothing and fn
-// is never called.
-func (sn *Snapshot) ScanValueRange(tag string, fn func(value string, ps []Posting) error) error {
-	if sn.valIdx == nil {
-		return nil
-	}
-	prefix := tagPrefix(tag)
-	var (
-		cur   []byte
-		ps    []Posting
-		inner error
-	)
-	flush := func() {
-		if len(ps) > 0 {
-			inner = fn(string(cur), ps)
-		}
-		ps = ps[:0]
-	}
-	err := sn.valIdx.ScanPrefix(prefix, func(k, v []byte) bool {
-		// tag, 0x00, content, 0x00, doc be32, start be32
-		if len(k) < len(prefix)+9 || k[len(k)-9] != 0 {
-			inner = fmt.Errorf("%w: value-index key of %d bytes", errCorruptBlock, len(k))
-			return false
-		}
-		content := k[len(prefix) : len(k)-9]
-		if bytes.IndexByte(content, 0) >= 0 {
-			return true
-		}
-		if !bytes.Equal(content, cur) {
-			if flush(); inner != nil {
-				return false
-			}
-			cur = append(cur[:0], content...)
-		}
-		ps, inner = appendBlockPostings(ps, k[len(k)-8:], v)
-		return inner == nil
-	})
-	if err != nil {
-		return err
-	}
-	if inner == nil {
-		flush()
-	}
-	return inner
+	return Drain(sn.TagStream(tag))
 }
 
 // ScanRange calls fn for every node of doc whose start number lies in

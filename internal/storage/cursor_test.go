@@ -4,14 +4,54 @@ import (
 	"reflect"
 	"testing"
 
+	"timber/internal/btree"
 	"timber/internal/paperdata"
 	"timber/internal/xmltree"
 )
 
-// TestTagCursorMatchesTagPostings pins the streaming scan against the
-// materializing one: pulling a TagCursor to exhaustion yields exactly
-// the TagPostings slice, and the per-document variant yields exactly
-// that document's contiguous segment.
+// indexPostings is the reference decode of one index key prefix: every
+// cell's block, in key order, through ScanPrefix.
+func indexPostings(t *testing.T, tree *btree.Tree, prefix []byte) []Posting {
+	t.Helper()
+	var out []Posting
+	var inner error
+	if err := tree.ScanPrefix(prefix, func(k, v []byte) bool {
+		out, inner = appendBlockPostings(out, k[len(k)-8:], v)
+		return inner == nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if inner != nil {
+		t.Fatal(inner)
+	}
+	return out
+}
+
+// blocks reads a stream block by block to the end and closes it,
+// checking that no block is empty.
+func blocks(t *testing.T, s *PostingStream) []Posting {
+	t.Helper()
+	var out []Posting
+	for {
+		b, ok := s.NextBlock()
+		if !ok {
+			break
+		}
+		if len(b) == 0 {
+			t.Fatal("stream returned an empty block")
+		}
+		out = append(out, b...)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestTagCursorMatchesTagPostings pins the posting stream against the
+// index: reading a TagStream block by block, or draining it, yields
+// exactly the decoded cells of the tag's key prefix, and the
+// per-document form yields exactly that document's contiguous segment.
 func TestTagCursorMatchesTagPostings(t *testing.T) {
 	db := testDB(t, Options{})
 	docs := []*xmltree.Node{paperdata.SampleDatabase(), paperdata.TransactionArticles()}
@@ -22,46 +62,30 @@ func TestTagCursorMatchesTagPostings(t *testing.T) {
 	}
 	sn := pin(t, db)
 	for _, tag := range []string{"author", "article", "title", "nonexistent"} {
-		want, err := sn.TagPostings(tag)
+		want := indexPostings(t, sn.tagIdx, tagPrefix(tag))
+		if got := blocks(t, sn.TagStream(tag)); !reflect.DeepEqual(got, want) {
+			t.Errorf("tag %q: stream yielded %d postings, index %d", tag, len(got), len(want))
+		}
+		got, err := Drain(sn.TagStream(tag))
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := sn.OpenTagCursor(tag)
-		var got []Posting
-		for {
-			p, ok := c.Next()
-			if !ok {
-				break
-			}
-			got = append(got, p)
-		}
-		if err := c.Close(); err != nil {
-			t.Fatalf("cursor close (%s): %v", tag, err)
-		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("tag %q: cursor yielded %d postings, TagPostings %d", tag, len(got), len(want))
+			t.Errorf("tag %q: Drain yielded %d postings, index %d", tag, len(got), len(want))
 		}
 
 		// Per-document segments concatenate back to the full list.
 		var byDoc []Posting
 		for d := 1; d <= len(docs); d++ {
-			dc := sn.OpenTagDocCursor(tag, xmltree.DocID(d))
-			for {
-				p, ok := dc.Next()
-				if !ok {
-					break
-				}
+			for _, p := range blocks(t, sn.TagDocStream(tag, xmltree.DocID(d))) {
 				if p.Interval.Doc != xmltree.DocID(d) {
-					t.Fatalf("doc cursor for %d yielded posting of doc %d", d, p.Interval.Doc)
+					t.Fatalf("doc stream for %d yielded posting of doc %d", d, p.Interval.Doc)
 				}
 				byDoc = append(byDoc, p)
 			}
-			if err := dc.Close(); err != nil {
-				t.Fatalf("doc cursor close: %v", err)
-			}
 		}
 		if !reflect.DeepEqual(byDoc, want) {
-			t.Errorf("tag %q: per-doc cursors yielded %d postings, want %d", tag, len(byDoc), len(want))
+			t.Errorf("tag %q: per-doc streams yielded %d postings, want %d", tag, len(byDoc), len(want))
 		}
 	}
 }
@@ -70,23 +94,23 @@ func roots(i int) string {
 	return []string{"bib.xml", "tods.xml"}[i]
 }
 
-// TestTagCursorEarlyClose verifies an abandoned cursor releases its pin
-// (DropCache would fail otherwise).
+// TestTagCursorEarlyClose verifies an abandoned stream releases its
+// pinned index page (DropCache would fail otherwise).
 func TestTagCursorEarlyClose(t *testing.T) {
 	db := testDB(t, Options{})
 	if _, err := db.LoadDocument("bib.xml", paperdata.SampleDatabase()); err != nil {
 		t.Fatal(err)
 	}
 	sn := pin(t, db)
-	c := sn.OpenTagCursor("author")
-	if _, ok := c.Next(); !ok {
-		t.Fatal("no first posting")
+	s := sn.TagStream("author")
+	if _, ok := s.NextBlock(); !ok {
+		t.Fatal("no first block")
 	}
-	if err := c.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	if err := db.DropCache(); err != nil {
-		t.Fatalf("drop cache after cursor close: %v", err)
+		t.Fatalf("drop cache after stream close: %v", err)
 	}
 }
 
@@ -100,7 +124,7 @@ func TestContentsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn := pin(t, db)
-	ps, err := sn.TagPostings("title")
+	ps, err := Drain(sn.TagStream("title"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestOpenSniffsFormat(t *testing.T) {
 		defer db.Close()
 		sn := db.Snapshot()
 		defer sn.Close()
-		ps, err := sn.TagPostings("author")
+		ps, err := Drain(sn.TagStream("author"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestOpenSniffsFormat(t *testing.T) {
 		if err != nil || content != "A" {
 			t.Fatalf("Content = %q, %v", content, err)
 		}
-		vp, err := sn.ValuePostings("author", "A")
+		vp, err := valuePostings(sn, "author", "A")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestIncrementalSecondDocument(t *testing.T) {
 	}
 	sn := db.Snapshot()
 	defer sn.Close()
-	ps, err := sn.TagPostings("author")
+	ps, err := Drain(sn.TagStream("author"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,24 +166,18 @@ func TestIncrementalSecondDocument(t *testing.T) {
 			t.Fatalf("postings out of document order at %d: %+v then %+v", i, a, b)
 		}
 	}
-	// Per-document cursor sees only its document.
-	c := sn.OpenTagDocCursor("author", xmltree.DocID(2))
-	n := 0
-	for {
-		p, ok := c.Next()
-		if !ok {
-			break
-		}
-		if p.Interval.Doc != 2 {
-			t.Fatalf("doc cursor returned doc %d", p.Interval.Doc)
-		}
-		n++
-	}
-	if err := c.Close(); err != nil {
+	// The per-document stream sees only its document.
+	doc2, err := Drain(sn.TagDocStream("author", xmltree.DocID(2)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
-		t.Fatalf("doc cursor saw %d postings, want 3", n)
+	for _, p := range doc2 {
+		if p.Interval.Doc != 2 {
+			t.Fatalf("doc stream returned doc %d", p.Interval.Doc)
+		}
+	}
+	if len(doc2) != 3 {
+		t.Fatalf("doc stream saw %d postings, want 3", len(doc2))
 	}
 }
 

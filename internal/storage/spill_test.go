@@ -46,7 +46,7 @@ func TestSpillTreesRoundTrip(t *testing.T) {
 		t.Errorf("temporary pages not released: %d -> %d", before, db.NumPages())
 	}
 	// The base data is untouched.
-	posts, err := sn.TagPostings("author")
+	posts, err := Drain(sn.TagStream("author"))
 	if err != nil || len(posts) != 5 {
 		t.Errorf("base data damaged: %d postings, %v", len(posts), err)
 	}
@@ -87,11 +87,11 @@ func TestBulkVsIncrementalLoadEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn := pin(t, db)
-	posts, err := sn.TagPostings("author")
+	posts, err := Drain(sn.TagStream("author"))
 	if err != nil || len(posts) != 10 {
 		t.Fatalf("authors across bulk+incremental = %d, %v", len(posts), err)
 	}
-	vj, err := sn.ValuePostings("author", "Jack")
+	vj, err := valuePostings(sn, "author", "Jack")
 	if err != nil || len(vj) != 4 {
 		t.Fatalf("Jack postings = %d, %v", len(vj), err)
 	}

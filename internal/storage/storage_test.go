@@ -43,6 +43,16 @@ func pin(t testing.TB, db *DB) *Snapshot {
 	return sn
 }
 
+// valuePostings drains the (tag, value) stream; it fails when the
+// value index cannot answer.
+func valuePostings(sn *Snapshot, tag, value string) ([]Posting, error) {
+	s, ok := sn.ValueStream(tag, value)
+	if !ok {
+		return nil, fmt.Errorf("no value stream for %s=%q", tag, value)
+	}
+	return Drain(s)
+}
+
 // encodeRecord is the stored form of r: the tree node r describes,
 // under a stub parent carrying r.ParentStart.
 func encodeRecord(r *NodeRecord) []byte {
@@ -151,7 +161,7 @@ func TestTagPostingsSortedAndComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn := pin(t, db)
-	posts, err := sn.TagPostings("author")
+	posts, err := Drain(sn.TagStream("author"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +177,7 @@ func TestTagPostingsSortedAndComplete(t *testing.T) {
 			t.Errorf("postings not in document order at %d", i)
 		}
 	}
-	empty, err := sn.TagPostings("nonexistent")
+	empty, err := Drain(sn.TagStream("nonexistent"))
 	if err != nil || len(empty) != 0 {
 		t.Errorf("nonexistent tag: %v, %v", empty, err)
 	}
@@ -180,7 +190,7 @@ func TestTagPostingsNoPrefixBleed(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn := pin(t, db)
-	posts, err := sn.TagPostings("author")
+	posts, err := Drain(sn.TagStream("author"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +206,7 @@ func TestValuePostings(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn := pin(t, db)
-	posts, err := sn.ValuePostings("author", "Jack")
+	posts, err := valuePostings(sn, "author", "Jack")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +222,13 @@ func TestValuePostings(t *testing.T) {
 			t.Errorf("posting resolves to %+v", rec)
 		}
 	}
-	if got, _ := sn.ValuePostings("author", "Nobody"); len(got) != 0 {
+	if got, _ := valuePostings(sn, "author", "Nobody"); len(got) != 0 {
 		t.Errorf("Nobody postings = %d", len(got))
 	}
-	if _, err := sn.ValuePostings("author", strings.Repeat("x", maxIndexedContent+1)); err == nil {
-		t.Error("overlong content should be rejected")
+	for _, v := range []string{"", strings.Repeat("x", maxIndexedContent+1), "Ja\x00ck"} {
+		if _, ok := sn.ValueStream("author", v); ok {
+			t.Errorf("value stream opened for %d-byte content the index does not hold", len(v))
+		}
 	}
 }
 
@@ -229,13 +241,13 @@ func TestNoValueIndex(t *testing.T) {
 	if db.HasValueIndex() {
 		t.Error("HasValueIndex should be false")
 	}
-	if _, err := sn.ValuePostings("author", "Jack"); err == nil {
-		t.Error("ValuePostings without index should fail")
+	if _, ok := sn.ValueStream("author", "Jack"); ok {
+		t.Error("ValueStream without index should not open")
 	}
 	// Tag postings still work.
-	posts, err := sn.TagPostings("author")
+	posts, err := Drain(sn.TagStream("author"))
 	if err != nil || len(posts) != 5 {
-		t.Errorf("TagPostings = %d, %v", len(posts), err)
+		t.Errorf("tag postings = %d, %v", len(posts), err)
 	}
 }
 
@@ -245,7 +257,7 @@ func TestContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn := pin(t, db)
-	posts, err := sn.TagPostings("title")
+	posts, err := Drain(sn.TagStream("title"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +410,7 @@ func TestMultipleDocuments(t *testing.T) {
 		t.Error("DocumentByName(none) should miss")
 	}
 	// Postings stay per-document-disjoint but are returned merged by tag.
-	posts, err := sn.TagPostings("article")
+	posts, err := Drain(sn.TagStream("article"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +426,7 @@ func TestLoadXML(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn := pin(t, db)
-	posts, err := sn.TagPostings("a")
+	posts, err := Drain(sn.TagStream("a"))
 	if err != nil || len(posts) != 2 {
 		t.Fatalf("a postings = %d, %v", len(posts), err)
 	}
@@ -459,7 +471,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if !xmltree.Equal(got, root) {
 		t.Error("document differs after reopen")
 	}
-	posts, err := sn.TagPostings("author")
+	posts, err := Drain(sn.TagStream("author"))
 	if err != nil || len(posts) != 5 {
 		t.Errorf("author postings after reopen = %d, %v", len(posts), err)
 	}
@@ -537,7 +549,7 @@ func TestConcurrentReaders(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				switch (g + i) % 3 {
 				case 0:
-					posts, err := sn.TagPostings("author")
+					posts, err := Drain(sn.TagStream("author"))
 					if err != nil || len(posts) != 5 {
 						errc <- fmt.Errorf("postings: %d, %v", len(posts), err)
 						return

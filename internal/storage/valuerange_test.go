@@ -18,28 +18,45 @@ type valuePair struct {
 	posting Posting
 }
 
-// scanPairs drains ScanValueRange into pairs, checking that each
-// distinct content arrives once, in strictly ascending byte order.
+// valueGroups reads a value-range stream to the end, merging
+// consecutive blocks of equal content into one group per distinct
+// content, and checks that the contents arrive in strictly ascending
+// byte order, each once.
+func valueGroups(t *testing.T, s *PostingStream) (values []string, groups [][]Posting) {
+	t.Helper()
+	for {
+		b, ok := s.NextBlock()
+		if !ok {
+			break
+		}
+		if len(b) == 0 {
+			t.Fatal("stream returned an empty block")
+		}
+		v := string(s.Value())
+		if n := len(values); n == 0 || v != values[n-1] {
+			if n > 0 && v < values[n-1] {
+				t.Fatalf("value %q after %q: not strictly ascending", v, values[n-1])
+			}
+			values = append(values, v)
+			groups = append(groups, nil)
+		}
+		groups[len(groups)-1] = append(groups[len(groups)-1], b...)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return values, groups
+}
+
+// scanPairs drains a tag's value-range stream into pairs.
 func scanPairs(t *testing.T, r *Snapshot, tag string) []valuePair {
 	t.Helper()
 	var out []valuePair
-	var last string
-	first := true
-	err := r.ScanValueRange(tag, func(v string, ps []Posting) error {
-		if !first && v <= last {
-			t.Fatalf("value %q after %q: not strictly ascending", v, last)
-		}
-		first, last = false, v
-		if len(ps) == 0 {
-			t.Fatalf("value %q yielded no postings", v)
-		}
-		for _, p := range ps {
+	values, groups := valueGroups(t, r.ValueRangeStream(tag))
+	for i, v := range values {
+		for _, p := range groups[i] {
 			out = append(out, valuePair{v, p})
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return out
 }
@@ -49,7 +66,7 @@ func scanPairs(t *testing.T, r *Snapshot, tag string) []valuePair {
 // holds, in (content, doc, start) order.
 func coveredPairs(t *testing.T, r *Snapshot, tag string) []valuePair {
 	t.Helper()
-	ps, err := r.TagPostings(tag)
+	ps, err := Drain(r.TagStream(tag))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +93,9 @@ func TestScanValueRange(t *testing.T) {
 	}
 	sn := pin(t, db)
 	var got []string
-	if err := sn.ScanValueRange("author", func(v string, ps []Posting) error {
-		got = append(got, fmt.Sprintf("%s:%d", v, len(ps)))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	values, groups := valueGroups(t, sn.ValueRangeStream("author"))
+	for i, v := range values {
+		got = append(got, fmt.Sprintf("%s:%d", v, len(groups[i])))
 	}
 	if want := []string{"Jack:2", "Jill:1", "John:2"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("author values = %v, want %v", got, want)
@@ -88,21 +103,28 @@ func TestScanValueRange(t *testing.T) {
 	if !reflect.DeepEqual(scanPairs(t, sn, "title"), coveredPairs(t, sn, "title")) {
 		t.Error("title scan differs from the tag postings' contents")
 	}
-	stop := fmt.Errorf("stop")
-	n := 0
-	if err := sn.ScanValueRange("author", func(string, []Posting) error { n++; return stop }); err != stop || n != 1 {
-		t.Errorf("callback error: got %v after %d calls, want stop after 1", err, n)
+	// A stream closed after its first block stops there and releases
+	// its page.
+	s := sn.ValueRangeStream("author")
+	if _, ok := s.NextBlock(); !ok || string(s.Value()) != "Jack" {
+		t.Fatalf("first block: ok=%v value %q, want Jack", ok, s.Value())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.NextBlock(); ok {
+		t.Error("closed stream returned a block")
+	}
+	if err := db.DropCache(); err != nil {
+		t.Fatalf("drop cache after early close: %v", err)
 	}
 
 	noVal := testDB(t, Options{NoValueIndex: true})
 	if _, err := noVal.LoadDocument("bib.xml", paperdata.SampleDatabase()); err != nil {
 		t.Fatal(err)
 	}
-	if err := pin(t, noVal).ScanValueRange("author", func(v string, _ []Posting) error {
-		t.Errorf("scan without a value index yielded %q", v)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	if values, _ := valueGroups(t, pin(t, noVal).ValueRangeStream("author")); len(values) != 0 {
+		t.Errorf("scan without a value index yielded %q", values)
 	}
 }
 
@@ -117,8 +139,8 @@ var fuzzContents = []string{
 	strings.Repeat("y", 2*maxIndexedContent),
 }
 
-// FuzzValueRange checks ScanValueRange against its reference: the
-// (content, posting) pairs of TagPostings plus ContentsBatch that the
+// FuzzValueRange checks ValueRangeStream against its reference: the
+// (content, posting) pairs of a TagStream plus ContentsBatch that the
 // value index covers, in (content, doc, start) order. The input shapes
 // one to three documents of nested v (the scanned tag) and w elements
 // whose contents come from fuzzContents; the documents are bulk loaded

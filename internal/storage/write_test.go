@@ -74,18 +74,11 @@ func assertIndexCells(t *testing.T, db *DB, tree *btree.Tree, prefix []byte, key
 	}
 }
 
-// drain reads a cursor to the end and closes it.
-func drain(t *testing.T, c *TagCursor) []Posting {
+// drain reads a stream to the end and closes it.
+func drain(t *testing.T, s *PostingStream) []Posting {
 	t.Helper()
-	var out []Posting
-	for {
-		p, ok := c.Next()
-		if !ok {
-			break
-		}
-		out = append(out, p)
-	}
-	if err := c.Close(); err != nil {
+	out, err := Drain(s)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -143,10 +136,10 @@ func TestDocumentWritesPackBlocks(t *testing.T) {
 				assertIndexCells(t, db, valT, valuePrefix("p", "same"), func(id xmltree.NodeID) []byte { return valueKey("p", "same", id) }, same, (n+127)/128)
 				allP = append(allP, p...)
 				allSame = append(allSame, same...)
-				assertPostings(t, "doc cursor", drain(t, sn.OpenTagDocCursor("p", doc.Interval.Doc)), p)
+				assertPostings(t, "doc cursor", drain(t, sn.TagDocStream("p", doc.Interval.Doc)), p)
 			}
-			assertPostings(t, "tag cursor", drain(t, sn.OpenTagCursor("p")), allP)
-			vals, err := sn.ValuePostings("p", "same")
+			assertPostings(t, "tag cursor", drain(t, sn.TagStream("p")), allP)
+			vals, err := valuePostings(sn, "p", "same")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +148,7 @@ func TestDocumentWritesPackBlocks(t *testing.T) {
 			for _, doc := range docs {
 				allQ = append(allQ, wantPostings(t, sn, doc, "q", "q5")...)
 			}
-			vals, err = sn.ValuePostings("q", "q5")
+			vals, err = valuePostings(sn, "q", "q5")
 			if err != nil {
 				t.Fatal(err)
 			}

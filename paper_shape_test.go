@@ -30,7 +30,7 @@ func TestPaperShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn := db.Snapshot()
-	authors, err := sn.TagPostings("author")
+	authors, err := storage.Drain(sn.TagStream("author"))
 	sn.Close()
 	if err != nil {
 		t.Fatal(err)
